@@ -1,12 +1,12 @@
 """Finite-category engine for fibred models of language and meaning.
 
 The kernel (``fincat``) provides finite categories, quivers, Set-valued
-functors, limits, comma categories and components; ``fibration`` the
+functors, composition tables, limits and components; ``fibration`` the
 discrete-fibration machinery and the comprehensive factorization;
-``collage`` free adjunction of quiver edges; ``speaker`` explanations
-and the vocabulary-acquisition procedures; ``pregroup`` a grammar
-backend generating reduction categories; ``scenario`` and ``cli`` the
-declarative scenario runner.
+``collage`` free adjunction of quiver edges, free categories among them;
+``speaker`` explanations and the vocabulary-acquisition procedures;
+``pregroup`` a grammar backend generating reduction categories;
+``scenario`` and ``cli`` the declarative scenario runner.
 """
 
 from .collage import (
@@ -16,13 +16,13 @@ from .collage import (
     collage_is_finite,
     extend_set_functor,
     fp_collage,
+    free_category,
     normalize_word,
 )
 from .errors import FiblexError
 from .fibration import (
     Fibration,
     Factorization,
-    ReindexMap,
     comprehensive_factorization,
     fibration_from,
     fibre,
@@ -35,22 +35,18 @@ from .fibration import (
 )
 from .fincat import (
     CatFunctor,
-    Diagram,
     FinCategory,
     LimitCone,
     Quiver,
     SetFunctor,
-    comma_category,
-    compose_path,
+    compose_table,
     connected_components,
     discrete_category,
     discrete_quiver,
-    free_category,
     natural_iso_check,
     opposite,
     precompose,
     quiver_from_edges,
-    quiver_pushout,
     set_limit,
     terminal_category,
     underlying_quiver,
@@ -85,7 +81,6 @@ __all__ = [
     "AcquisitionReport",
     "CatFunctor",
     "CollageCategory",
-    "Diagram",
     "Explanation",
     "ExplanationCheck",
     "Factorization",
@@ -95,7 +90,6 @@ __all__ = [
     "Lexicon",
     "LimitCone",
     "Quiver",
-    "ReindexMap",
     "SetFunctor",
     "Speaker",
     "Word",
@@ -104,8 +98,7 @@ __all__ = [
     "acquire_by_paraphrasis",
     "canonical_functor",
     "collage_is_finite",
-    "comma_category",
-    "compose_path",
+    "compose_table",
     "comprehensive_factorization",
     "connected_components",
     "discrete_category",
@@ -125,7 +118,6 @@ __all__ = [
     "parse_type",
     "precompose",
     "quiver_from_edges",
-    "quiver_pushout",
     "reduce",
     "reindexing",
     "replay",

@@ -9,7 +9,8 @@ into single ones. Morphisms are therefore normalized alternating words
 with exactly one base morphism (identities allowed) between and around
 consecutive quiver edges; the 0-edge words are the base morphisms
 themselves. Composition is concatenation followed by folding the two
-base morphisms that meet at the junction.
+base morphisms that meet at the junction. The free category on a quiver
+is the collage of the discrete category on its vertices.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     UnboundedHomSet,
     VertexMismatch,
 )
-from .fincat import CatFunctor, FinCategory, Quiver, SetFunctor
+from .fincat import CatFunctor, FinCategory, Quiver, SetFunctor, compose_table, discrete_category
 
 
 @dataclass(frozen=True)
@@ -173,35 +174,62 @@ def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) ->
     src = {wid: w.src for wid, w in words.items()}
     tgt = {wid: w.tgt for wid, w in words.items()}
     identity = {o: cat.identity[o] for o in cat.objects}
+    by_key = {(w.bases, w.edges): wid for wid, w in words.items()}
 
-    by_id = {w_key: w for w_key, w in words.items()}
+    def glue(g_id: str, f_id: str) -> Optional[str]:
+        f, g = words[f_id], words[g_id]
+        if bound is not None and len(f.edges) + len(g.edges) > bound:
+            return None  # outside the truncation
+        junction = cat.compose_pair(g.bases[0], f.bases[-1])
+        return by_key[(f.bases[:-1] + (junction,) + g.bases[1:], f.edges + g.edges)]
+
     closed = not truncated
-    compose: dict[tuple[str, str], str] = {}
-    for f_id, f in by_id.items():
-        for g_id, g in by_id.items():
-            if f.tgt != g.src:
-                continue
-            if bound is not None and len(f.edges) + len(g.edges) > bound:
-                continue  # outside the truncation
-            junction = cat.compose_pair(g.bases[0], f.bases[-1])
-            glued = Word(
-                bases=f.bases[:-1] + (junction,) + g.bases[1:],
-                edges=f.edges + g.edges,
-                src=f.src,
-                tgt=g.tgt,
-            )
-            compose[(g_id, f_id)] = word_id(cat, glued)
-
     category = FinCategory(
         objects=cat.objects,
         morphisms=frozenset(words),
         src=src,
         tgt=tgt,
         identity=identity,
-        compose=compose,
+        compose=compose_table(src, tgt, glue),
         closed=closed,
     )
     return CollageCategory(base=cat, quiver=quiver, words=words, category=category, closed=closed)
+
+
+def free_category_with_paths(
+    q: Quiver, bound: Optional[int] = None
+) -> tuple[FinCategory, dict[str, tuple[str, ...]]]:
+    """Free category on a quiver, plus the edge sequence behind each morphism.
+
+    This is the collage of the discrete category on the vertices with the
+    quiver. The empty path at ``v`` is named ``id_v`` and the path
+    ``(e1, e2)`` is named ``e2∘e1``. A cyclic quiver has infinitely many
+    paths, so a ``bound`` on path length is then required and the result
+    is flagged non-closed whenever paths were actually cut off.
+    """
+    collage = fp_collage(discrete_category(q.vertices), q, bound)
+    name_of: dict[str, str] = {}
+    for wid, word in collage.words.items():
+        name = "∘".join(reversed(word.edges)) if word.edges else wid
+        if name in name_of:
+            raise IdentifierClash(f"path name collision at {name}")
+        name_of[name] = wid
+    rename = {wid: name for name, wid in name_of.items()}
+    wcat = collage.category
+    cat = FinCategory(
+        objects=wcat.objects,
+        morphisms=frozenset(name_of),
+        src={rename[m]: o for m, o in wcat.src.items()},
+        tgt={rename[m]: o for m, o in wcat.tgt.items()},
+        identity=wcat.identity,
+        compose={(rename[g], rename[f]): rename[gf] for (g, f), gf in wcat.compose.items()},
+        closed=wcat.closed,
+    )
+    return cat, {rename[wid]: word.edges for wid, word in collage.words.items()}
+
+
+def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
+    return free_category_with_paths(q, bound)[0]
 
 
 def canonical_functor(cat: FinCategory, collage: CollageCategory) -> CatFunctor:

@@ -12,7 +12,6 @@ comma categories.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +22,8 @@ from .fincat import (
     SetFunctor,
     _UnionFind,
     comma_object_id,
+    compose_table,
+    natural_iso_check,
     opposite,
     validate_functor,
 )
@@ -53,20 +54,6 @@ class Fibration:
     @property
     def base(self) -> FinCategory:
         return self.proj.cod
-
-
-@dataclass(frozen=True)
-class ReindexMap:
-    """The function between fibres induced by lifting a base morphism.
-
-    Sends each total object over the morphism's target to the source of
-    its unique lift."""
-
-    morphism: str
-    mapping: dict[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
 
 
 @dataclass(frozen=True)
@@ -161,17 +148,15 @@ def grothendieck(fun: SetFunctor) -> Fibration:
         pair_object_id(o, x): pair_morphism_id(lang.identity[o], x, o)
         for (o, x) in objects.values()
     }
-    compose: dict[tuple[str, str], str] = {}
-    for m2, (g, y) in morphs.items():
-        for m1, (f, _x) in morphs.items():
-            if tgt[m1] != src[m2]:
-                continue
-            gf = lang.compose.get((g, f))
-            if gf is None:
-                if not lang.closed:
-                    continue  # pair lies outside the truncation bound
-                raise NotComposable(f"base category lacks the composite of ({g}, {f})")
-            compose[(m2, m1)] = pair_morphism_id(gf, y, lang.tgt[g])
+
+    def glue(m2: str, m1: str) -> Optional[str]:
+        (g, y), f = morphs[m2], morphs[m1][0]
+        gf = lang.compose.get((g, f))
+        if gf is None:
+            if not lang.closed:
+                return None  # pair lies outside the truncation bound
+            raise NotComposable(f"base category lacks the composite of ({g}, {f})")
+        return pair_morphism_id(gf, y, lang.tgt[g])
 
     total = FinCategory(
         objects=frozenset(objects),
@@ -179,7 +164,7 @@ def grothendieck(fun: SetFunctor) -> Fibration:
         src=src,
         tgt=tgt,
         identity=identity,
-        compose=compose,
+        compose=compose_table(src, tgt, glue),
         closed=lang.closed,
     )
     proj = CatFunctor(
@@ -205,12 +190,13 @@ def to_presheaf(fib: Fibration) -> SetFunctor:
     return SetFunctor(base=opposite(lang), value=value, action=action)
 
 
-def reindexing(fib: Fibration, morphism: str) -> ReindexMap:
-    mapping = {
+def reindexing(fib: Fibration, morphism: str) -> dict[str, str]:
+    """The function between fibres induced by lifting a base morphism:
+    each total object over its target goes to the source of its lift."""
+    return {
         e: fib.total.src[fib.lift_table[(e, morphism)]]
         for e in fibre(fib, fib.base.tgt[morphism])
     }
-    return ReindexMap(morphism=morphism, mapping=mapping)
 
 
 def validate_fibration_morphism(h: CatFunctor, p: Fibration, q: Fibration) -> list[str]:
@@ -235,57 +221,19 @@ def validate_fibration_morphism(h: CatFunctor, p: Fibration, q: Fibration) -> li
 def iso_over_base(p: Fibration, q: Fibration) -> Optional[CatFunctor]:
     """Search for an isomorphism of fibrations over a shared base.
 
-    Backtracks over fibrewise bijections constrained to commute with
-    every reindexing, then extends to morphisms through the lift tables.
+    The fibrewise bijections are a natural isomorphism between the two
+    presheaves; they extend to morphisms through the lift tables.
     Returns the witness functor (validated), or None.
     """
     if p.base != q.base:
         raise BaseMismatch("fibrations live over different bases")
-    base = p.base
-    objs = sorted(base.objects)
-    fibres_p = {o: sorted(fibre(p, o)) for o in objs}
-    fibres_q = {o: sorted(fibre(q, o)) for o in objs}
-    if any(len(fibres_p[o]) != len(fibres_q[o]) for o in objs):
+    sigma = natural_iso_check(to_presheaf(p), to_presheaf(q))
+    if sigma is None:
         return None
-
-    touching: dict[str, list[str]] = {o: [] for o in objs}
-    for f in base.morphisms:
-        if not base.is_identity(f):
-            touching[base.src[f]].append(f)
-            touching[base.tgt[f]].append(f)
-
-    sigma: dict[str, dict[str, str]] = {}
-
-    def consistent(f: str) -> bool:
-        s, t = base.src[f], base.tgt[f]
-        if s not in sigma or t not in sigma:
-            return True
-        for e in fibres_p[t]:
-            lifted_p = p.total.src[p.lift_table[(e, f)]]
-            lifted_q = q.total.src[q.lift_table[(sigma[t][e], f)]]
-            if sigma[s][lifted_p] != lifted_q:
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(objs):
-            return True
-        o = objs[i]
-        for perm in itertools.permutations(fibres_q[o]):
-            sigma[o] = dict(zip(fibres_p[o], perm))
-            if all(consistent(f) for f in touching[o]) and extend(i + 1):
-                return True
-        del sigma[o]
-        return False
-
-    if not extend(0):
-        return None
-
-    omap = {e: sigma[o][e] for o in objs for e in fibres_p[o]}
-    mmap = {}
-    for m in p.total.morphisms:
-        f = p.proj.mmap[m]
-        mmap[m] = q.lift_table[(omap[p.total.tgt[m]], f)]
+    omap = {e: image for bijection in sigma.values() for e, image in bijection.items()}
+    mmap = {
+        m: q.lift_table[(omap[p.total.tgt[m]], p.proj.mmap[m])] for m in p.total.morphisms
+    }
     wit = CatFunctor(p.total, q.total, omap, mmap)
     if validate_functor(wit) or validate_fibration_morphism(wit, p, q):
         return None

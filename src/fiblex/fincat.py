@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import BaseMismatch, BoundExceeded, NotComposable, UnboundedHomSet, VertexMismatch
+from .errors import BaseMismatch, BoundExceeded, NotComposable
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +130,6 @@ class SetFunctor:
 
 
 @dataclass(frozen=True)
-class Diagram:
-    """A finite shape together with a labeling functor into a target category."""
-
-    shape: FinCategory
-    labels: CatFunctor
-
-
-@dataclass(frozen=True)
 class LimitCone:
     """The limit of a Set-valued functor on a finite category.
 
@@ -164,8 +156,40 @@ def tuple_name(tup: Sequence[str]) -> str:
     return "(" + ",".join(tup) + ")"
 
 
+def parse_tuple_name(name: str) -> Optional[tuple[str, ...]]:
+    """The tuple a ``tuple_name`` stands for, or None when ``name`` is not
+    parenthesized."""
+    if not (name.startswith("(") and name.endswith(")")):
+        return None
+    inner = name[1:-1]
+    return tuple(inner.split(",")) if inner else ()
+
+
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def compose_table(
+    src: Mapping[str, str],
+    tgt: Mapping[str, str],
+    glue: Callable[[str, str], Optional[str]],
+) -> dict[tuple[str, str], str]:
+    """The composition table of the morphisms with the given endpoints.
+
+    Morphisms are indexed by source, so only composable pairs are
+    visited: ``glue(g, f)`` names the composite of ``f`` followed by
+    ``g``, or returns None to leave the pair out of the table.
+    """
+    by_src: dict[str, list[str]] = {}
+    for m, s in src.items():
+        by_src.setdefault(s, []).append(m)
+    compose: dict[tuple[str, str], str] = {}
+    for f, t in tgt.items():
+        for g in by_src.get(t, ()):
+            gf = glue(g, f)
+            if gf is not None:
+                compose[(g, f)] = gf
+    return compose
 
 
 def discrete_category(objects: Iterable[str]) -> FinCategory:
@@ -173,14 +197,13 @@ def discrete_category(objects: Iterable[str]) -> FinCategory:
     objs = sorted(set(objects))
     identity = {o: f"id_{o}" for o in objs}
     src = {identity[o]: o for o in objs}
-    compose = {(identity[o], identity[o]): identity[o] for o in objs}
     return FinCategory(
         objects=frozenset(objs),
         morphisms=frozenset(identity.values()),
         src=src,
         tgt=dict(src),
         identity=identity,
-        compose=compose,
+        compose=compose_table(src, src, lambda g, f: g),
     )
 
 
@@ -346,7 +369,7 @@ def opposite_functor(fun: CatFunctor) -> CatFunctor:
 
 
 # ---------------------------------------------------------------------------
-# quivers and free categories
+# quivers
 
 
 def discrete_quiver(vertices: Iterable[str]) -> Quiver:
@@ -358,186 +381,12 @@ def underlying_quiver(cat: FinCategory) -> Quiver:
     return Quiver(cat.objects, cat.morphisms, dict(cat.src), dict(cat.tgt))
 
 
-def quiver_has_cycle(q: Quiver) -> bool:
-    out: dict[str, list[str]] = {v: [] for v in q.vertices}
-    for e in q.edges:
-        out[q.esrc[e]].append(q.etgt[e])
-    state: dict[str, int] = {}
-
-    def visit(v: str) -> bool:
-        state[v] = 1
-        for w in out[v]:
-            s = state.get(w, 0)
-            if s == 1 or (s == 0 and visit(w)):
-                return True
-        state[v] = 2
-        return False
-
-    return any(state.get(v, 0) == 0 and visit(v) for v in sorted(q.vertices))
-
-
-def free_category_with_paths(
-    q: Quiver, bound: Optional[int] = None
-) -> tuple[FinCategory, dict[str, tuple[str, ...]]]:
-    """Free category on a quiver, plus the edge sequence behind each morphism.
-
-    Morphisms are paths; the empty path at a vertex is its identity and
-    composition is concatenation. A cyclic quiver has infinitely many
-    paths, so a ``bound`` on path length is then required and the result
-    is flagged non-closed whenever paths were actually cut off.
-    """
-    cyclic = quiver_has_cycle(q)
-    if cyclic and bound is None:
-        raise UnboundedHomSet("quiver has a directed cycle; a path-length bound is required")
-
-    def path_id(path: tuple[str, ...], at: str) -> str:
-        if not path:
-            return f"id_{at}"
-        return "∘".join(reversed(path))
-
-    paths: dict[str, tuple[str, ...]] = {}
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    identity: dict[str, str] = {}
-    for v in sorted(q.vertices):
-        pid = path_id((), v)
-        paths[pid] = ()
-        src[pid] = tgt[pid] = v
-        identity[v] = pid
-
-    frontier: list[tuple[tuple[str, ...], str, str]] = [((), v, v) for v in sorted(q.vertices)]
-    truncated = False
-    length = 0
-    while frontier:
-        length += 1
-        if bound is not None and length > bound:
-            truncated = bool(frontier)
-            break
-        nxt = []
-        for path, s, t in frontier:
-            for e in sorted(q.edges):
-                if q.esrc[e] != t:
-                    continue
-                new = path + (e,)
-                pid = path_id(new, s)
-                paths[pid] = new
-                src[pid] = s
-                tgt[pid] = q.etgt[e]
-                nxt.append((new, s, q.etgt[e]))
-        frontier = nxt
-
-    compose: dict[tuple[str, str], str] = {}
-    by_path = {v: {} for v in q.vertices}  # src -> path tuple -> id
-    for pid, path in paths.items():
-        by_path[src[pid]][path] = pid
-    for f, fpath in paths.items():
-        for g, gpath in paths.items():
-            if tgt[f] != src[g]:
-                continue
-            whole = fpath + gpath
-            pid = by_path[src[f]].get(whole)
-            if pid is not None:
-                compose[(g, f)] = pid
-
-    cat = FinCategory(
-        objects=frozenset(q.vertices),
-        morphisms=frozenset(paths),
-        src=src,
-        tgt=tgt,
-        identity=identity,
-        compose=compose,
-        closed=not truncated,
-    )
-    return cat, paths
-
-
-def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
-    return free_category_with_paths(q, bound)[0]
-
-
-def quiver_pushout(base: Quiver, extra: Quiver) -> Quiver:
-    """Glue two quivers along their (shared) vertex set.
-
-    Vertices stay put; edges are the disjoint union, tagged by origin.
-    """
-    if base.vertices != extra.vertices:
-        raise VertexMismatch("pushout requires identical vertex sets")
-    esrc, etgt = {}, {}
-    for e in base.edges:
-        esrc[f"base:{e}"] = base.esrc[e]
-        etgt[f"base:{e}"] = base.etgt[e]
-    for e in extra.edges:
-        esrc[f"extra:{e}"] = extra.esrc[e]
-        etgt[f"extra:{e}"] = extra.etgt[e]
-    return Quiver(base.vertices, frozenset(esrc), esrc, etgt)
-
-
-def compose_path(cat: FinCategory, path: Sequence[str], at: Optional[str] = None) -> str:
-    """Fold a composable sequence of morphisms (listed first-to-last)
-    down to a single morphism. The empty sequence needs an anchor object
-    and yields its identity."""
-    if not path:
-        if at is None:
-            raise NotComposable("empty path needs an anchor object")
-        return cat.identity[at]
-    out = path[0]
-    for m in path[1:]:
-        out = cat.compose_pair(m, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# comma categories and components
+# comma objects and components
 
 
 def comma_object_id(d: str, f: str) -> str:
     return f"({d},{f})"
-
-
-def comma_category(anchor: str, fun: CatFunctor) -> tuple[FinCategory, dict[str, tuple[str, str]]]:
-    """The category of pairs ``(d, f : anchor -> fun(d))``.
-
-    A morphism ``(d1, f1) -> (d2, f2)`` is a domain morphism ``g`` with
-    ``fun(g) . f1 == f2``. Returns the category plus the labeling of its
-    objects by pairs.
-    """
-    base = fun.cod
-    labels: dict[str, tuple[str, str]] = {}
-    for d in sorted(fun.dom.objects):
-        for f in base.hom(anchor, fun.omap[d]):
-            labels[comma_object_id(d, f)] = (d, f)
-
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    identity: dict[str, str] = {}
-    morphs: dict[str, tuple[str, str]] = {}  # morphism id -> (g, source comma object)
-    for cid, (d, f) in labels.items():
-        for g in sorted(fun.dom.morphisms):
-            if fun.dom.src[g] != d:
-                continue
-            f2 = base.compose[(fun.mmap[g], f)]
-            mid = f"{g}@{cid}"
-            morphs[mid] = (g, cid)
-            src[mid] = cid
-            tgt[mid] = comma_object_id(fun.dom.tgt[g], f2)
-        identity[cid] = f"{fun.dom.identity[d]}@{cid}"
-
-    compose: dict[tuple[str, str], str] = {}
-    for m1, (g1, c1) in morphs.items():
-        for m2, (g2, c2) in morphs.items():
-            if tgt[m1] != c2:
-                continue
-            compose[(m2, m1)] = f"{fun.dom.compose[(g2, g1)]}@{c1}"
-
-    cat = FinCategory(
-        objects=frozenset(labels),
-        morphisms=frozenset(morphs),
-        src=src,
-        tgt=tgt,
-        identity=identity,
-        compose=compose,
-    )
-    return cat, labels
 
 
 class _UnionFind:

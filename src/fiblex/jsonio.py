@@ -17,12 +17,12 @@ from .errors import FiblexError
 from .fibration import Fibration, fibration_from
 from .fincat import (
     CatFunctor,
-    Diagram,
     FinCategory,
     LimitCone,
     Quiver,
     SetFunctor,
     opposite,
+    parse_tuple_name,
     tuple_name,
 )
 from .speaker import Explanation, Speaker
@@ -113,14 +113,6 @@ def setfunctor_from_dict(doc: dict) -> SetFunctor:
     )
 
 
-def diagram_to_dict(d: Diagram) -> dict:
-    return {"shape": category_to_dict(d.shape), "labels": functor_to_dict(d.labels)}
-
-
-def diagram_from_dict(doc: dict) -> Diagram:
-    return Diagram(shape=category_from_dict(doc["shape"]), labels=functor_from_dict(doc["labels"]))
-
-
 def limit_cone_to_dict(cone: LimitCone) -> dict:
     return {
         "order": list(cone.order),
@@ -135,9 +127,8 @@ def limit_cone_to_dict(cone: LimitCone) -> dict:
 def limit_cone_from_dict(doc: dict) -> LimitCone:
     order = tuple(doc["order"])
     apex = frozenset(tuple(t) for t in doc["apex"])
-    by_name = {tuple_name(t): t for t in apex}
     legs = {
-        o: {by_name[name]: x for name, x in graph.items()}
+        o: {parse_tuple_name(name): x for name, x in graph.items()}
         for o, graph in doc["legs"].items()
     }
     return LimitCone(order=order, apex=apex, legs=legs)
@@ -224,8 +215,8 @@ def explanation_from_dict(doc: dict, language: FinCategory) -> Explanation:
     if "embedding" in doc:
         embedding = {}
         for name, x in doc["embedding"].items():
-            if not (name.startswith("(") and name.endswith(")")):
+            tup = parse_tuple_name(name)
+            if tup is None:
                 raise FiblexError(f"embedding key {name!r} is not a tuple name")
-            inner = name[1:-1]
-            embedding[tuple(inner.split(",")) if inner else ()] = x
+            embedding[tup] = x
     return Explanation(shape=shape, diagram=diagram, target=doc["target"], embedding=embedding)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import FiblexError, UnknownWord
-from .fincat import FinCategory
+from .fincat import FinCategory, compose_table
 
 Simple = tuple[str, int]
 PgType = tuple[Simple, ...]
@@ -268,30 +268,24 @@ def language_category_from_lexicon(
     identity = {o: f"id_{o}" for o in objects}
     src = {i: o for o, i in identity.items()}
     tgt = dict(src)
-    morphisms = set(identity.values())
     for t in reached:
         for u in reach[t]:
             mid = f"{names[t]}→{names[u]}"
-            morphisms.add(mid)
             src[mid] = names[t]
             tgt[mid] = names[u]
 
-    compose: dict[tuple[str, str], str] = {}
-    for f in morphisms:
-        for g in morphisms:
-            if tgt[f] != src[g]:
-                continue
-            if src[g] == tgt[g]:  # g is an identity
-                compose[(g, f)] = f
-            elif src[f] == tgt[f]:
-                compose[(g, f)] = g
-            else:
-                compose[(g, f)] = f"{src[f]}→{tgt[g]}"
+    def glue(g: str, f: str) -> str:
+        if src[g] == tgt[g]:  # g is an identity
+            return f
+        if src[f] == tgt[f]:
+            return g
+        return f"{src[f]}→{tgt[g]}"
+
     return FinCategory(
         objects=objects,
-        morphisms=frozenset(morphisms),
+        morphisms=frozenset(src),
         src=src,
         tgt=tgt,
         identity=identity,
-        compose=compose,
+        compose=compose_table(src, tgt, glue),
     )

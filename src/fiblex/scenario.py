@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .collage import free_category
 from .dot import category_dot
 from .errors import FiblexError, ScenarioError
 from .fincat import (
     CatFunctor,
     FinCategory,
     discrete_category,
-    free_category,
     natural_iso_check,
+    parse_tuple_name,
     quiver_from_edges,
     terminal_category,
     validate_category,
@@ -216,10 +217,10 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
     if "embedding" in decl:
         embedding = {}
         for key, x in decl["embedding"].items():
-            if not (key.startswith("(") and key.endswith(")")):
+            tup = parse_tuple_name(key)
+            if tup is None:
                 raise ScenarioError(f"explanation {name}: bad embedding key {key!r}")
-            inner = key[1:-1]
-            embedding[tuple(inner.split(",")) if inner else ()] = x
+            embedding[tup] = x
     diagram = CatFunctor(dom=shape, cod=language, omap=omap, mmap=mmap)
     return Explanation(
         shape=shape, diagram=diagram, target=decl["target"], embedding=embedding

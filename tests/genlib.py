@@ -8,11 +8,11 @@ extended along path decompositions.
 
 import random
 
+from fiblex.collage import free_category_with_paths
 from fiblex.fincat import (
     FinCategory,
     SetFunctor,
     discrete_category,
-    free_category_with_paths,
     opposite,
     quiver_from_edges,
 )
@@ -46,6 +46,58 @@ def random_base(
         cat, paths = free_category_with_paths(quiver_from_edges(vertices, edges))
         if max_morphisms is None or len(cat.morphisms) <= max_morphisms:
             return cat, paths
+
+
+def free_category_by_paths(q, bound: int | None = None):
+    """Free category on a quiver by direct path enumeration, plus the edge
+    path behind each morphism: an oracle independent of the collage.
+
+    Paths are found breadth first and composed by concatenation; the
+    path ``(e1, e2)`` is named ``e2∘e1``. Paths longer than ``bound``
+    are cut off, and then the category is closed only when none were.
+    The quiver must be acyclic when no bound is given.
+    """
+    paths: dict[str, tuple[str, ...]] = {}
+    src: dict[str, str] = {}
+    tgt: dict[str, str] = {}
+    for v in sorted(q.vertices):
+        paths[f"id_{v}"] = ()
+        src[f"id_{v}"] = tgt[f"id_{v}"] = v
+    frontier = [((), v, v) for v in sorted(q.vertices)]
+    nxt: list = []
+    length = 0
+    while frontier:
+        nxt = []
+        for path, s, t in frontier:
+            for e in sorted(q.edges):
+                if q.esrc[e] == t:
+                    nxt.append((path + (e,), s, q.etgt[e]))
+        length += 1
+        if bound is not None and length > bound:
+            break
+        for path, s, t in nxt:
+            pid = "∘".join(reversed(path))
+            paths[pid] = path
+            src[pid] = s
+            tgt[pid] = t
+        frontier = nxt
+
+    by_path = {(src[m], path): m for m, path in paths.items()}
+    compose = {}
+    for f, fpath in paths.items():
+        for g, gpath in paths.items():
+            if tgt[f] == src[g] and (src[f], fpath + gpath) in by_path:
+                compose[(g, f)] = by_path[(src[f], fpath + gpath)]
+    cat = FinCategory(
+        objects=q.vertices,
+        morphisms=frozenset(paths),
+        src=src,
+        tgt=tgt,
+        identity={v: f"id_{v}" for v in q.vertices},
+        compose=compose,
+        closed=not nxt,
+    )
+    return cat, paths
 
 
 def random_presheaf(

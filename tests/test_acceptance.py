@@ -10,14 +10,13 @@ import random
 import time
 from pathlib import Path
 
-from genlib import random_base, random_functor_between, random_presheaf
+from genlib import free_category_by_paths, random_base, random_functor_between, random_presheaf
 from fiblex.collage import fp_collage, normalize_word
 from fiblex.fincat import (
     FinCategory,
     SetFunctor,
     discrete_category,
     discrete_quiver,
-    free_category,
     natural_iso_check,
     opposite,
     quiver_from_edges,
@@ -412,7 +411,7 @@ def test_c6_collage_laws():
         base = discrete_category(vertices)
         bound = rng.randint(1, 3)
         col = fp_collage(base, quiver, bound=bound)
-        free = free_category(quiver, bound=bound)
+        free, _ = free_category_by_paths(quiver, bound)
         if len(col.category.morphisms) != len(free.morphisms):
             _verdict("C6 collage", False, "discrete collage count differs from free category")
 

@@ -9,13 +9,13 @@ from fiblex.collage import (
     collage_is_finite,
     extend_set_functor,
     fp_collage,
+    free_category,
     normalize_word,
 )
 from fiblex.fincat import (
     SetFunctor,
     discrete_category,
     discrete_quiver,
-    free_category,
     quiver_from_edges,
     validate_category,
     validate_functor,

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from genlib import random_base, random_functor_between, random_presheaf
+from fiblex.collage import free_category
 from fiblex.errors import NotAFibration
 from fiblex.fincat import (
     CatFunctor,
     SetFunctor,
     connected_components,
     discrete_category,
-    free_category,
     identity_functor,
     natural_iso_check,
     opposite,
@@ -184,16 +184,16 @@ def test_to_presheaf_requires_a_fibration():
 def test_reindexing_identity_is_identity():
     fib = grothendieck(arrow_presheaf())
     rmap = reindexing(fib, "id_B")
-    assert rmap.mapping == {e: e for e in fibre(fib, "B")}
+    assert rmap == {e: e for e in fibre(fib, "B")}
 
 
 def test_reindexing_of_arrow_matches_action():
     fun = arrow_presheaf()
     fib = grothendieck(fun)
     rmap = reindexing(fib, "f")
-    assert rmap.mapping == {"b0@B": "a@A", "b1@B": "a@A"}
+    assert rmap == {"b0@B": "a@A", "b1@B": "a@A"}
     # function equality with the stored action, up to pair-naming
-    assert {e.split("@")[0]: x.split("@")[0] for e, x in rmap.mapping.items()} == fun.action["f"]
+    assert {e.split("@")[0]: x.split("@")[0] for e, x in rmap.items()} == fun.action["f"]
 
 
 def test_reindexing_functorial_on_chains():
@@ -205,10 +205,10 @@ def test_reindexing_functorial_on_chains():
     fun = random_presheaf(rng, lang, paths, allow_empty=False)
     fib = grothendieck(fun)
     two_step = {
-        e: reindexing(fib, "f").mapping[reindexing(fib, "g").mapping[e]]
+        e: reindexing(fib, "f")[reindexing(fib, "g")[e]]
         for e in fibre(fib, "C")
     }
-    assert two_step == reindexing(fib, "g∘f").mapping
+    assert two_step == reindexing(fib, "g∘f")
 
 
 def test_reindexing_equals_stored_action():
@@ -218,7 +218,7 @@ def test_reindexing_equals_stored_action():
         fun = random_presheaf(rng, base, paths)
         fib = grothendieck(fun)
         for f in base.morphisms:
-            rmap = reindexing(fib, f).mapping
+            rmap = reindexing(fib, f)
             stripped = {
                 fib.pairs[e][1]: fib.pairs[x][1] for e, x in rmap.items()
             }

@@ -4,26 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiblex.errors import BoundExceeded, NotComposable, UnboundedHomSet, VertexMismatch
+from genlib import free_category_by_paths
+from fiblex.collage import free_category, free_category_with_paths
+from fiblex.errors import BoundExceeded, IdentifierClash, UnboundedHomSet
+from fiblex.fibration import component_presheaf
 from fiblex.fincat import (
     CatFunctor,
     FinCategory,
     SetFunctor,
-    comma_category,
-    compose_path,
     connected_components,
     discrete_category,
     discrete_quiver,
-    free_category,
-    free_category_with_paths,
     identity_functor,
     natural_iso_check,
     opposite,
+    parse_tuple_name,
     precompose,
     quiver_from_edges,
-    quiver_pushout,
     set_limit,
     terminal_category,
+    tuple_name,
     underlying_quiver,
     validate_category,
     validate_functor,
@@ -116,34 +116,6 @@ def test_underlying_quiver_counts():
     assert len(underlying_quiver(tri).edges) == len(tri.morphisms) == 6
 
 
-def test_quiver_pushout_disjoint_union():
-    base = quiver_from_edges(["A", "B"], [("e1", "A", "B"), ("e2", "A", "B"), ("e3", "B", "A")])
-    extra = quiver_from_edges(["A", "B"], [("d1", "A", "A"), ("d2", "B", "B")])
-    out = quiver_pushout(base, extra)
-    assert len(out.edges) == 5
-    assert out.vertices == base.vertices
-
-
-def test_quiver_pushout_identity_leg():
-    base = quiver_from_edges(["A", "B"], [("e", "A", "B")])
-    out = quiver_pushout(base, discrete_quiver(["A", "B"]))
-    assert {e.split(":", 1)[1] for e in out.edges} == {"e"}
-
-
-def test_quiver_pushout_symmetric_up_to_tag_swap():
-    base = quiver_from_edges(["A"], [("e", "A", "A")])
-    extra = quiver_from_edges(["A"], [("d", "A", "A")])
-    one = quiver_pushout(base, extra)
-    two = quiver_pushout(extra, base)
-    swap = {f"base:{e}" for e in extra.edges} | {f"extra:{e}" for e in base.edges}
-    assert {e.replace("base:", "extra:") if e.startswith("base:") else e.replace("extra:", "base:") for e in one.edges} == swap == two.edges
-
-
-def test_quiver_pushout_vertex_mismatch():
-    with pytest.raises(VertexMismatch):
-        quiver_pushout(discrete_quiver(["A"]), discrete_quiver(["B"]))
-
-
 # --- free categories ---------------------------------------------------------
 
 
@@ -176,6 +148,20 @@ def test_free_category_bounded_cycle_is_flagged():
     assert validate_category(cat) == []  # truncation-aware
 
 
+def test_free_category_bound_that_cuts_nothing_is_closed():
+    cat = free_category(quiver_from_edges(["a", "b"], [("e", "a", "b")]), bound=1)
+    assert cat.closed
+    assert cat.compose[("id_b", "e")] == "e"
+
+
+def test_free_category_path_named_like_an_edge_clashes():
+    q = quiver_from_edges(
+        ["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c"), ("g∘f", "a", "c")]
+    )
+    with pytest.raises(IdentifierClash):
+        free_category(q)
+
+
 def test_free_category_morphism_count_identity():
     q = quiver_from_edges(
         ["A", "B", "C", "D"],
@@ -186,65 +172,30 @@ def test_free_category_morphism_count_identity():
     assert len(cat.morphisms) == len(cat.objects) + len(long_paths)
 
 
-# --- compose_path ------------------------------------------------------------
-
-
-def test_compose_path_empty_is_identity():
-    cat = chain_category()
-    assert compose_path(cat, [], at="A") == "id_A"
-
-
-def test_compose_path_single():
-    cat = chain_category()
-    assert compose_path(cat, ["f"]) == "f"
-
-
-def test_compose_path_pair_matches_table():
-    cat = chain_category()
-    assert compose_path(cat, ["f", "g"]) == cat.compose[("g", "f")]
-
-
-def test_compose_path_not_composable():
-    cat = chain_category()
-    with pytest.raises(NotComposable):
-        compose_path(cat, ["g", "f"])
-
-
-def test_compose_path_concatenation_is_functorial():
-    cat = chain_category()
-    left = compose_path(cat, ["f", "g"])
-    split = cat.compose_pair(compose_path(cat, ["g"]), compose_path(cat, ["f"]))
-    assert left == split
-
-
 # --- comma categories --------------------------------------------------------
 
 
 def test_comma_over_terminal_identity():
     pt = terminal_category()
-    cat, labels = comma_category("pt", identity_functor(pt))
-    assert len(cat.objects) == 1
-    assert len(cat.morphisms) == 1
-    assert list(labels.values()) == [("pt", "id_pt")]
+    presheaf, comma_pairs, _ = component_presheaf(pt, ["pt"], {"pt": "pt"}, [])
+    assert list(comma_pairs["pt"].values()) == [("pt", "id_pt")]
+    assert len(presheaf.value["pt"]) == 1
 
 
 def test_comma_with_empty_domain():
-    empty = discrete_category([])
-    lang = arrow_category()
-    fun = CatFunctor(empty, lang, {}, {})
-    cat, labels = comma_category("A", fun)
-    assert cat.objects == frozenset() and labels == {}
+    presheaf, comma_pairs, _ = component_presheaf(arrow_category(), [], {}, [])
+    assert comma_pairs["A"] == {} and presheaf.value["A"] == frozenset()
 
 
 def test_comma_category_has_identity_labelled_objects():
     # domain: discrete two objects sitting over B of the arrow category
-    lang = arrow_category()
-    dom = discrete_category(["x", "y"])
-    fun = CatFunctor(dom, lang, {"x": "B", "y": "B"}, {"id_x": "id_B", "id_y": "id_B"})
-    cat, labels = comma_category("B", fun)
-    identity_pairs = [cid for cid, (d, f) in labels.items() if f == "id_B"]
+    presheaf, comma_pairs, _ = component_presheaf(
+        arrow_category(), ["x", "y"], {"x": "B", "y": "B"}, []
+    )
+    identity_pairs = [cid for cid, (d, f) in comma_pairs["B"].items() if f == "id_B"]
     assert len(identity_pairs) == 2
-    assert validate_category(cat) == []
+    assert len(presheaf.value["B"]) == 2
+    assert validate_setfunctor(presheaf) == []
 
 
 # --- connected components ----------------------------------------------------
@@ -443,14 +394,24 @@ def test_components_match_opposite(q):
     assert connected_components(cat) == connected_components(opposite(cat))
 
 
-@settings(max_examples=40, deadline=None)
-@given(acyclic_quivers(), st.randoms(use_true_random=False))
-def test_compose_path_counit_functorial(q, rng):
-    cat = free_category(q)
-    morphs = sorted(cat.morphisms)
-    # build a random composable pair of paths and compare fold orders
-    f = rng.choice(morphs)
-    onward = [m for m in morphs if cat.src[m] == cat.tgt[f]]
-    g = rng.choice(onward)
-    combined = compose_path(cat, [f, g])
-    assert combined == cat.compose_pair(compose_path(cat, [g]), compose_path(cat, [f]))
+@settings(max_examples=60, deadline=None)
+@given(acyclic_quivers())
+def test_free_category_matches_path_oracle(q):
+    cat, paths = free_category_with_paths(q)
+    oracle, oracle_paths = free_category_by_paths(q)
+    assert cat.morphisms == oracle.morphisms
+    assert cat.src == oracle.src and cat.tgt == oracle.tgt
+    assert cat.identity == oracle.identity
+    assert cat.compose == oracle.compose
+    assert paths == oracle_paths
+    assert cat.objects == oracle.objects and cat.closed and oracle.closed
+
+
+@given(st.lists(st.text(alphabet="ab@∘ ", min_size=1, max_size=3), max_size=4))
+def test_tuple_name_roundtrip_without_separators(tup):
+    assert parse_tuple_name(tuple_name(tup)) == tuple(tup)
+
+
+def test_parse_tuple_name_rejects_unparenthesized():
+    assert parse_tuple_name("a,b") is None
+    assert parse_tuple_name("(a") is None

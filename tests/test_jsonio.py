@@ -5,11 +5,9 @@ import pytest
 
 from genlib import random_base, random_presheaf
 from fiblex.errors import NotAFibration
-from fiblex.collage import fp_collage
+from fiblex.collage import fp_collage, free_category
 from fiblex.fincat import (
-    Diagram,
     discrete_category,
-    free_category,
     identity_functor,
     quiver_from_edges,
     set_limit,
@@ -20,8 +18,6 @@ from fiblex.jsonio import (
     canonical_dumps,
     category_from_dict,
     category_to_dict,
-    diagram_from_dict,
-    diagram_to_dict,
     explanation_from_dict,
     explanation_to_dict,
     fibration_from_dict,
@@ -75,11 +71,6 @@ def test_setfunctor_roundtrip():
     rng = random.Random(2)
     base, paths = random_base(rng)
     roundtrip(setfunctor_to_dict, setfunctor_from_dict, random_presheaf(rng, base, paths))
-
-
-def test_diagram_roundtrip():
-    cat = chain()
-    roundtrip(diagram_to_dict, diagram_from_dict, Diagram(cat, identity_functor(cat)))
 
 
 def test_limit_cone_roundtrip():

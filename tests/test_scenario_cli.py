@@ -15,6 +15,7 @@ from fiblex.scenario import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load(name):
@@ -216,6 +217,16 @@ def test_cli_run_twice_is_byte_identical(tmp_path):
         assert result.exit_code == 0
         texts.append(out.read_text())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_cli_run_matches_golden_report(name, tmp_path):
+    # tests/golden holds the committed `fiblex run` report of each shipped
+    # scenario; any change to a canonical report must update it on purpose
+    out = tmp_path / name
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / name), "--report", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_cli_validate_ok():

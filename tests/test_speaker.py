@@ -1,5 +1,6 @@
 import pytest
 
+from fiblex.collage import free_category
 from fiblex.errors import (
     BaseMismatch,
     DiagramOutsideLanguage,
@@ -12,7 +13,6 @@ from fiblex.fincat import (
     CatFunctor,
     SetFunctor,
     discrete_category,
-    free_category,
     opposite,
     quiver_from_edges,
     validate_setfunctor,
