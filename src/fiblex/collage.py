@@ -16,7 +16,7 @@ is the collage of the discrete category on its vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     BaseMismatch,
@@ -127,37 +127,70 @@ def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) ->
     Enumerates all normal-form words (all of them when the collage is
     finite, else up to ``bound`` edges per word) and assembles the full
     composition table. Matches the pushout-then-free-then-fold pipeline
-    by construction.
+    by construction. Words are named by ``word_id``.
     """
+    return _adjoin(cat, quiver, bound, lambda word: word_id(cat, word))
+
+
+def free_category_with_paths(
+    q: Quiver, bound: Optional[int] = None
+) -> tuple[FinCategory, dict[str, tuple[str, ...]]]:
+    """Free category on a quiver, plus the edge sequence behind each morphism.
+
+    This is the collage of the discrete category on the vertices with the
+    quiver. The empty path at ``v`` is named ``id_v`` and the path
+    ``(e1, e2)`` is named ``e2∘e1``. A cyclic quiver has infinitely many
+    paths, so a ``bound`` on path length is then required and the result
+    is flagged non-closed whenever paths were actually cut off.
+    """
+    collage = _adjoin(discrete_category(q.vertices), q, bound, _path_name)
+    return collage.category, {m: word.edges for m, word in collage.words.items()}
+
+
+def _path_name(word: Word) -> str:
+    return "∘".join(reversed(word.edges)) if word.edges else word.bases[0]
+
+
+def _adjoin(
+    cat: FinCategory, quiver: Quiver, bound: Optional[int], name: Callable[[Word], str]
+) -> CollageCategory:
+    """The collage of ``cat`` and ``quiver`` with each word named by
+    ``name``; two words with one name raise IdentifierClash."""
     finite = collage_is_finite(cat, quiver)
     if not finite and bound is None:
         raise UnboundedHomSet("collage has unboundedly long words; an edge bound is required")
 
-    words: dict[str, Word] = {}
-    level: list[Word] = []
-    for m in sorted(cat.morphisms):
-        w = Word(bases=(m,), edges=(), src=cat.src[m], tgt=cat.tgt[m])
-        words[word_id(cat, w)] = w
-        level.append(w)
+    out_edges: dict[str, list[str]] = {v: [] for v in cat.objects}
+    for q in sorted(quiver.edges):
+        out_edges[quiver.esrc[q]].append(q)
+    out_bases: dict[str, list[str]] = {o: [] for o in cat.objects}
+    for c in sorted(cat.morphisms):
+        out_bases[cat.src[c]].append(c)
 
+    words: dict[str, Word] = {}
+    by_key: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
+
+    def add(w: Word) -> None:
+        wid = name(w)
+        if wid in words:
+            raise IdentifierClash(f"word name collision at {wid}")
+        words[wid] = w
+        by_key[(w.bases, w.edges)] = wid
+
+    level = [
+        Word(bases=(m,), edges=(), src=cat.src[m], tgt=cat.tgt[m]) for m in sorted(cat.morphisms)
+    ]
+    for w in level:
+        add(w)
     edge_count = 0
     truncated = False
     while level:
-        nxt: list[Word] = []
-        for w in level:
-            for q in sorted(quiver.edges):
-                if quiver.esrc[q] != w.tgt:
-                    continue
-                for c in sorted(cat.morphisms):
-                    if cat.src[c] != quiver.etgt[q]:
-                        continue
-                    grown = Word(
-                        bases=w.bases + (c,),
-                        edges=w.edges + (q,),
-                        src=w.src,
-                        tgt=cat.tgt[c],
-                    )
-                    nxt.append(grown)
+        nxt = [
+            Word(bases=w.bases + (c,), edges=w.edges + (q,), src=w.src, tgt=cat.tgt[c])
+            for w in level
+            for q in out_edges[w.tgt]
+            for c in out_bases[quiver.etgt[q]]
+        ]
         if not nxt:
             break
         edge_count += 1
@@ -165,16 +198,11 @@ def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) ->
             truncated = True
             break
         for w in nxt:
-            wid = word_id(cat, w)
-            if wid in words:
-                raise IdentifierClash(f"word name collision at {wid}")
-            words[wid] = w
+            add(w)
         level = nxt
 
     src = {wid: w.src for wid, w in words.items()}
     tgt = {wid: w.tgt for wid, w in words.items()}
-    identity = {o: cat.identity[o] for o in cat.objects}
-    by_key = {(w.bases, w.edges): wid for wid, w in words.items()}
 
     def glue(g_id: str, f_id: str) -> Optional[str]:
         f, g = words[f_id], words[g_id]
@@ -189,43 +217,11 @@ def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) ->
         morphisms=frozenset(words),
         src=src,
         tgt=tgt,
-        identity=identity,
+        identity={o: cat.identity[o] for o in cat.objects},
         compose=compose_table(src, tgt, glue),
         closed=closed,
     )
     return CollageCategory(base=cat, quiver=quiver, words=words, category=category, closed=closed)
-
-
-def free_category_with_paths(
-    q: Quiver, bound: Optional[int] = None
-) -> tuple[FinCategory, dict[str, tuple[str, ...]]]:
-    """Free category on a quiver, plus the edge sequence behind each morphism.
-
-    This is the collage of the discrete category on the vertices with the
-    quiver. The empty path at ``v`` is named ``id_v`` and the path
-    ``(e1, e2)`` is named ``e2∘e1``. A cyclic quiver has infinitely many
-    paths, so a ``bound`` on path length is then required and the result
-    is flagged non-closed whenever paths were actually cut off.
-    """
-    collage = fp_collage(discrete_category(q.vertices), q, bound)
-    name_of: dict[str, str] = {}
-    for wid, word in collage.words.items():
-        name = "∘".join(reversed(word.edges)) if word.edges else wid
-        if name in name_of:
-            raise IdentifierClash(f"path name collision at {name}")
-        name_of[name] = wid
-    rename = {wid: name for name, wid in name_of.items()}
-    wcat = collage.category
-    cat = FinCategory(
-        objects=wcat.objects,
-        morphisms=frozenset(name_of),
-        src={rename[m]: o for m, o in wcat.src.items()},
-        tgt={rename[m]: o for m, o in wcat.tgt.items()},
-        identity=wcat.identity,
-        compose={(rename[g], rename[f]): rename[gf] for (g, f), gf in wcat.compose.items()},
-        closed=wcat.closed,
-    )
-    return cat, {rename[wid]: word.edges for wid, word in collage.words.items()}
 
 
 def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:

@@ -127,10 +127,14 @@ def limit_cone_to_dict(cone: LimitCone) -> dict:
 def limit_cone_from_dict(doc: dict) -> LimitCone:
     order = tuple(doc["order"])
     apex = frozenset(tuple(t) for t in doc["apex"])
-    legs = {
-        o: {parse_tuple_name(name): x for name, x in graph.items()}
-        for o, graph in doc["legs"].items()
-    }
+    by_name = {tuple_name(t): t for t in apex}
+    legs: dict[str, dict[tuple[str, ...], str]] = {}
+    for o, graph in doc["legs"].items():
+        legs[o] = {}
+        for name, x in graph.items():
+            if name not in by_name:
+                raise FiblexError(f"limit cone leg {o}: {name!r} names no apex tuple")
+            legs[o][by_name[name]] = x
     return LimitCone(order=order, apex=apex, legs=legs)
 
 

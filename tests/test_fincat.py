@@ -162,6 +162,20 @@ def test_free_category_path_named_like_an_edge_clashes():
         free_category(q)
 
 
+def test_free_category_edge_named_like_a_collage_word():
+    # "(f,g)" is how a collage names the word f then g; the free category
+    # names that path g∘f, so the edge is a separate morphism.
+    q = quiver_from_edges(
+        ["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c"), ("(f,g)", "a", "c")]
+    )
+    cat, paths = free_category_with_paths(q)
+    assert len(cat.morphisms) == 7  # 3 identities + f, g, (f,g), g∘f
+    assert paths["(f,g)"] == ("(f,g)",)
+    assert paths["g∘f"] == ("f", "g")
+    assert cat.compose[("g", "f")] == "g∘f"
+    assert validate_category(cat) == []
+
+
 def test_free_category_morphism_count_identity():
     q = quiver_from_edges(
         ["A", "B", "C", "D"],

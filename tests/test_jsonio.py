@@ -4,9 +4,10 @@ import random
 import pytest
 
 from genlib import random_base, random_presheaf
-from fiblex.errors import NotAFibration
+from fiblex.errors import FiblexError, NotAFibration
 from fiblex.collage import fp_collage, free_category
 from fiblex.fincat import (
+    SetFunctor,
     discrete_category,
     identity_functor,
     quiver_from_edges,
@@ -78,6 +79,28 @@ def test_limit_cone_roundtrip():
     base, paths = random_base(rng)
     cone = set_limit(random_presheaf(rng, base, paths))
     roundtrip(limit_cone_to_dict, limit_cone_from_dict, cone)
+
+
+def comma_element_cone():
+    # Paraphrasis names fresh fibre elements "<event>:(<tuple>)", so apex
+    # components can contain commas and parentheses.
+    base = discrete_category(["X", "Y"])
+    value = {"X": frozenset({"ev:(a,b)", "c"}), "Y": frozenset({"d"})}
+    action = {base.identity[o]: {x: x for x in value[o]} for o in value}
+    return set_limit(SetFunctor(base=base, value=value, action=action))
+
+
+def test_limit_cone_roundtrip_with_commas_in_elements():
+    cone = comma_element_cone()
+    assert ("ev:(a,b)", "d") in cone.apex
+    roundtrip(limit_cone_to_dict, limit_cone_from_dict, cone)
+
+
+def test_limit_cone_rejects_leg_key_outside_apex():
+    doc = limit_cone_to_dict(comma_element_cone())
+    doc["legs"]["X"]["(ev:(a,b))"] = "c"
+    with pytest.raises(FiblexError):
+        limit_cone_from_dict(doc)
 
 
 def test_fibration_serializes_as_projection_and_reverifies():
