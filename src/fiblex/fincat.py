@@ -10,7 +10,8 @@ any value can be shared freely.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BaseMismatch, BoundExceeded, NotComposable
@@ -137,11 +138,20 @@ class LimitCone:
     fixed order ``order`` (sorted object identifiers), so that limit
     elements have reproducible canonical names. ``legs[o]`` is the
     projection onto the ``o`` component, as an explicit graph.
+
+    ``witness`` says why an apex computed by ``set_limit`` is empty, as
+    the first place where its pass emptied: ``{"kind": "empty-fibre",
+    "object": o}`` for a root with an empty fibre, ``{"kind": "arrow",
+    "root": r, "morphism": m}`` for the arrow inside a root's reach that
+    rejected every row, or ``{"kind": "join", "root": r, "shared": [...]}``
+    for the join step and shared objects where no rows matched. It is
+    diagnostic only: cones compare and serialize without it.
     """
 
     order: tuple[str, ...]
     apex: frozenset[tuple[str, ...]]
     legs: dict[str, dict[tuple[str, ...], str]]
+    witness: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "apex", frozenset(self.apex))
@@ -447,22 +457,144 @@ def set_limit(fun: SetFunctor) -> LimitCone:
     """Limit of a Set-valued functor on a finite category.
 
     The apex is the set of all families, one element per object, that are
-    compatible with every action; computed by enumerating the full
-    product and filtering. Components are ordered by sorted object id.
+    compatible with every action: a conjunctive query over the fibres,
+    computed as a join.
+
+    - One root, the least object id, is taken in each source strongly
+      connected component of the graph of non-identity arrows, so every
+      object is reachable from a root.
+    - Each element of a root's fibre fixes the values on everything the
+      root reaches, by following the actions, and the row is kept only
+      when it satisfies every arrow inside that reach.
+    - The rows of successive roots are hash-joined on the objects their
+      reaches share. Connected components share nothing and meet in one
+      product, with no check per tuple.
+
+    Components are ordered by sorted object id. An empty apex comes with
+    a ``witness`` (see ``LimitCone``). The actions must be total on the
+    fibres, as ``validate_setfunctor`` checks.
     """
-    order = tuple(sorted(fun.base.objects))
-    index = {o: i for i, o in enumerate(order)}
-    checks = [
-        (index[fun.base.src[m]], index[fun.base.tgt[m]], fun.action[m])
-        for m in fun.base.non_identities()
+    base = fun.base
+    order = tuple(sorted(base.objects))
+    arrows_from: dict[str, list[str]] = {o: [] for o in order}
+    entered = set()  # objects with an arrow in from another object
+    for m in base.non_identities():
+        arrows_from[base.src[m]].append(m)
+        if base.tgt[m] != base.src[m]:
+            entered.add(base.tgt[m])
+
+    reach = {o: _reach(base, arrows_from, o) for o in order if arrows_from[o]}
+    roots, covered = [], set()
+    for o in order:
+        mine = reach.get(o, {o})
+        if o not in covered and (
+            o not in entered or all(o not in r or p in mine for p, r in reach.items())
+        ):
+            roots.append(o)
+            covered |= mine
+
+    # one block per connected component: its objects and its rows, or the
+    # bare elements of a block that is a single object
+    blocks: list[tuple[list[str], list]] = []
+    witness = None
+    pending = roots
+    while pending and witness is None:
+        root: Optional[str] = pending[0]
+        if not arrows_from[root]:  # nothing to follow and nothing to join
+            pending = pending[1:]
+            pool = sorted(fun.value[root])
+            blocks.append(([root], pool))
+            if not pool:
+                witness = {"kind": "empty-fibre", "object": root}
+            continue
+        cols: list[str] = []
+        rows: list[tuple[str, ...]] = [()]
+        while root is not None and witness is None:
+            pending = [r for r in pending if r != root]
+            rows, witness = _join_root(fun, arrows_from, root, cols, rows)
+            root = next((r for r in pending if not reach.get(r, {r}).isdisjoint(cols)), None)
+        blocks.append((cols, [row[0] for row in rows] if len(cols) == 1 else rows))
+
+    if witness is not None:
+        apex: list[tuple[str, ...]] = []
+    elif all(len(cols) == 1 for cols, _ in blocks):
+        # one object per block, in sorted order: the product is the apex
+        apex = list(itertools.product(*[pool for _, pool in blocks]))
+    else:
+        position = {o: i for i, o in enumerate(o for cols, _ in blocks for o in cols)}
+        pick = operator.itemgetter(*[position[o] for o in order])
+        pools = [[(x,) for x in pool] if len(cols) == 1 else pool for cols, pool in blocks]
+        apex = [
+            pick(tuple(itertools.chain.from_iterable(parts)))
+            for parts in itertools.product(*pools)
+        ]
+    legs = {o: {tup: tup[i] for tup in apex} for i, o in enumerate(order)}
+    return LimitCone(order=order, apex=frozenset(apex), legs=legs, witness=witness)
+
+
+def _reach(base: FinCategory, arrows_from: Mapping[str, list[str]], start: str) -> set[str]:
+    """The objects reachable from ``start`` along non-identity arrows."""
+    seen, stack = {start}, [start]
+    while stack:
+        for m in arrows_from[stack.pop()]:
+            t = base.tgt[m]
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def _join_root(
+    fun: SetFunctor,
+    arrows_from: Mapping[str, list[str]],
+    root: str,
+    cols: list[str],
+    rows: list[tuple[str, ...]],
+) -> tuple[list[tuple[str, ...]], Optional[dict]]:
+    """Join a root's rows into ``rows`` (over the objects ``cols``).
+
+    The root's rows are built breadth first over its reach: an arrow to
+    a new object extends each row by its action, and an arrow to an
+    object already fixed filters the rows. They are then hash-joined
+    with ``rows`` on the shared objects, and ``cols`` grows by the
+    others. Returns the joined rows, and the witness when none is left.
+    """
+    reached = [root]
+    at = {root: 0}
+    own = [(x,) for x in sorted(fun.value[root])]
+    if not own:
+        return [], {"kind": "empty-fibre", "object": root}
+    for s in reached:  # grows as the walk reaches new objects
+        i = at[s]
+        for m in arrows_from[s]:
+            act, t = fun.action[m], fun.base.tgt[m]
+            if t in at:
+                j = at[t]
+                own = [row for row in own if act[row[i]] == row[j]]
+            else:
+                at[t] = len(reached)
+                reached.append(t)
+                fibre = fun.value[t]
+                own = [row + (y,) for row in own if (y := act[row[i]]) in fibre]
+            if not own:
+                return [], {"kind": "arrow", "root": root, "morphism": m}
+
+    shared = [o for o in cols if o in at]
+    fresh = [at[o] for o in reached if o not in shared]
+    index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for row in own:
+        key = tuple(row[at[o]] for o in shared)
+        index.setdefault(key, []).append(tuple(row[k] for k in fresh))
+    key_at = [cols.index(o) for o in shared]
+    joined = [
+        row + extra
+        for row in rows
+        for extra in index.get(tuple(row[k] for k in key_at), ())
     ]
-    apex = []
-    pools = [sorted(fun.value[o]) for o in order]
-    for tup in itertools.product(*pools):
-        if all(act[tup[i]] == tup[j] for i, j, act in checks):
-            apex.append(tup)
-    legs = {o: {tup: tup[index[o]] for tup in apex} for o in order}
-    return LimitCone(order=order, apex=frozenset(apex), legs=legs)
+    cols += [reached[k] for k in fresh]
+    if not joined:
+        return [], {"kind": "join", "root": root, "shared": shared}
+    return joined, None
 
 
 def natural_iso_check(

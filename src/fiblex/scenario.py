@@ -451,4 +451,9 @@ def explain_report(scenario: Scenario, speaker: str, explanation: str) -> dict:
     if speaker not in store:
         raise ScenarioError(f"undeclared speaker {speaker!r}")
     expl = resolve_explanation(scenario, store, explanation)
-    return validate_explanation(store[speaker].speaker, expl).to_json()
+    check = validate_explanation(store[speaker].speaker, expl)
+    report = check.to_json()
+    if check.limit.witness is not None:
+        # why the apex is empty; `fiblex run` reports leave it out
+        report["empty_witness"] = check.limit.witness
+    return report

@@ -487,6 +487,8 @@ def acquire_by_paraphrasis(
     Actions of pre-existing morphisms pointing at the learned word are
     not determined by the construction; they must be supplied through
     ``edge_overrides`` (keyed by morphism, then by apex tuple name).
+    Two apex tuples whose names coincide raise ``IdentifierClash``, so
+    the learned fibre has exactly one element per apex tuple.
     """
     if teacher.language != learner.language:
         raise BaseMismatch("teacher and learner must share a language")
@@ -515,8 +517,15 @@ def acquire_by_paraphrasis(
         )
 
     apex = cone.sorted_apex()
-    fresh = {tup: f"{event_id}:{tuple_name(tup)}" for tup in apex}
-    as_fresh = {tuple_name(tup): name for tup, name in fresh.items()}
+    named: dict[str, tuple[str, ...]] = {}
+    for tup in apex:
+        other = named.setdefault(tuple_name(tup), tup)
+        if other != tup:
+            raise IdentifierClash(
+                f"apex tuples {other} and {tup} share the name {tuple_name(tup)}"
+            )
+    fresh = {tup: f"{event_id}:{name}" for name, tup in named.items()}
+    as_fresh = {name: fresh[tup] for name, tup in named.items()}
     shape_objects = sorted(explanation.shape.objects)
     edge_of = _edge_names(word, shape_objects, explanation.diagram.omap, lang.morphisms)
 

@@ -100,6 +100,19 @@ def free_category_by_paths(q, bound: int | None = None):
     return cat, paths
 
 
+def functor_on_free(quiver, value, edge_action):
+    """The Set-valued functor on the free category of ``quiver`` with the
+    given fibres and edge actions; composites act along their paths."""
+    cat, paths = free_category_with_paths(quiver)
+    action = {}
+    for m, path in paths.items():
+        graph = {x: x for x in value[cat.src[m]]}
+        for e in path:
+            graph = {x: edge_action[e][y] for x, y in graph.items()}
+        action[m] = graph
+    return SetFunctor(base=cat, value=value, action=action)
+
+
 def random_presheaf(
     rng: random.Random,
     base: FinCategory,

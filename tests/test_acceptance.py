@@ -5,16 +5,27 @@ Random instances are drawn from seeded generators so runs are
 reproducible.
 """
 
+import itertools
 import json
 import random
 import time
 from pathlib import Path
 
-from genlib import free_category_by_paths, random_base, random_functor_between, random_presheaf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genlib import (
+    free_category_by_paths,
+    functor_on_free,
+    random_base,
+    random_functor_between,
+    random_presheaf,
+)
 from fiblex.collage import fp_collage, normalize_word
 from fiblex.fincat import (
     FinCategory,
     SetFunctor,
+    compose_table,
     discrete_category,
     discrete_quiver,
     natural_iso_check,
@@ -357,6 +368,23 @@ def _oracle_limit(fun):
     return frozenset(out)
 
 
+def _product_limit(fun):
+    """Product and filter: every family in the full product of the fibres
+    that commutes with every non-identity action."""
+    order = tuple(sorted(fun.base.objects))
+    index = {o: i for i, o in enumerate(order)}
+    checks = [
+        (index[fun.base.src[m]], index[fun.base.tgt[m]], fun.action[m])
+        for m in fun.base.non_identities()
+    ]
+    pools = [sorted(fun.value[o]) for o in order]
+    return frozenset(
+        tup
+        for tup in itertools.product(*pools)
+        if all(act[tup[i]] == tup[j] for i, j, act in checks)
+    )
+
+
 def test_c5_limits_and_tautologies():
     rng = random.Random(505)
     diagrams = 0
@@ -384,6 +412,168 @@ def test_c5_limits_and_tautologies():
                 _verdict("C5 limit-oracle", False, f"tautology not exact at {word}")
             tautologies += 1
     _verdict("C5 limit-oracle", True, f"({diagrams} diagrams, {tautologies} tautologies)")
+
+
+def _random_fibres(rng, objects, arrows):
+    """Fibres of 1-3 elements, some emptied; emptiness is pushed back
+    along ``(src, tgt)`` arrows, since nothing maps into an empty set."""
+    empty = {o for o in objects if rng.random() < 0.1}
+    while True:
+        more = {s for s, t in arrows if t in empty} - empty
+        if not more:
+            break
+        empty |= more
+    return {
+        o: frozenset() if o in empty else frozenset(f"{o}x{i}" for i in range(rng.randint(1, 3)))
+        for o in objects
+    }
+
+
+def _free_piece(rng, vertices, edges):
+    """A random functor on the free category of an acyclic quiver."""
+    value = _random_fibres(rng, vertices, [(s, t) for _, s, t in edges])
+    edge_act = {e: {x: rng.choice(sorted(value[t])) for x in value[s]} for e, s, t in edges}
+    return functor_on_free(quiver_from_edges(vertices, edges), value, edge_act)
+
+
+def _genlib_piece(rng):
+    base, paths = random_base(rng, max_vertices=3)
+    return random_presheaf(rng, base, paths)
+
+
+def _cospan_piece(rng):
+    """Several roots meeting at one object."""
+    roots = [f"r{i}" for i in range(rng.randint(2, 4))]
+    return _free_piece(rng, roots + ["m"], [(f"s{r}", r, "m") for r in roots])
+
+
+def _zigzag_piece(rng):
+    """Roots r0 -> m0 <- r1 -> m1 <- r2: each join meets on another object."""
+    k = rng.randint(2, 3)
+    vertices = [f"r{i}" for i in range(k)] + [f"m{i}" for i in range(k - 1)]
+    edges = [(f"u{i}", f"r{i}", f"m{i}") for i in range(k - 1)]
+    edges += [(f"v{i}", f"r{i + 1}", f"m{i}") for i in range(k - 1)]
+    return _free_piece(rng, vertices, edges)
+
+
+def _with_identities(src, tgt, after):
+    """A composition table: identities compose trivially, and ``after``
+    gives every other composite."""
+
+    def glue(g, f):
+        if g.startswith("id_"):
+            return f
+        return g if f.startswith("id_") else after[(g, f)]
+
+    return compose_table(src, tgt, glue)
+
+
+def _idempotent_piece(rng):
+    """An object with a non-identity idempotent e, and f: o -> t with f∘e."""
+    src = {"id_o": "o", "id_t": "t", "e": "o", "f": "o", "fe": "o"}
+    tgt = {"id_o": "o", "id_t": "t", "e": "o", "f": "t", "fe": "t"}
+    after = {("e", "e"): "e", ("f", "e"): "fe", ("fe", "e"): "fe"}
+    cat = FinCategory(
+        objects={"o", "t"},
+        morphisms=src,
+        src=src,
+        tgt=tgt,
+        identity={"o": "id_o", "t": "id_t"},
+        compose=_with_identities(src, tgt, after),
+    )
+    value = _random_fibres(rng, ["o", "t"], [("o", "t")])
+    elems = sorted(value["o"])
+    image = rng.sample(elems, rng.randint(1, len(elems))) if elems else []
+    e = {x: x if x in image else rng.choice(image) for x in elems}
+    f = {x: rng.choice(sorted(value["t"])) for x in elems}
+    action = {"id_o": {x: x for x in elems}, "id_t": {y: y for y in value["t"]},
+              "e": e, "f": f, "fe": {x: f[e[x]] for x in elems}}
+    return SetFunctor(base=cat, value=value, action=action)
+
+
+def _iso_piece(rng):
+    """A source component of two isomorphic objects a ⇄ b, with w: b -> c."""
+    src = {"id_a": "a", "id_b": "b", "id_c": "c", "u": "a", "v": "b", "w": "b", "wu": "a"}
+    tgt = {"id_a": "a", "id_b": "b", "id_c": "c", "u": "b", "v": "a", "w": "c", "wu": "c"}
+    after = {("v", "u"): "id_a", ("u", "v"): "id_b", ("w", "u"): "wu", ("wu", "v"): "w"}
+    cat = FinCategory(
+        objects={"a", "b", "c"},
+        morphisms=src,
+        src=src,
+        tgt=tgt,
+        identity={"a": "id_a", "b": "id_b", "c": "id_c"},
+        compose=_with_identities(src, tgt, after),
+    )
+    value = _random_fibres(rng, ["a", "c"], [("a", "c")])
+    elems = sorted(value["a"])
+    twins = [f"b{x}" for x in elems]
+    rng.shuffle(twins)
+    value["b"] = frozenset(twins)
+    u = dict(zip(elems, twins))
+    w = {y: rng.choice(sorted(value["c"])) for y in twins}
+    action = {"id_a": {x: x for x in elems}, "id_b": {y: y for y in twins},
+              "id_c": {z: z for z in value["c"]}, "u": u, "v": {y: x for x, y in u.items()},
+              "w": w, "wu": {x: w[u[x]] for x in elems}}
+    return SetFunctor(base=cat, value=value, action=action)
+
+
+def _unconstrained_piece(rng):
+    """Actions drawn with no regard to composition: the limit must still
+    check every arrow, composites included."""
+    base, _ = random_base(rng, max_vertices=3)
+    base = opposite(base)
+    value = {o: frozenset(f"{o}x{i}" for i in range(rng.randint(1, 3))) for o in base.objects}
+    action = {}
+    for m in base.morphisms:
+        dom, cod = sorted(value[base.src[m]]), sorted(value[base.tgt[m]])
+        if base.is_identity(m):
+            action[m] = {x: x for x in dom}
+        else:
+            action[m] = {x: rng.choice(cod) for x in dom}
+    return SetFunctor(base=base, value=value, action=action)
+
+
+LIMIT_PIECES = (
+    _genlib_piece, _cospan_piece, _zigzag_piece, _idempotent_piece, _iso_piece,
+    _unconstrained_piece,
+)
+
+
+def _disjoint_union(funs):
+    """The coproduct of Set-valued functors' bases, with each functor on
+    its summand; ids are prefixed by the summand's position."""
+    objects, src, tgt, identity, compose, value, action = set(), {}, {}, {}, {}, {}, {}
+    for i, fun in enumerate(funs):
+        base, p = fun.base, f"p{i}."
+        objects |= {p + o for o in base.objects}
+        src.update({p + m: p + o for m, o in base.src.items()})
+        tgt.update({p + m: p + o for m, o in base.tgt.items()})
+        identity.update({p + o: p + m for o, m in base.identity.items()})
+        compose.update({(p + g, p + f): p + gf for (g, f), gf in base.compose.items()})
+        value.update({p + o: v for o, v in fun.value.items()})
+        action.update({p + m: g for m, g in fun.action.items()})
+    cat = FinCategory(objects, set(src), src, tgt, identity, compose)
+    return SetFunctor(base=cat, value=value, action=action)
+
+
+@st.composite
+def limit_instances(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    pieces = draw(st.lists(st.sampled_from(LIMIT_PIECES), min_size=1, max_size=2))
+    return _disjoint_union([piece(rng) for piece in pieces])
+
+
+@settings(max_examples=300, deadline=None)
+@given(limit_instances())
+def test_c5_limit_matches_both_oracles(fun):
+    assert validate_category(fun.base) == []
+    cone = set_limit(fun)
+    apex = _product_limit(fun)
+    assert apex == _oracle_limit(fun)
+    assert cone.apex == apex
+    assert cone.order == tuple(sorted(fun.base.objects))
+    assert cone.legs == {o: {t: t[i] for t in apex} for i, o in enumerate(cone.order)}
+    assert (cone.witness is None) == bool(apex)
 
 
 # --- 6. collage ------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genlib import free_category_by_paths
+from genlib import free_category_by_paths, functor_on_free
 from fiblex.collage import free_category, free_category_with_paths
 from fiblex.errors import BoundExceeded, IdentifierClash, UnboundedHomSet
 from fiblex.fibration import component_presheaf
@@ -303,6 +303,128 @@ def test_limit_with_empty_factor_is_empty():
         action={"id_a": {}, "id_b": {"u": "u"}},
     )
     assert set_limit(fun).apex == frozenset()
+
+
+def test_limit_of_long_free_chain_follows_its_root():
+    # 16 objects with 4 elements each: a product of 4 ** 16 (about 4.3e9)
+    # candidates, of which the 4 families fixed by the first object survive
+    objs = [f"o{i:02d}" for i in range(16)]
+    edges = [(f"e{i:02d}", objs[i], objs[i + 1]) for i in range(15)]
+    value = {o: frozenset(f"{o}x{k}" for k in range(4)) for o in objs}
+    edge_action = {
+        e: {f"{s}x{k}": f"{t}x{(k * (i + 1) + i) % 4}" for k in range(4)}
+        for i, (e, s, t) in enumerate(edges)
+    }
+    fun = functor_on_free(quiver_from_edges(objs, edges), value, edge_action)
+    assert len(fun.base.non_identities()) == 120
+    expected = set()
+    for k in range(4):
+        family = [f"o00x{k}"]
+        for e, _, _ in edges:
+            family.append(edge_action[e][family[-1]])
+        expected.add(tuple(family))
+    cone = set_limit(fun)
+    assert cone.apex == frozenset(expected)
+    assert cone.order == tuple(objs)
+    assert cone.legs["o07"] == {t: t[7] for t in expected}
+
+
+def test_limit_of_wide_span_counts_preimages_over_the_centre():
+    # a 12-leg span c -> l_i; meanings run the other way, from each leg
+    # to the centre, so the limit is the wide pullback over c's fibre
+    legs = [f"l{i:02d}" for i in range(12)]
+    edges = [(f"s{i:02d}", leg, "c") for i, leg in enumerate(legs)]
+    centre = ["c0", "c1", "c2"]
+    value = {"c": frozenset(centre)}
+    edge_action = {}
+    for i, (e, leg, _) in enumerate(edges):
+        # leg i has 1 + i % 3 elements over c0, 1 over c1 and, on odd
+        # legs only, 1 over c2
+        over = {"c0": 1 + i % 3, "c1": 1, "c2": i % 2}
+        graph = {f"{leg}{z}_{k}": z for z in centre for k in range(over[z])}
+        value[leg] = frozenset(graph)
+        edge_action[e] = graph
+    fun = functor_on_free(quiver_from_edges(legs + ["c"], edges), value, edge_action)
+    expected = set()
+    for z in centre:
+        preimages = [sorted(x for x, y in edge_action[e].items() if y == z) for e, _, _ in edges]
+        expected |= {(z,) + family for family in itertools.product(*preimages)}
+    assert len(expected) == (1 * 2 * 3) ** 4 + 1 + 0  # over c0, c1 and c2
+    cone = set_limit(fun)
+    assert cone.order == ("c",) + tuple(legs)
+    assert cone.apex == frozenset(expected)
+    assert cone.witness is None
+
+
+def test_limit_over_an_idempotent_keeps_its_fixed_points():
+    # o carries a non-identity idempotent e; p is a separate component
+    cat = FinCategory(
+        objects={"o", "p"},
+        morphisms={"id_o", "e", "id_p"},
+        src={"id_o": "o", "e": "o", "id_p": "p"},
+        tgt={"id_o": "o", "e": "o", "id_p": "p"},
+        identity={"o": "id_o", "p": "id_p"},
+        compose={("id_o", "id_o"): "id_o", ("e", "id_o"): "e", ("id_o", "e"): "e",
+                 ("e", "e"): "e", ("id_p", "id_p"): "id_p"},
+    )
+    fun = SetFunctor(
+        base=cat,
+        value={"o": frozenset("xyz"), "p": frozenset("uv")},
+        action={"id_o": {c: c for c in "xyz"}, "e": {"x": "x", "y": "x", "z": "z"},
+                "id_p": {"u": "u", "v": "v"}},
+    )
+    assert validate_category(cat) == [] and validate_setfunctor(fun) == []
+    cone = set_limit(fun)
+    assert cone.apex == {("x", "u"), ("x", "v"), ("z", "u"), ("z", "v")}
+    assert cone.legs["p"][("z", "u")] == "u"
+
+
+def test_empty_limit_witness_names_an_empty_root_fibre():
+    cat = discrete_category(["a", "b", "c"])
+    fun = SetFunctor(
+        base=cat,
+        value={"a": frozenset(["x"]), "b": frozenset(), "c": frozenset()},
+        action={"id_a": {"x": "x"}, "id_b": {}, "id_c": {}},
+    )
+    cone = set_limit(fun)
+    assert cone.apex == frozenset()
+    assert cone.legs == {"a": {}, "b": {}, "c": {}}
+    assert cone.witness == {"kind": "empty-fibre", "object": "b"}
+
+
+def test_empty_limit_witness_names_the_arrow_that_rejected_every_row():
+    # an equalizer of two maps a -> b that disagree everywhere
+    quiver = quiver_from_edges(["a", "b"], [("f", "a", "b"), ("g", "a", "b")])
+    fun = functor_on_free(
+        quiver,
+        {"a": frozenset(["x", "y"]), "b": frozenset(["u", "v"])},
+        {"f": {"x": "u", "y": "v"}, "g": {"x": "v", "y": "u"}},
+    )
+    cone = set_limit(fun)
+    assert cone.apex == frozenset()
+    assert cone.witness == {"kind": "arrow", "root": "a", "morphism": "g"}
+
+
+def test_empty_limit_witness_names_the_join_that_matched_nothing():
+    # a cospan a -> c <- b whose images in c are disjoint
+    quiver = quiver_from_edges(["a", "b", "c"], [("m", "a", "c"), ("n", "b", "c")])
+    fun = functor_on_free(
+        quiver,
+        {"a": frozenset(["x"]), "b": frozenset(["y"]), "c": frozenset(["z1", "z2"])},
+        {"m": {"x": "z1"}, "n": {"y": "z2"}},
+    )
+    cone = set_limit(fun)
+    assert cone.apex == frozenset()
+    assert cone.witness == {"kind": "join", "root": "b", "shared": ["c"]}
+
+
+def test_limit_witness_is_left_out_of_equality():
+    cat = discrete_category(["a"])
+    empty = SetFunctor(base=cat, value={"a": frozenset()}, action={"id_a": {}})
+    cone = set_limit(empty)
+    assert cone.witness is not None
+    assert cone == type(cone)(order=cone.order, apex=cone.apex, legs=cone.legs)
+    assert "witness" not in repr(cone)
 
 
 # --- functor validation and natural isomorphism -------------------------------

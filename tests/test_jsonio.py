@@ -96,6 +96,17 @@ def test_limit_cone_roundtrip_with_commas_in_elements():
     roundtrip(limit_cone_to_dict, limit_cone_from_dict, cone)
 
 
+def test_empty_limit_cone_roundtrip_leaves_the_witness_out():
+    base = discrete_category(["X", "Y"])
+    value = {"X": frozenset({"x"}), "Y": frozenset()}
+    action = {base.identity[o]: {x: x for x in value[o]} for o in value}
+    cone = set_limit(SetFunctor(base=base, value=value, action=action))
+    assert cone.witness == {"kind": "empty-fibre", "object": "Y"}
+    doc = limit_cone_to_dict(cone)
+    assert doc == {"order": ["X", "Y"], "apex": [], "legs": {"X": {}, "Y": {}}}
+    roundtrip(limit_cone_to_dict, limit_cone_from_dict, cone)
+
+
 def test_limit_cone_rejects_leg_key_outside_apex():
     doc = limit_cone_to_dict(comma_element_cone())
     doc["legs"]["X"]["(ev:(a,b))"] = "c"

@@ -281,3 +281,31 @@ def test_cli_export_dot_and_explain():
     )
     assert result.exit_code == 0
     assert json.loads(result.output)["exact"] is True
+    assert "empty_witness" not in json.loads(result.output)
+
+
+def test_cli_explain_shows_why_a_limit_is_empty(tmp_path):
+    # evil-cat with no black things: the limit empties at the shape object
+    # over `black`, and only `fiblex explain` says so
+    doc = json.loads((SCENARIOS / "evil-cat.json").read_text())
+    doc["speakers"]["p"]["fibres"]["black"] = []
+    del doc["explanations"]["black-evil-feline"]["embedding"]
+    doc["assertions"] = [
+        {"assert": "explanation", "event": "describe-the-cat", "valid": True,
+         "exact": False, "vacuous": True, "apex-size": 0}
+    ]
+    path = tmp_path / "no-black-cat.json"
+    path.write_text(json.dumps(doc))
+    runner = CliRunner()
+    result = runner.invoke(
+        main, ["explain", str(path), "--speaker", "p", "--explanation", "black-evil-feline"]
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["vacuous"] is True
+    assert report["empty_witness"] == {"kind": "empty-fibre", "object": "a2"}
+
+    result = runner.invoke(main, ["run", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "empty_witness" not in result.output
+    assert "vacuous" in result.output

@@ -7,6 +7,7 @@ from fiblex.errors import (
     EmptyExample,
     ExampleNotInTeacherFibre,
     FibreNotEmpty,
+    IdentifierClash,
     UnforcedActionAtL,
 )
 from fiblex.fincat import (
@@ -115,6 +116,23 @@ def test_explanation_outside_language_is_rejected():
     expl = discrete_explanation(other, "dog", {"a1": "dog"})
     with pytest.raises(DiagramOutsideLanguage):
         validate_explanation(speaker, expl)
+
+
+def test_explanation_diagram_that_is_no_functor_keeps_the_apex_in_its_fibres():
+    # h: s -> t is sent to g: D -> B although s goes to A, so the action
+    # the limit follows lands in D's fibre, which shares nothing with A's
+    lang = free_category(quiver_from_edges(["A", "B", "D"], [("g", "D", "B")]))
+    speaker = make_speaker(
+        "p", lang, {"A": ["a"], "B": ["b"], "D": ["d"]}, actions={"g": {"b": "d"}}
+    )
+    shape = free_category(quiver_from_edges(["s", "t"], [("h", "s", "t")]))
+    diagram = CatFunctor(
+        shape, lang, {"s": "A", "t": "B"}, {"id_s": "id_A", "id_t": "id_B", "h": "g"}
+    )
+    check = validate_explanation(speaker, Explanation(shape, diagram, "A"))
+    assert any("does not preserve endpoints" in p for p in check.problems)
+    assert check.limit.apex == frozenset()
+    assert check.limit.witness == {"kind": "arrow", "root": "t", "morphism": "h"}
 
 
 def test_embedding_violations_are_reported():
@@ -386,3 +404,17 @@ def test_paraphrasis_duplicate_targets_get_one_edge_per_leg():
     out, report = acquire_by_paraphrasis(teacher, learner, "cat", expl, event_id="e5")
     assert report.new_morphisms == ("cat→feline#a1", "cat→feline#a2")
     assert len(out.fibre("cat")) == 1
+
+
+def test_paraphrasis_refuses_apex_tuples_with_one_name():
+    # ("a,b", "c") and ("a", "b,c") both print as (a,b,c); learning them
+    # would give the word one fibre element for two apex tuples
+    lang = discrete_category(["p", "q", "e"])
+    teacher = make_speaker("alice", lang, {"p": ["x"], "q": ["y"], "e": ["ex"]})
+    learner = make_speaker("bob", lang, {"p": ["a,b", "a"], "q": ["c", "b,c"], "e": []})
+    expl = discrete_explanation(lang, "e", {"a1": "p", "a2": "q"})
+    expl = Explanation(expl.shape, expl.diagram, "e", {("x", "y"): "ex"})
+    with pytest.raises(IdentifierClash) as err:
+        acquire_by_paraphrasis(teacher, learner, "e", expl, event_id="ev")
+    assert "('a', 'b,c')" in str(err.value)
+    assert "('a,b', 'c')" in str(err.value)
