@@ -2,13 +2,16 @@
 
 A speaker is a finite language category together with a meaning
 assignment: a Set-valued functor on the opposite language, equivalently
-a discrete fibration over the language (the fibration view is cached at
-construction). Words are acquired in three ways:
+a discrete fibration over the language (its category of elements, built
+on first read). Words are acquired in three ways:
 
-* by example: fresh witnesses are adjoined over the word, and the
-  broken projection is repaired by comprehensive factorization;
-* by merged example: as above, but prior meaning is first glued onto
-  the witnesses along a compatibility map;
+* by example: fresh witnesses are adjoined over the word and the broken
+  projection is repaired by comprehensive factorization, computed in
+  closed form as the coproduct of the meaning with one representable per
+  witness;
+* by merged example: as above, but prior meaning over the word is first
+  glued onto the witnesses along a compatibility map, an objectwise
+  pushout;
 * by paraphrasis: the learner computes the limit of an uttered
   explanation, installs it as the fibre over the word, and the language
   itself grows one morphism per cone leg (freely, via a collage).
@@ -19,7 +22,8 @@ a report of what changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .collage import extend_set_functor, fp_collage
@@ -33,17 +37,14 @@ from .errors import (
     IdentifierClash,
     UnforcedActionAtL,
 )
-from .fibration import (
-    Fibration,
-    component_presheaf,
-    comprehensive_factorization,
-    grothendieck,
-)
+from .fibration import Fibration, grothendieck, pair_object_id
 from .fincat import (
     CatFunctor,
     FinCategory,
     LimitCone,
     SetFunctor,
+    _UnionFind,
+    comma_object_id,
     opposite,
     opposite_functor,
     precompose,
@@ -61,14 +62,14 @@ from .fincat import (
 class Speaker:
     """A named language category plus its meaning assignment.
 
-    ``meaning`` must be a Set-valued functor on ``opposite(language)``;
-    the induced fibration over the language is built eagerly and cached.
+    ``meaning`` must be a Set-valued functor on ``opposite(language)``.
+    The induced fibration over the language is built on first read and
+    cached; it takes no part in equality or ``repr``.
     """
 
     name: str
     language: FinCategory
     meaning: SetFunctor
-    fibration: Fibration = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         problems = validate_category(self.language)
@@ -81,7 +82,10 @@ class Speaker:
         problems = validate_setfunctor(self.meaning)
         if problems:
             raise FiblexError(f"speaker {self.name}: invalid meaning: {problems[0]}")
-        object.__setattr__(self, "fibration", grothendieck(self.meaning))
+
+    @cached_property
+    def fibration(self) -> Fibration:
+        return grothendieck(self.meaning)
 
     def fibre(self, word: str) -> frozenset[str]:
         return self.meaning.value[word]
@@ -194,6 +198,19 @@ def composite_meaning(speaker: Speaker, explanation: Explanation) -> SetFunctor:
     return precompose(speaker.meaning, opposite_functor(explanation.diagram))
 
 
+def _acts_on_its_fibres(speaker: Speaker, diagram: CatFunctor) -> bool:
+    """Whether every arrow of the diagram acts on the whole fibre over the
+    image of its target, so that the composite meaning can be evaluated."""
+    lang, action = speaker.language, speaker.meaning.action
+    if any(diagram.omap.get(a) not in lang.objects for a in diagram.dom.objects):
+        return False
+    return all(
+        diagram.mmap.get(m) in lang.morphisms
+        and speaker.fibre(diagram.omap[diagram.dom.tgt[m]]) <= action[diagram.mmap[m]].keys()
+        for m in diagram.dom.morphisms
+    )
+
+
 def validate_explanation(
     speaker: Speaker, explanation: Explanation, demand_matching: bool = False
 ) -> ExplanationCheck:
@@ -205,12 +222,24 @@ def validate_explanation(
     content: the explanation is then valid outright (or, when a matching
     is demanded, whenever the fibre is big enough) and exact when the
     cardinalities agree. An empty apex is flagged vacuous.
+
+    A diagram that is no functor still has a limit, as long as each arrow
+    acts on the whole fibre it is read from. When it does not (an object or
+    arrow sent outside the language, or an arrow whose action is defined on
+    another fibre), no limit is computed: the check is invalid, lists the
+    problems and carries an empty cone.
     """
     if explanation.target not in speaker.language.objects:
         raise DiagramOutsideLanguage(f"target {explanation.target} is not a language object")
     problems = []
     problems += validate_category(explanation.shape)
     problems += validate_functor(explanation.diagram)
+    if problems and not _acts_on_its_fibres(speaker, explanation.diagram):
+        order = tuple(sorted(explanation.shape.objects))
+        empty = LimitCone(order=order, apex=frozenset(), legs={o: {} for o in order})
+        return ExplanationCheck(
+            valid=False, exact=False, vacuous=False, limit=empty, problems=tuple(problems)
+        )
     cone = set_limit(composite_meaning(speaker, explanation))
     fibre = speaker.fibre(explanation.target)
     vacuous = not cone.apex
@@ -253,57 +282,6 @@ def tautological_explanation(speaker: Speaker, word: str) -> Explanation:
 # acquisition by example
 
 
-def _decode_with(pairs: Mapping[str, tuple[str, str]], witnesses: frozenset[str]):
-    def decode(obj: str) -> str:
-        if obj in witnesses:
-            return obj
-        return pairs[obj][1]
-
-    return decode
-
-
-def _rename_components(
-    presheaf: SetFunctor,
-    comma_pairs: Mapping[str, Mapping[str, tuple[str, str]]],
-    components: Mapping[str, Mapping[str, str]],
-    language: FinCategory,
-    decode,
-    event_id: str,
-) -> SetFunctor:
-    """Replace component representatives by stable element names.
-
-    A component holding a pair ``(d, identity)`` is named after ``d``
-    (decoded back to its element); anything else gets an event-prefixed
-    canonical name. Collisions within a fibre fall back to the prefixed
-    form deterministically.
-    """
-    rename: dict[str, str] = {}
-    for obj in sorted(language.objects):
-        ident = language.identity[obj]
-        member_of: dict[str, list[str]] = {}
-        for cid, rep in components[obj].items():
-            member_of.setdefault(rep, []).append(cid)
-        used: set[str] = set()
-        for rep in sorted(member_of):
-            anchors = sorted(
-                comma_pairs[obj][cid][0]
-                for cid in member_of[rep]
-                if comma_pairs[obj][cid][1] == ident
-            )
-            name = decode(anchors[0]) if anchors else f"{event_id}:{rep}"
-            if name in used:
-                name = f"{event_id}:{rep}"
-            used.add(name)
-            rename[rep] = name
-
-    value = {o: frozenset(rename[r] for r in presheaf.value[o]) for o in presheaf.value}
-    action = {
-        m: {rename[x]: rename[y] for x, y in graph.items()}
-        for m, graph in presheaf.action.items()
-    }
-    return SetFunctor(base=presheaf.base, value=value, action=action)
-
-
 def _example_preconditions(learner: Speaker, word: str, witnesses: Sequence[str],
                            teacher: Optional[Speaker]) -> list[str]:
     if word not in learner.language.objects:
@@ -322,6 +300,80 @@ def _example_preconditions(learner: Speaker, word: str, witnesses: Sequence[str]
     return ordered
 
 
+def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
+                    glue: Mapping[str, str], event_id: str) -> Speaker:
+    """The learner whose meaning F becomes the objectwise pushout
+    F ← F(word)·Hom(−, word) → S·Hom(−, word) for the witness set S.
+
+    Over each object ``L`` the elements are the classes of F(L) ⊔ S×Hom(L,
+    word) under ``F(f)(y) ~ (glue(y), f)`` for ``y`` in F(word). With an
+    empty fibre over the word nothing is joined and the result is the
+    coproduct F ⊔ S·Hom(−, word), which is the comprehensive factorization
+    of the learner's projection with the witnesses adjoined over the word.
+    A class is named after its least identity anchor: an element ``x`` of
+    F(L) for ``L`` other than the word (ordered as ``x@L``), or a witness
+    ``s`` paired with the identity of the word. A class with no anchor is
+    a single pair ``(s, f)``, named ``event:(s,f)``. The action of ``g``
+    sends ``(s, f)`` to ``(s, f∘g)`` and acts on F(L) as F does.
+    """
+    lang, meaning = learner.language, learner.meaning
+    into_word: dict[str, list[str]] = {o: [] for o in lang.objects}
+    for f in sorted(lang.morphisms):
+        if lang.tgt[f] == word:
+            into_word[lang.src[f]].append(f)
+    value: dict[str, frozenset[str]] = {}
+    name_of: dict[str, dict] = {}  # object -> member of F(L) ⊔ S×Hom(L, word) -> name
+    for obj in sorted(lang.objects):
+        # sorted, so that a clash is reported the same way on every run
+        members = sorted(meaning.value[obj])
+        members += [(s, f) for f in into_word[obj] for s in witnesses]
+        uf = _UnionFind(members)
+        for f in into_word[obj]:
+            for y, x in meaning.action[f].items():
+                uf.union(x, (glue[y], f))
+        classes: dict = {}
+        for m in members:
+            classes.setdefault(uf.find(m), []).append(m)
+        names: dict = {}
+        owner: dict[str, str] = {}
+        for cls in classes.values():
+            if obj == word:
+                anchors = [(m[0], m[0], f"the witness {m[0]}")
+                           for m in cls if isinstance(m, tuple) and m[1] == lang.identity[word]]
+            else:
+                anchors = [(pair_object_id(obj, m), m, f"the element {m}")
+                           for m in cls if isinstance(m, str)]
+            if anchors:
+                _key, name, origin = min(anchors)
+            else:
+                (s, f), = cls
+                name, origin = f"{event_id}:{comma_object_id(s, f)}", f"the pair ({s}, {f})"
+            if name in owner:
+                raise IdentifierClash(
+                    f"{name} over {obj} would name both {owner[name]} and {origin}"
+                )
+            owner[name] = origin
+            names.update((m, name) for m in cls)
+        value[obj] = frozenset(owner)
+        name_of[obj] = names
+
+    action: dict[str, dict[str, str]] = {}
+    for g in lang.morphisms:
+        s_obj, t_obj = lang.src[g], lang.tgt[g]
+        old = meaning.action[g]
+        graph: dict[str, str] = {}
+        for m, name in name_of[t_obj].items():
+            if name not in graph:
+                image = old[m] if isinstance(m, str) else (m[0], lang.compose[(m[1], g)])
+                graph[name] = name_of[s_obj][image]
+        action[g] = graph
+    return Speaker(
+        name=learner.name,
+        language=lang,
+        meaning=SetFunctor(base=meaning.base, value=value, action=action),
+    )
+
+
 def acquire_by_example(
     learner: Speaker,
     word: str,
@@ -331,54 +383,21 @@ def acquire_by_example(
 ) -> tuple[Speaker, AcquisitionReport]:
     """Adjoin fresh witnesses over a word the learner has no meaning for.
 
-    The witnesses are added as isolated objects of the learner's total
-    category, projected constantly to the word; comprehensive
-    factorization then yields the repaired speaker. The learner's fibre
-    over the word must be empty (see ``acquire_by_example_merged``
-    otherwise).
+    Adjoining the witnesses as isolated objects over the word and
+    repairing the projection by comprehensive factorization gives, by
+    co-Yoneda, the closed form F ⊔ S·Hom(−, word): over each object ``L``
+    one new element per witness ``s`` and morphism ``f: L → word``, named
+    ``s`` when ``f`` is the identity and ``event:(s,f)`` otherwise. A
+    generated name that is already taken in its fibre raises
+    ``IdentifierClash``. The learner's fibre over the word must be empty
+    (see ``acquire_by_example_merged`` otherwise).
     """
     ordered = _example_preconditions(learner, word, witnesses, teacher)
     if learner.fibre(word):
         raise FibreNotEmpty(
             f"fibre over {word} is not empty; use acquire_by_example_merged"
         )
-
-    total = learner.fibration.total
-    clash = set(ordered) & set(total.objects)
-    if clash:
-        raise IdentifierClash(f"witness ids already present: {', '.join(sorted(clash))}")
-    witness_ids = {s: f"id_{s}" for s in ordered}
-    if set(witness_ids.values()) & set(total.morphisms):
-        raise IdentifierClash("witness identity ids collide with total morphisms")
-
-    lang = learner.language
-    domain = FinCategory(
-        objects=total.objects | frozenset(ordered),
-        morphisms=total.morphisms | frozenset(witness_ids.values()),
-        src={**total.src, **{i: s for s, i in witness_ids.items()}},
-        tgt={**total.tgt, **{i: s for s, i in witness_ids.items()}},
-        identity={**total.identity, **witness_ids},
-        compose={**total.compose, **{(i, i): i for i in witness_ids.values()}},
-    )
-    to_language = CatFunctor(
-        dom=domain,
-        cod=lang,
-        omap={**learner.fibration.proj.omap, **{s: word for s in ordered}},
-        mmap={
-            **learner.fibration.proj.mmap,
-            **{i: lang.identity[word] for i in witness_ids.values()},
-        },
-    )
-    fact = comprehensive_factorization(to_language)
-    meaning = _rename_components(
-        fact.presheaf,
-        fact.comma_pairs,
-        fact.components,
-        lang,
-        _decode_with(learner.fibration.pairs, frozenset(ordered)),
-        event_id,
-    )
-    out = Speaker(name=learner.name, language=lang, meaning=meaning)
+    out = _adjoin_example(learner, word, ordered, {}, event_id)
     return out, _report(learner, out, event_id, "example", word, "learned")
 
 
@@ -393,9 +412,10 @@ def acquire_by_example_merged(
     """Acquisition by example with prior meaning glued onto the witnesses.
 
     ``glue`` sends each element the learner already has over the word to
-    the witness it must be identified with; the identification is a
-    pushout of the fibre onto the witness set. With an empty fibre the
-    glue map is the empty one and the plain procedure applies verbatim.
+    the witness it must be identified with. The new meaning is the
+    objectwise pushout of F ← F(word)·Hom(−, word) → S·Hom(−, word),
+    named as in ``acquire_by_example``. With an empty fibre the glue map
+    is the empty one and the plain procedure applies verbatim.
     """
     ordered = _example_preconditions(learner, word, witnesses, teacher)
     current = learner.fibre(word)
@@ -407,38 +427,7 @@ def acquire_by_example_merged(
         raise FiblexError(f"glue map hits unknown witnesses: {', '.join(stray)}")
     if not current:
         return acquire_by_example(learner, word, ordered, teacher=None, event_id=event_id)
-
-    lang = learner.language
-    fib = learner.fibration
-    total = fib.total
-    # quotient the object set: elements over the word collapse onto witnesses
-    merged: dict[str, str] = {}
-    for t in total.objects:
-        under, element = fib.pairs[t]
-        merged[t] = glue[element] if under == word else t
-    clash = {t for t in total.objects if merged[t] == t} & set(ordered)
-    if clash:
-        raise IdentifierClash(f"witness ids already present: {', '.join(sorted(clash))}")
-    objects = sorted(set(merged.values()) | set(ordered))
-    omap = {}
-    for t, m in merged.items():
-        omap[m] = word if m in set(ordered) else fib.proj.omap[t]
-    for s in ordered:
-        omap[s] = word
-    gens = [
-        (merged[total.src[m]], merged[total.tgt[m]], fib.proj.mmap[m])
-        for m in total.non_identities()
-    ]
-    presheaf, comma_pairs, components = component_presheaf(lang, objects, omap, gens)
-    meaning = _rename_components(
-        presheaf,
-        comma_pairs,
-        components,
-        lang,
-        _decode_with(fib.pairs, frozenset(ordered)),
-        event_id,
-    )
-    out = Speaker(name=learner.name, language=lang, meaning=meaning)
+    out = _adjoin_example(learner, word, ordered, glue, event_id)
     return out, _report(learner, out, event_id, "merged-example", word, "learned")
 
 

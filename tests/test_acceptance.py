@@ -22,7 +22,9 @@ from genlib import (
     random_presheaf,
 )
 from fiblex.collage import fp_collage, normalize_word
+from fiblex.errors import IdentifierClash
 from fiblex.fincat import (
+    CatFunctor,
     FinCategory,
     SetFunctor,
     compose_table,
@@ -35,6 +37,7 @@ from fiblex.fincat import (
     validate_category,
 )
 from fiblex.fibration import (
+    component_presheaf,
     comprehensive_factorization,
     compose_functors,
     grothendieck,
@@ -55,6 +58,7 @@ from fiblex.scenario import load_scenario, run_events, run_scenario
 from fiblex.speaker import (
     Speaker,
     acquire_by_example,
+    acquire_by_example_merged,
     restriction_along_embedding,
     tautological_explanation,
     validate_explanation,
@@ -302,6 +306,102 @@ def _oracle_acquisition(learner, word, witnesses, event_id):
     return SetFunctor(base=opposite(lang), value=value, action=action)
 
 
+def _rename_components(presheaf, comma_pairs, components, language, decode, event_id):
+    """Name each component after its least identity anchor (decoded back to
+    an element), else ``event:rep``; a name already taken in its fibre
+    falls back to ``event:rep``, which can give two components one name.
+    The instances compared against it never take that fallback."""
+    rename = {}
+    for obj in sorted(language.objects):
+        ident = language.identity[obj]
+        member_of = {}
+        for cid, rep in components[obj].items():
+            member_of.setdefault(rep, []).append(cid)
+        used = set()
+        for rep in sorted(member_of):
+            anchors = sorted(
+                comma_pairs[obj][cid][0]
+                for cid in member_of[rep]
+                if comma_pairs[obj][cid][1] == ident
+            )
+            name = decode(anchors[0]) if anchors else f"{event_id}:{rep}"
+            if name in used:
+                name = f"{event_id}:{rep}"
+            used.add(name)
+            rename[rep] = name
+    value = {o: frozenset(rename[r] for r in presheaf.value[o]) for o in presheaf.value}
+    action = {
+        m: {rename[x]: rename[y] for x, y in graph.items()}
+        for m, graph in presheaf.action.items()
+    }
+    return SetFunctor(base=presheaf.base, value=value, action=action)
+
+
+def _factorized_example(learner, word, witnesses, event_id):
+    """Acquisition by example as the factorize-and-rename construction:
+    the witnesses join the learner's category of elements as isolated
+    objects over the word, and the comprehensive factorization of that
+    projection is renamed back to elements."""
+    fib, lang = learner.fibration, learner.language
+    total = fib.total
+    if set(witnesses) & set(total.objects):
+        raise IdentifierClash("witness ids already present")
+    witness_ids = {s: f"id_{s}" for s in witnesses}
+    if set(witness_ids.values()) & set(total.morphisms):
+        raise IdentifierClash("witness identity ids collide with total morphisms")
+    domain = FinCategory(
+        objects=total.objects | frozenset(witnesses),
+        morphisms=total.morphisms | frozenset(witness_ids.values()),
+        src={**total.src, **{i: s for s, i in witness_ids.items()}},
+        tgt={**total.tgt, **{i: s for s, i in witness_ids.items()}},
+        identity={**total.identity, **witness_ids},
+        compose={**total.compose, **{(i, i): i for i in witness_ids.values()}},
+    )
+    to_language = CatFunctor(
+        dom=domain,
+        cod=lang,
+        omap={**fib.proj.omap, **{s: word for s in witnesses}},
+        mmap={**fib.proj.mmap, **{i: lang.identity[word] for i in witness_ids.values()}},
+    )
+    fact = comprehensive_factorization(to_language)
+
+    def decode(d):
+        return d if d in witness_ids else fib.pairs[d][1]
+
+    return _rename_components(
+        fact.presheaf, fact.comma_pairs, fact.components, lang, decode, event_id
+    )
+
+
+def _factorized_example_merged(learner, word, witnesses, glue, event_id):
+    """Merged acquisition as the factorize-and-rename construction: total
+    objects over the word collapse onto their glued witnesses before the
+    component presheaf is taken."""
+    if not learner.fibre(word):
+        return _factorized_example(learner, word, witnesses, event_id)
+    fib, lang = learner.fibration, learner.language
+    total = fib.total
+    merged = {}
+    for t in total.objects:
+        under, element = fib.pairs[t]
+        merged[t] = glue[element] if under == word else t
+    if {t for t in total.objects if merged[t] == t} & set(witnesses):
+        raise IdentifierClash("witness ids already present")
+    omap = {m: word if m in witnesses else fib.proj.omap[t] for t, m in merged.items()}
+    omap.update({s: word for s in witnesses})
+    gens = [
+        (merged[total.src[m]], merged[total.tgt[m]], fib.proj.mmap[m])
+        for m in total.non_identities()
+    ]
+    objects = sorted(set(merged.values()) | set(witnesses))
+    presheaf, comma_pairs, components = component_presheaf(lang, objects, omap, gens)
+
+    def decode(d):
+        return d if d in witnesses else fib.pairs[d][1]
+
+    return _rename_components(presheaf, comma_pairs, components, lang, decode, event_id)
+
+
 def test_c4_example_acquisition_oracle():
     rng = random.Random(404)
     matched = fresh_checked = 0
@@ -316,9 +416,12 @@ def test_c4_example_acquisition_oracle():
         k = rng.randint(1, 3)
         witnesses = [f"w{i}" for i in range(k)]
         out, _ = acquire_by_example(learner, word, witnesses, event_id="acq")
-        want = _oracle_acquisition(learner, word, witnesses, "acq")
-        if out.meaning.value != want.value or out.meaning.action != want.action:
-            _verdict("C4 example-oracle", False, f"mismatch at instance {matched}")
+        for want in (
+            _oracle_acquisition(learner, word, witnesses, "acq"),
+            _factorized_example(learner, word, witnesses, "acq"),
+        ):
+            if out.meaning.value != want.value or out.meaning.action != want.action:
+                _verdict("C4 example-oracle", False, f"mismatch at instance {matched}")
         matched += 1
 
         incident = [
@@ -332,6 +435,112 @@ def test_c4_example_acquisition_oracle():
                     _verdict("C4 example-oracle", False, "a fresh acquisition moved another fibre")
             fresh_checked += 1
     _verdict("C4 example-oracle", True, f"(100 instances, {fresh_checked} fresh)")
+
+
+def test_c4_merged_example_oracle():
+    rng = random.Random(405)
+    matched = into = out_of = 0
+    while matched < 300:
+        base, paths = random_base(rng)
+        fun = random_presheaf(rng, base, paths)
+        full = [o for o in sorted(base.objects) if fun.value[o]]
+        if not full:
+            continue
+        word = rng.choice(full)
+        learner = Speaker(name="q", language=base, meaning=fun)
+        witnesses = [f"w{i}" for i in range(rng.randint(1, 3))]
+        glue = {y: rng.choice(witnesses) for y in sorted(fun.value[word])}
+        out, _ = acquire_by_example_merged(learner, word, witnesses, glue, event_id="acq")
+        want = _factorized_example_merged(learner, word, witnesses, glue, "acq")
+        if out.meaning.value != want.value or out.meaning.action != want.action:
+            _verdict("C4 merged-example-oracle", False, f"mismatch at instance {matched}")
+        arrows = base.non_identities()
+        into += any(base.tgt[m] == word for m in arrows)
+        out_of += any(base.src[m] == word for m in arrows)
+        matched += 1
+    if into < 30 or out_of < 30:
+        _verdict("C4 merged-example-oracle", False, "too few words with incident arrows")
+    _verdict(
+        "C4 merged-example-oracle",
+        True,
+        f"(300 instances, {into} with arrows into the word, {out_of} out of it)",
+    )
+
+
+def _idempotent_language():
+    """``a: A → W``, an idempotent ``e: W → W`` and ``b: W → B``, with
+    every composite named by its letters: a non-free language."""
+    letters = {"a": ("A", "W"), "e": ("W", "W"), "b": ("W", "B")}
+    words = {"": None, "a": "A", "ea": "A", "ba": "A", "bea": "A", "e": "W", "b": "W", "be": "W"}
+
+    def name(word, obj):
+        return word or f"id_{obj}"
+
+    src, tgt, by_name = {}, {}, {}
+    for obj in "AWB":
+        by_name[name("", obj)] = ("", obj)
+    for word, start in words.items():
+        if word:
+            by_name[word] = (word, start)
+    for m, (word, start) in by_name.items():
+        src[m] = start
+        tgt[m] = letters[word[0]][1] if word else start
+
+    def glue(g, f):
+        word = (by_name[g][0] + by_name[f][0]).replace("ee", "e")
+        return name(word, src[f])
+
+    return FinCategory(
+        objects={"A", "W", "B"},
+        morphisms=frozenset(by_name),
+        src=src,
+        tgt=tgt,
+        identity={o: f"id_{o}" for o in "AWB"},
+        compose=compose_table(src, tgt, glue),
+    )
+
+
+def _idempotent_presheaf(rng, lang, sizes):
+    """A random Set-valued functor on the opposite of ``_idempotent_language``:
+    F(e) a random idempotent, F(a) and F(b) random, composites by letters."""
+    value = {o: [f"{o.lower()}{i}" for i in range(sizes[o])] for o in "AWB"}
+    fixed = rng.sample(value["W"], rng.randint(1, len(value["W"]))) if value["W"] else []
+    act = {
+        "e": {y: y if y in fixed else rng.choice(fixed) for y in value["W"]},
+        "a": {y: rng.choice(value["A"]) for y in value["W"]},
+        "b": {z: rng.choice(value["W"]) for z in value["B"]},
+    }
+    action = {}
+    for m in lang.morphisms:
+        graph = {x: x for x in value[lang.tgt[m]]}
+        for letter in "" if lang.is_identity(m) else m:
+            graph = {x: act[letter][y] for x, y in graph.items()}
+        action[m] = graph
+    return SetFunctor(base=opposite(lang), value=value, action=action)
+
+
+def test_c4_example_over_an_idempotent():
+    lang = _idempotent_language()
+    if validate_category(lang):
+        _verdict("C4 idempotent-word", False, f"bad language: {validate_category(lang)[0]}")
+    rng = random.Random(406)
+    plain = merged = 0
+    for _ in range(150):
+        sizes = {"A": rng.randint(1, 3), "W": rng.randint(0, 3), "B": 0}
+        if sizes["W"]:
+            sizes["B"] = rng.randint(0, 2)
+        learner = Speaker("q", lang, _idempotent_presheaf(rng, lang, sizes))
+        witnesses = [f"w{i}" for i in range(rng.randint(1, 3))]
+        glue = {y: rng.choice(witnesses) for y in sorted(learner.fibre("W"))}
+        out, _ = acquire_by_example_merged(learner, "W", witnesses, glue, event_id="acq")
+        want = _factorized_example_merged(learner, "W", witnesses, glue, "acq")
+        if out.meaning.value != want.value or out.meaning.action != want.action:
+            _verdict("C4 idempotent-word", False, f"mismatch with glue {glue}")
+        if glue:
+            merged += 1
+        else:
+            plain += 1
+    _verdict("C4 idempotent-word", True, f"({plain} plain, {merged} merged)")
 
 
 # --- 5. limits ------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+import fiblex.speaker as speaker_module
 from fiblex.collage import free_category
 from fiblex.errors import (
     BaseMismatch,
@@ -12,6 +15,7 @@ from fiblex.errors import (
 )
 from fiblex.fincat import (
     CatFunctor,
+    FinCategory,
     SetFunctor,
     discrete_category,
     opposite,
@@ -135,6 +139,25 @@ def test_explanation_diagram_that_is_no_functor_keeps_the_apex_in_its_fibres():
     assert check.limit.witness == {"kind": "arrow", "root": "t", "morphism": "h"}
 
 
+def test_explanation_diagram_off_its_fibres_is_invalid_without_a_limit():
+    # h: s -> t goes to g: D -> C although t goes to B, so g acts on C's
+    # fibre and not on B's: the limit cannot be evaluated
+    lang = free_category(quiver_from_edges(["A", "B", "C", "D"], [("g", "D", "C")]))
+    speaker = make_speaker(
+        "p", lang, {"A": ["a"], "B": ["b"], "C": ["c"], "D": ["d"]}, actions={"g": {"c": "d"}}
+    )
+    shape = free_category(quiver_from_edges(["s", "t"], [("h", "s", "t")]))
+    diagram = CatFunctor(
+        shape, lang, {"s": "A", "t": "B"}, {"id_s": "id_A", "id_t": "id_B", "h": "g"}
+    )
+    check = validate_explanation(speaker, Explanation(shape, diagram, "A"))
+    assert not check.valid and not check.exact
+    assert any("does not preserve endpoints" in p for p in check.problems)
+    assert check.limit.order == ("s", "t")
+    assert check.limit.apex == frozenset()
+    assert check.limit.legs == {"s": {}, "t": {}}
+
+
 def test_embedding_violations_are_reported():
     speaker = discrete_speaker("p", {"black": ["b1", "b2"], "cat": ["c1"]})
     expl = discrete_explanation(speaker.language, "cat", {"a1": "black"})
@@ -197,6 +220,36 @@ def test_example_witnesses_must_come_from_teacher():
     bob = discrete_speaker("bob", {"cat": []})
     with pytest.raises(ExampleNotInTeacherFibre):
         acquire_by_example(bob, "cat", ["someone"], teacher=alice)
+
+
+def test_example_learns_a_witness_named_like_an_element_of_the_total_category():
+    lang = free_category(quiver_from_edges(["X", "cat"], [("m", "X", "cat")]))
+    learner = make_speaker("bob", lang, {"X": ["x0"], "cat": []})
+    out, _ = acquire_by_example(learner, "cat", ["x0@X"], event_id="e1")
+    assert out.fibre("cat") == frozenset(["x0@X"])
+    assert out.fibre("X") == frozenset(["x0", "e1:(x0@X,m)"])
+    glued = make_speaker("bob", lang, {"X": ["x0"], "cat": ["y"]}, actions={"m": {"y": "x0"}})
+    out, _ = acquire_by_example_merged(glued, "cat", ["x0@X"], glue={"y": "x0@X"})
+    assert out.fibre("cat") == frozenset(["x0@X"])
+    assert out.meaning.action["m"] == {"x0@X": "x0"}
+
+
+def test_example_refuses_a_generated_name_already_in_its_fibre():
+    lang = free_category(quiver_from_edges(["A", "W"], [("a", "A", "W")]))
+    learner = make_speaker("p", lang, {"A": ["a1", "ev:(s,a)"], "W": []})
+    with pytest.raises(IdentifierClash) as err:
+        acquire_by_example(learner, "W", ["s"], event_id="ev")
+    assert "the element ev:(s,a)" in str(err.value)
+    assert "the pair (s, a)" in str(err.value)
+
+
+def test_example_refuses_two_pairs_with_one_generated_name():
+    lang = free_category(quiver_from_edges(["A", "W"], [("c", "A", "W"), ("b,c", "A", "W")]))
+    learner = make_speaker("p", lang, {"A": ["a1"], "W": []})
+    with pytest.raises(IdentifierClash) as err:
+        acquire_by_example(learner, "W", ["a,b", "a"], event_id="ev")
+    assert "the pair (a, b,c)" in str(err.value)
+    assert "the pair (a,b, c)" in str(err.value)
 
 
 def brute_force_fibres(learner, word, witnesses):
@@ -285,6 +338,68 @@ def test_merged_respects_reindexing_along_incident_morphisms():
     # the glued witness inherits the old element's reindexing
     assert out.meaning.action["m"] == {"s": "a"}
     assert validate_setfunctor(out.meaning) == []
+
+
+def test_merged_example_refuses_a_generated_name_already_in_its_fibre():
+    lang = free_category(quiver_from_edges(["A", "W"], [("a", "A", "W")]))
+    learner = make_speaker(
+        "p", lang, {"A": ["a1", "ev:(t,a)"], "W": ["y"]}, actions={"a": {"y": "a1"}}
+    )
+    with pytest.raises(IdentifierClash) as err:
+        acquire_by_example_merged(learner, "W", ["s", "t"], glue={"y": "s"}, event_id="ev")
+    assert "the element ev:(t,a)" in str(err.value)
+    assert "the pair (t, a)" in str(err.value)
+
+
+def test_merged_class_is_named_by_its_least_identity_anchor():
+    # e is idempotent; gluing p and q onto x joins the classes of r and t,
+    # so one class carries the witness anchors a and a+, and a comes first
+    lang = FinCategory(
+        objects={"W"},
+        morphisms={"id_W", "e"},
+        src={"id_W": "W", "e": "W"},
+        tgt={"id_W": "W", "e": "W"},
+        identity={"W": "id_W"},
+        compose={
+            ("id_W", "id_W"): "id_W", ("e", "id_W"): "e", ("id_W", "e"): "e", ("e", "e"): "e"
+        },
+    )
+    learner = make_speaker(
+        "p", lang, {"W": ["p", "q", "r", "t"]},
+        actions={"e": {"p": "r", "q": "t", "r": "r", "t": "t"}},
+    )
+    glue = {"p": "x", "q": "x", "r": "a", "t": "a+"}
+    out, _ = acquire_by_example_merged(learner, "W", ["x", "a", "a+"], glue=glue)
+    assert out.fibre("W") == frozenset(["x", "a"])
+    assert out.meaning.action["e"] == {"x": "a", "a": "a"}
+
+
+# --- the fibration view ----------------------------------------------------------------
+
+
+def test_speaker_builds_its_fibration_on_first_read(monkeypatch):
+    calls = []
+    real = speaker_module.grothendieck
+    monkeypatch.setattr(speaker_module, "grothendieck", lambda f: calls.append(f) or real(f))
+    bob = discrete_speaker("bob", {"cat": [], "dog": ["fido"]})
+    out, _ = acquire_by_example(bob, "cat", ["s"], event_id="e1")
+    assert calls == []
+    fib = out.fibration
+    assert calls == [out.meaning]
+    assert out.fibration is fib
+    assert len(calls) == 1
+    assert fib == real(out.meaning)
+
+
+def test_speaker_equality_and_repr_leave_the_fibration_out():
+    first = discrete_speaker("p", {"cat": ["c"], "dog": []})
+    second = discrete_speaker("p", {"cat": ["c"], "dog": []})
+    before = repr(first)
+    first.fibration
+    assert first == second
+    assert repr(first) == before == repr(second)
+    assert "fibration" not in before
+    assert [f.name for f in fields(Speaker)] == ["name", "language", "meaning"]
 
 
 # --- paraphrasis ---------------------------------------------------------------------
