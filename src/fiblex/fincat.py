@@ -2,9 +2,10 @@
 universal constructions everything else consumes.
 
 All structure is explicit finite data over opaque string identifiers:
-source/target tables, composition tables, functor graphs. Values are
-immutable after construction and every operation is a pure function, so
-any value can be shared freely.
+source/target tables, composition tables, functor graphs. Every
+operation is a pure function and never mutates its inputs, so values are
+shared freely; callers must not mutate their tables either (the
+dataclasses are frozen but the dicts inside them are not).
 """
 
 from __future__ import annotations

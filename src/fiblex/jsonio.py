@@ -24,8 +24,10 @@ from .fincat import (
     opposite,
     parse_tuple_name,
     tuple_name,
+    validate_category,
+    validate_setfunctor,
 )
-from .speaker import Explanation, Speaker
+from .speaker import Explanation, Speaker, _derived_speaker
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -48,17 +50,36 @@ def category_to_dict(cat: FinCategory) -> dict:
 
 
 def category_from_dict(doc: dict) -> FinCategory:
-    src = {m["id"]: m["src"] for m in doc["morphisms"]}
-    tgt = {m["id"]: m["tgt"] for m in doc["morphisms"]}
-    return FinCategory(
+    """Decode a category and check its axioms.
+
+    ``identity`` defaults to ``id_<object>``; identities may be left out
+    of ``morphisms``, and composites with an identity out of ``compose``.
+    A violated axiom raises ``FiblexError`` with the first problem found.
+    """
+    identity = dict(doc.get("identity") or {o: f"id_{o}" for o in doc["objects"]})
+    src = {i: o for o, i in identity.items()}
+    tgt = dict(src)
+    for m in doc.get("morphisms", []):
+        src[m["id"]] = m["src"]
+        tgt[m["id"]] = m["tgt"]
+    compose = {(g, f): gf for g, f, gf in doc.get("compose", [])}
+    for m in src:
+        if src[m] in identity and tgt[m] in identity:
+            compose.setdefault((m, identity[src[m]]), m)
+            compose.setdefault((identity[tgt[m]], m), m)
+    cat = FinCategory(
         objects=frozenset(doc["objects"]),
         morphisms=frozenset(src),
         src=src,
         tgt=tgt,
-        identity=dict(doc["identity"]),
-        compose={(g, f): gf for g, f, gf in doc["compose"]},
+        identity=identity,
+        compose=compose,
         closed=doc.get("closed", True),
     )
+    problems = validate_category(cat)
+    if problems:
+        raise FiblexError(problems[0])
+    return cat
 
 
 def quiver_to_dict(q: Quiver) -> dict:
@@ -173,22 +194,32 @@ def speaker_to_dict(speaker: Speaker) -> dict:
 
 
 def speaker_from_dict(doc: dict) -> Speaker:
-    language = category_from_dict(doc["language"])
+    try:
+        language = category_from_dict(doc["language"])
+    except FiblexError as err:
+        raise FiblexError(f"speaker {doc['name']}: invalid language: {err}") from err
+    return _declared_speaker(doc["name"], language, doc["fibres"], doc["actions"])
+
+
+def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: dict) -> Speaker:
+    """The speaker with the declared fibres and non-identity actions over
+    a language whose axioms the caller has checked; the meaning is
+    checked here."""
     base = opposite(language)
-    value = {o: frozenset(doc["fibres"].get(o, ())) for o in language.objects}
+    value = {o: frozenset(fibres.get(o, ())) for o in language.objects}
     action: dict[str, dict[str, str]] = {}
     for m in language.morphisms:
         if base.is_identity(m):
             action[m] = {x: x for x in value[base.src[m]]}
         else:
-            if m not in doc["actions"]:
-                raise FiblexError(f"speaker {doc['name']}: no action table for {m}")
-            action[m] = dict(doc["actions"][m])
-    return Speaker(
-        name=doc["name"],
-        language=language,
-        meaning=SetFunctor(base=base, value=value, action=action),
-    )
+            if m not in actions:
+                raise FiblexError(f"speaker {name}: no action table for {m}")
+            action[m] = dict(actions[m])
+    meaning = SetFunctor(base=base, value=value, action=action)
+    problems = validate_setfunctor(meaning)
+    if problems:
+        raise FiblexError(f"speaker {name}: invalid meaning: {problems[0]}")
+    return _derived_speaker(name, language, meaning)
 
 
 def explanation_to_dict(expl: Explanation) -> dict:

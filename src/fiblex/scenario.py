@@ -26,7 +26,7 @@ from .fincat import (
     terminal_category,
     validate_category,
 )
-from .jsonio import category_to_dict, speaker_from_dict
+from .jsonio import _declared_speaker, category_from_dict
 from .pregroup import Lexicon, language_category_from_lexicon, parse_type, type_order
 from .speaker import (
     Explanation,
@@ -92,31 +92,10 @@ def _category_from_decl(name: str, decl: dict) -> FinCategory:
         )
         return language_category_from_lexicon(lex, decl["phrases"])
     if kind == "explicit":
-        objects = list(decl["objects"])
-        identity = {o: f"id_{o}" for o in objects}
-        src = {i: o for o, i in identity.items()}
-        tgt = dict(src)
-        compose = {}
-        for m in decl.get("morphisms", []):
-            src[m["id"]] = m["src"]
-            tgt[m["id"]] = m["tgt"]
-        for g, f, gf in decl.get("compose", []):
-            compose[(g, f)] = gf
-        for m in list(src):
-            compose.setdefault((m, identity[src[m]]), m)
-            compose.setdefault((identity[tgt[m]], m), m)
-        cat = FinCategory(
-            objects=frozenset(objects),
-            morphisms=frozenset(src),
-            src=src,
-            tgt=tgt,
-            identity=identity,
-            compose=compose,
-        )
-        problems = validate_category(cat)
-        if problems:
-            raise ScenarioError(f"category {name}: {problems[0]}")
-        return cat
+        try:
+            return category_from_dict(decl)
+        except FiblexError as err:
+            raise ScenarioError(f"category {name}: {err}") from err
     raise ScenarioError(f"category {name}: unknown kind {kind!r}")
 
 
@@ -129,20 +108,22 @@ def load_scenario(doc: dict) -> Scenario:
             categories[name] = _category_from_decl(name, decl)
         except FiblexError as err:
             raise ScenarioError(f"category {name}: {err}") from err
+        # explicit tables are checked as they are decoded, the others here
+        if decl.get("kind", "explicit") != "explicit":
+            problems = validate_category(categories[name])
+            if problems:
+                raise ScenarioError(f"category {name}: {problems[0]}")
 
+    # speakers share their declared language, checked once above
     speakers: dict[str, Speaker] = {}
     for name, decl in doc.get("speakers", {}).items():
         lang_name = decl.get("language")
         if lang_name not in categories:
             raise ScenarioError(f"speaker {name}: undeclared language {lang_name!r}")
-        spec = {
-            "name": name,
-            "language": category_to_dict(categories[lang_name]),
-            "fibres": decl.get("fibres", {}),
-            "actions": decl.get("actions", {}),
-        }
         try:
-            speakers[name] = speaker_from_dict(spec)
+            speakers[name] = _declared_speaker(
+                name, categories[lang_name], decl.get("fibres", {}), decl.get("actions", {})
+            )
         except FiblexError as err:
             raise ScenarioError(f"speaker {name}: {err}") from err
 

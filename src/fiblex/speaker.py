@@ -16,8 +16,17 @@ on first read). Words are acquired in three ways:
   explanation, installs it as the fibre over the word, and the language
   itself grows one morphism per cone leg (freely, via a collage).
 
-Speakers are immutable; every acquisition returns a fresh speaker plus
-a report of what changed.
+Every acquisition returns a fresh speaker plus a report of what changed,
+and never mutates its inputs.
+
+Validation happens where data enters: constructing ``Speaker(...)``
+checks the language axioms, that the meaning lives on the opposite
+language, and functoriality. The acquisitions build meanings that are
+presheaves by construction (a coproduct or pushout over the learner's
+unchanged language, or a limit installed over a free collage), so the
+speakers they return are assembled by ``_derived_speaker`` without those
+checks. Actions supplied through ``edge_overrides`` are user data and are
+checked where they are installed.
 """
 
 from __future__ import annotations
@@ -92,6 +101,17 @@ class Speaker:
 
     def fibre_sizes(self) -> dict[str, int]:
         return {o: len(self.meaning.value[o]) for o in sorted(self.language.objects)}
+
+
+def _derived_speaker(name: str, language: FinCategory, meaning: SetFunctor) -> Speaker:
+    """A speaker the engine derived from checked data, assembled without
+    the checks of ``Speaker.__post_init__``. ``meaning`` must be a
+    Set-valued functor on ``opposite(language)``."""
+    out = object.__new__(Speaker)
+    object.__setattr__(out, "name", name)
+    object.__setattr__(out, "language", language)
+    object.__setattr__(out, "meaning", meaning)
+    return out
 
 
 @dataclass(frozen=True)
@@ -367,10 +387,8 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
                 image = old[m] if isinstance(m, str) else (m[0], lang.compose[(m[1], g)])
                 graph[name] = name_of[s_obj][image]
         action[g] = graph
-    return Speaker(
-        name=learner.name,
-        language=lang,
-        meaning=SetFunctor(base=meaning.base, value=value, action=action),
+    return _derived_speaker(
+        learner.name, lang, SetFunctor(base=meaning.base, value=value, action=action)
     )
 
 
@@ -454,6 +472,25 @@ def _edge_names(word: str, shape_objects: list[str], targets: Mapping[str, str],
     return names
 
 
+def _check_overridden_composites(lang: FinCategory, word: str, action: Mapping[str, Mapping],
+                                 fresh: Mapping[tuple, str], unforced: set[str]) -> None:
+    """Raise ``UnforcedActionAtL`` unless the meaning, contravariant on
+    ``lang``, acts on each new element by every composite ``g∘f`` with
+    ``g`` into the learned word as ``f`` after ``g`` does. Other composites
+    act only on fibres the acquisition left alone."""
+    if not unforced:
+        return
+    for (g, f), gf in sorted(lang.compose.items()):
+        if lang.tgt[g] != word:
+            continue
+        for tup, x in fresh.items():
+            if action[gf][x] != action[f].get(action[g][x]):
+                raise UnforcedActionAtL(
+                    f"overrides break the composite {gf} = {g}∘{f} at {tuple_name(tup)}",
+                    tuple(sorted({g, f, gf} & unforced)),
+                )
+
+
 def acquire_by_paraphrasis(
     teacher: Speaker,
     learner: Speaker,
@@ -475,7 +512,9 @@ def acquire_by_paraphrasis(
 
     Actions of pre-existing morphisms pointing at the learned word are
     not determined by the construction; they must be supplied through
-    ``edge_overrides`` (keyed by morphism, then by apex tuple name).
+    ``edge_overrides`` (keyed by morphism, then by apex tuple name). An
+    override that leaves the fibre it must land in, or that breaks a
+    composite, raises ``UnforcedActionAtL``.
     Two apex tuples whose names coincide raise ``IdentifierClash``, so
     the learned fibre has exactly one element per apex tuple.
     """
@@ -543,8 +582,14 @@ def acquire_by_paraphrasis(
                         f"override for {m} must map into the apex, got {target_value}", (m,)
                     )
                 target_value = as_fresh[target_value]
+            elif target_value not in value[lang.src[m]]:
+                raise UnforcedActionAtL(
+                    f"override for {m} sends {key} outside the fibre over {lang.src[m]}: "
+                    f"{target_value}", (m,)
+                )
             graph[fresh[tup]] = target_value
         action[m] = graph
+    _check_overridden_composites(lang, word, action, fresh, set(unforced))
     extended = SetFunctor(base=meaning_base, value=value, action=action)
 
     collage = fp_collage(meaning_base, quiver, bound=bound)
@@ -553,7 +598,7 @@ def acquire_by_paraphrasis(
     }
     new_meaning = extend_set_functor(extended, collage, edge_actions)
     new_language = opposite(collage.category)
-    out = Speaker(name=learner.name, language=new_language, meaning=new_meaning)
+    out = _derived_speaker(learner.name, new_language, new_meaning)
     report = _report(
         learner,
         out,

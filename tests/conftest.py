@@ -1,0 +1,37 @@
+"""Suite-wide oracle for the speakers the engine derives.
+
+The acquisitions assemble their results with ``speaker._derived_speaker``,
+which skips the checks of ``Speaker.__post_init__``. For the whole test
+session every such speaker is checked in full here instead: the language
+axioms, the meaning's base, and functoriality.
+"""
+
+import sys
+
+import pytest
+
+import fiblex.speaker as speaker_module
+from fiblex.fincat import opposite, validate_category, validate_setfunctor
+
+
+def _checked(derive):
+    def derived(name, language, meaning):
+        assert validate_category(language) == [], f"speaker {name}: derived language"
+        assert meaning.base == opposite(language), f"speaker {name}: derived base"
+        assert validate_setfunctor(meaning) == [], f"speaker {name}: derived meaning"
+        return derive(name, language, meaning)
+
+    return derived
+
+
+@pytest.fixture(autouse=True, scope="session")
+def derived_speakers_are_checked():
+    original = speaker_module._derived_speaker
+    checked = _checked(original)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fiblex."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        patch.setattr(module, attr, checked)
+        yield

@@ -159,3 +159,31 @@ def test_speaker_roundtrip_and_tautology_survives():
         json.loads(canonical_dumps(explanation_to_dict(expl))), speaker.language
     )
     assert expl2 == expl
+
+
+def test_category_from_dict_fills_identities_and_checks_the_axioms():
+    doc = {
+        "objects": ["A", "B"],
+        "morphisms": [{"id": "f", "src": "A", "tgt": "B"}],
+    }
+    cat = category_from_dict(doc)
+    assert cat == free_category(quiver_from_edges(["A", "B"], [("f", "A", "B")]))
+    with pytest.raises(FiblexError, match="no composite for composable pair"):
+        category_from_dict({**doc, "morphisms": doc["morphisms"] + [
+            {"id": "g", "src": "B", "tgt": "A"}]})
+
+
+def test_speaker_from_dict_checks_language_and_meaning():
+    doc = {
+        "name": "p",
+        "language": category_to_dict(chain()),
+        "fibres": {"A": ["a"], "B": ["b"], "C": ["c"]},
+        "actions": {"f": {"b": "a"}, "g": {"c": "b"}, "g∘f": {"c": "a"}},
+    }
+    assert speaker_from_dict(doc).fibre("A") == {"a"}
+    with pytest.raises(FiblexError, match="speaker p: invalid meaning: action of g leaves"):
+        speaker_from_dict({**doc, "actions": {**doc["actions"], "g": {"c": "zz"}}})
+    broken = dict(doc["language"])
+    broken["compose"] = [t for t in broken["compose"] if t[:2] != ["g", "f"]]
+    with pytest.raises(FiblexError, match="speaker p: invalid language: no composite"):
+        speaker_from_dict({**doc, "language": broken})

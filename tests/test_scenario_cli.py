@@ -1,10 +1,13 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from fiblex.cli import main
+import fiblex.fincat as fincat
+import fiblex.speaker as speaker_module
 from fiblex.errors import ScenarioError
 from fiblex.jsonio import canonical_dumps
 from fiblex.scenario import (
@@ -76,6 +79,88 @@ def test_undeclared_speaker_is_a_structural_error():
     with pytest.raises(ScenarioError) as err:
         load_scenario(doc)
     assert "nobody" in str(err.value)
+
+
+THREE_ARROWS = {
+    "kind": "explicit",
+    "objects": ["A", "B", "C"],
+    "morphisms": [
+        {"id": "f", "src": "A", "tgt": "B"},
+        {"id": "g", "src": "B", "tgt": "C"},
+        {"id": "h", "src": "A", "tgt": "C"},
+    ],
+    "compose": [["g", "f", "h"]],
+}
+FUNCTORIAL = {"f": {"b": "a1"}, "g": {"c": "b"}, "h": {"c": "a1"}}
+
+
+def one_speaker_doc(language, actions):
+    return {
+        "name": "boundary",
+        "categories": {"lang": language},
+        "speakers": {
+            "bob": {
+                "language": "lang",
+                "fibres": {"A": ["a1", "a2"], "B": ["b"], "C": ["c"]},
+                "actions": actions,
+            }
+        },
+    }
+
+
+def test_declared_speakers_share_their_checked_language():
+    scenario = load_scenario(one_speaker_doc(THREE_ARROWS, FUNCTORIAL))
+    assert scenario.speakers["bob"].language is scenario.categories["lang"]
+    assert scenario.categories["lang"].compose[("h", "id_A")] == "h"
+
+
+@pytest.mark.parametrize("language, actions, message", [
+    (THREE_ARROWS, {**FUNCTORIAL, "h": {"c": "a2"}},
+     "speaker bob: speaker bob: invalid meaning: action of composite h disagrees with the "
+     "composite action at c"),
+    (THREE_ARROWS, {**FUNCTORIAL, "f": {"b": "zz"}},
+     "speaker bob: speaker bob: invalid meaning: action of f leaves the target value set"),
+    (THREE_ARROWS, {"f": {"b": "a1"}, "g": {"c": "b"}},
+     "speaker bob: speaker bob: no action table for h"),
+    ({**THREE_ARROWS, "compose": []}, FUNCTORIAL,
+     "category lang: category lang: no composite for composable pair (g, f)"),
+])
+def test_bad_declarations_name_their_cause(language, actions, message):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(one_speaker_doc(language, actions))
+    assert str(err.value) == message
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` through every fiblex module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fiblex."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_run_checks_each_declaration_once(name, monkeypatch):
+    categories = count_calls(monkeypatch, fincat.validate_category)
+    meanings = count_calls(monkeypatch, fincat.validate_setfunctor)
+    explanations = count_calls(monkeypatch, speaker_module.validate_explanation)
+    doc = json.loads((SCENARIOS / name).read_text())
+    code, _ = run_scenario(load_scenario(doc))
+    assert code == 0
+    # one check of each explanation's shape, none of any derived speaker
+    assert len(explanations) == sum(
+        e["event"] in ("paraphrasis", "validate-explanation") for e in doc["events"]
+    )
+    assert len(categories) == len(doc["categories"]) + len(explanations)
+    assert len(meanings) == len(doc["speakers"])
 
 
 def test_run_is_deterministic():

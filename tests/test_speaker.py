@@ -9,6 +9,7 @@ from fiblex.errors import (
     DiagramOutsideLanguage,
     EmptyExample,
     ExampleNotInTeacherFibre,
+    FiblexError,
     FibreNotEmpty,
     IdentifierClash,
     UnforcedActionAtL,
@@ -69,6 +70,44 @@ def discrete_explanation(lang, target, picks):
         {shape.identity[a]: lang.identity[w] for a, w in picks.items()},
     )
     return Explanation(shape=shape, diagram=diagram, target=target)
+
+
+def chain():
+    """``f: A→B`` and ``g: B→C``, freely, so ``g∘f: A→C``."""
+    return free_category(quiver_from_edges(["A", "B", "C"], [("f", "A", "B"), ("g", "B", "C")]))
+
+
+# --- the public boundary ----------------------------------------------------------
+
+
+def test_speaker_rejects_a_language_with_a_missing_composite():
+    lang = chain()
+    broken = FinCategory(
+        lang.objects, lang.morphisms, lang.src, lang.tgt, lang.identity,
+        {k: v for k, v in lang.compose.items() if k != ("g", "f")},
+    )
+    with pytest.raises(FiblexError, match="invalid language: no composite for composable pair"):
+        make_speaker("p", broken, {})
+
+
+def test_speaker_rejects_a_meaning_on_the_language_itself():
+    lang = chain()
+    meaning = SetFunctor(
+        base=lang,
+        value={o: frozenset() for o in lang.objects},
+        action={m: {} for m in lang.morphisms},
+    )
+    with pytest.raises(BaseMismatch):
+        Speaker(name="p", language=lang, meaning=meaning)
+
+
+def test_speaker_rejects_a_meaning_that_is_no_functor():
+    fibres = {"A": ["a1", "a2"], "B": ["b"], "C": ["c"]}
+    actions = {"f": {"b": "a1"}, "g": {"c": "b"}, "g∘f": {"c": "a2"}}
+    with pytest.raises(FiblexError, match="invalid meaning: action of composite g∘f disagrees"):
+        make_speaker("p", chain(), fibres, actions)
+    actions["g∘f"] = {"c": "a1"}
+    assert make_speaker("p", chain(), fibres, actions).fibre("A") == {"a1", "a2"}
 
 
 # --- explanations ---------------------------------------------------------------
@@ -487,7 +526,7 @@ def test_paraphrasis_requires_empty_learner_fibre():
         acquire_by_paraphrasis(alice, knowing, "cat", expl)
 
 
-def test_paraphrasis_unforced_actions_need_overrides():
+def unforced_setup():
     lang = free_category(quiver_from_edges(["X", "cat", "feline"], [("m", "X", "cat")]))
     teacher = make_speaker(
         "alice",
@@ -497,7 +536,11 @@ def test_paraphrasis_unforced_actions_need_overrides():
     )
     learner = make_speaker("bob", lang, {"X": ["x0"], "cat": [], "feline": ["tiger"]})
     expl = discrete_explanation(lang, "cat", {"a1": "feline"})
-    expl = Explanation(expl.shape, expl.diagram, "cat", {("felix",): "cleo"})
+    return teacher, learner, Explanation(expl.shape, expl.diagram, "cat", {("felix",): "cleo"})
+
+
+def test_paraphrasis_unforced_actions_need_overrides():
+    teacher, learner, expl = unforced_setup()
     with pytest.raises(UnforcedActionAtL) as err:
         acquire_by_paraphrasis(teacher, learner, "cat", expl)
     assert err.value.morphisms == ("m",)
@@ -507,6 +550,49 @@ def test_paraphrasis_unforced_actions_need_overrides():
     )
     assert out.meaning.action["m"] == {"e4:(tiger)": "x0"}
     assert validate_setfunctor(out.meaning) == []
+
+
+def test_paraphrasis_refuses_an_override_outside_the_target_fibre():
+    teacher, learner, expl = unforced_setup()
+    with pytest.raises(UnforcedActionAtL) as err:
+        acquire_by_paraphrasis(
+            teacher, learner, "cat", expl, edge_overrides={"m": {"(tiger)": "nope"}}
+        )
+    assert err.value.morphisms == ("m",)
+    assert "(tiger)" in str(err.value) and "nope" in str(err.value)
+
+
+def test_paraphrasis_refuses_overrides_that_break_a_composite():
+    # n: Y→X and m: X→cat, so the learned fibre over cat must satisfy
+    # (m∘n)(t) = n(m(t)); here n(x0) = y0
+    lang = free_category(
+        quiver_from_edges(["Y", "X", "cat", "feline"], [("n", "Y", "X"), ("m", "X", "cat")])
+    )
+    teacher = make_speaker(
+        "alice",
+        lang,
+        {"Y": ["ay"], "X": ["ax"], "cat": ["cleo"], "feline": ["felix"]},
+        actions={"m": {"cleo": "ax"}, "n": {"ax": "ay"}, "m∘n": {"cleo": "ay"}},
+    )
+    learner = make_speaker(
+        "bob",
+        lang,
+        {"Y": ["y0", "y1"], "X": ["x0"], "cat": [], "feline": ["tiger"]},
+        actions={"n": {"x0": "y0"}},
+    )
+    expl = discrete_explanation(lang, "cat", {"a1": "feline"})
+    expl = Explanation(expl.shape, expl.diagram, "cat", {("felix",): "cleo"})
+    overrides = {"m": {"(tiger)": "x0"}, "m∘n": {"(tiger)": "y1"}}
+    with pytest.raises(UnforcedActionAtL) as err:
+        acquire_by_paraphrasis(teacher, learner, "cat", expl, edge_overrides=overrides)
+    assert err.value.morphisms == ("m", "m∘n")
+    assert "m∘n" in str(err.value) and "(tiger)" in str(err.value)
+
+    overrides["m∘n"] = {"(tiger)": "y0"}
+    out, _ = acquire_by_paraphrasis(
+        teacher, learner, "cat", expl, edge_overrides=overrides, event_id="e6"
+    )
+    assert out.meaning.action["m∘n"] == {"e6:(tiger)": "y0"}
 
 
 def test_paraphrasis_duplicate_targets_get_one_edge_per_leg():
