@@ -11,11 +11,20 @@ consecutive quiver edges; the 0-edge words are the base morphisms
 themselves. Composition is concatenation followed by folding the two
 base morphisms that meet at the junction. The free category on a quiver
 is the collage of the discrete category on its vertices.
+
+The collage is built from the delta, as in semi-naive evaluation: the
+base's tables are copied as they stand, only the words with at least one
+edge are enumerated, and only the pairs in which at least one side is
+such a new word are glued. An extended functor likewise keeps the base
+actions and computes only the new words' actions. The cost of adjoining
+grows with the new words and the base morphisms that meet them, not with
+the size of the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -26,7 +35,7 @@ from .errors import (
     UnboundedHomSet,
     VertexMismatch,
 )
-from .fincat import CatFunctor, FinCategory, Quiver, SetFunctor, compose_table, discrete_category
+from .fincat import CatFunctor, FinCategory, Quiver, SetFunctor, discrete_category
 
 
 @dataclass(frozen=True)
@@ -72,23 +81,31 @@ def word_id(cat: FinCategory, word: Word) -> str:
 class CollageCategory:
     """A finite category together with the collage data it was built from.
 
-    ``category`` contains every normal-form word as a morphism; ``words``
-    maps morphism ids back to words. A non-closed collage was truncated
-    at an edge-count bound and refuses out-of-bound composition.
+    ``category`` contains every normal-form word as a morphism.
+    ``new_words`` maps the morphisms that use at least one quiver edge to
+    their words, and ``words`` maps every morphism to its word; its 0-edge
+    words, one per base morphism, are built on first read. A non-closed
+    collage was truncated at an edge-count bound and refuses out-of-bound
+    composition.
     """
 
     base: FinCategory
     quiver: Quiver
-    words: dict[str, Word]
+    new_words: dict[str, Word]
     category: FinCategory
     closed: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "words", dict(self.words))
+    @cached_property
+    def words(self) -> dict[str, Word]:
+        base = self.base
+        out = {m: Word(bases=(m,), edges=(), src=base.src[m], tgt=base.tgt[m])
+               for m in sorted(base.morphisms)}
+        out.update(self.new_words)
+        return out
 
     def edge_words(self) -> list[str]:
         """Morphisms that use at least one quiver edge, sorted."""
-        return sorted(w for w, word in self.words.items() if word.edges)
+        return sorted(self.new_words)
 
 
 def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
@@ -100,13 +117,10 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
     """
     if quiver.vertices != cat.objects:
         raise VertexMismatch("quiver must share the category's objects")
-    arcs: dict[str, set[str]] = {v: set() for v in cat.objects}
-    for m in cat.non_identities():
-        arcs[cat.src[m]].add(cat.tgt[m])
-    for e in quiver.edges:
-        arcs[quiver.esrc[e]].add(quiver.etgt[e])
+    out_edges = _edges_by_src(quiver)
 
     def reaches(start: str, goal: str) -> bool:
+        # identities and other endomorphisms are loops, which reach nothing new
         seen, stack = set(), [start]
         while stack:
             v = stack.pop()
@@ -115,7 +129,8 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(arcs[v])
+            stack.extend(cat.tgt[m] for m in cat.by_src.get(v, ()))
+            stack.extend(quiver.etgt[e] for e in out_edges.get(v, ()))
         return False
 
     return not any(reaches(quiver.etgt[e], quiver.esrc[e]) for e in quiver.edges)
@@ -124,10 +139,14 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
 def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) -> CollageCategory:
     """Adjoin the quiver's edges to the category as free morphisms.
 
-    Enumerates all normal-form words (all of them when the collage is
-    finite, else up to ``bound`` edges per word) and assembles the full
-    composition table. Matches the pushout-then-free-then-fold pipeline
-    by construction. Words are named by ``word_id``.
+    The words are all normal-form words when the collage is finite, else
+    those of up to ``bound`` edges. The base morphisms keep their names
+    and composites, so only the words that use an edge are enumerated and
+    only the pairs that involve such a word are glued; the composition
+    table is nonetheless that of the whole collage. Matches the
+    pushout-then-free-then-fold pipeline by construction. Words are named
+    by ``word_id``. A base that is itself truncated raises
+    ``BoundExceeded`` at its first missing composite.
     """
     return _adjoin(cat, quiver, bound, lambda word: word_id(cat, word))
 
@@ -144,84 +163,109 @@ def free_category_with_paths(
     is flagged non-closed whenever paths were actually cut off.
     """
     collage = _adjoin(discrete_category(q.vertices), q, bound, _path_name)
-    return collage.category, {m: word.edges for m, word in collage.words.items()}
+    paths = {m: () for m in collage.base.morphisms}
+    paths.update((m, word.edges) for m, word in collage.new_words.items())
+    return collage.category, paths
 
 
 def _path_name(word: Word) -> str:
     return "∘".join(reversed(word.edges)) if word.edges else word.bases[0]
 
 
+def _edges_by_src(quiver: Quiver) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for q in sorted(quiver.edges):
+        out.setdefault(quiver.esrc[q], []).append(q)
+    return out
+
+
 def _adjoin(
     cat: FinCategory, quiver: Quiver, bound: Optional[int], name: Callable[[Word], str]
 ) -> CollageCategory:
     """The collage of ``cat`` and ``quiver`` with each word named by
-    ``name``; two words with one name raise IdentifierClash."""
+    ``name``; a word named like a base morphism or like another word
+    raises IdentifierClash.
+
+    The 0-edge words are the base morphisms under their own names, so
+    ``src``, ``tgt`` and ``compose`` start as copies of the base tables.
+    Words with edges are enumerated level by level, each level extending
+    the last by an edge and a base morphism; a pair is glued only when at
+    least one side is such a word."""
     finite = collage_is_finite(cat, quiver)
     if not finite and bound is None:
         raise UnboundedHomSet("collage has unboundedly long words; an edge bound is required")
 
-    out_edges: dict[str, list[str]] = {v: [] for v in cat.objects}
-    for q in sorted(quiver.edges):
-        out_edges[quiver.esrc[q]].append(q)
-    out_bases: dict[str, list[str]] = {o: [] for o in cat.objects}
-    for c in sorted(cat.morphisms):
-        out_bases[cat.src[c]].append(c)
-
+    out_edges = _edges_by_src(quiver)
+    out_bases, into_bases = cat.by_src, cat.by_tgt
     words: dict[str, Word] = {}
     by_key: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
-
-    def add(w: Word) -> None:
-        wid = name(w)
-        if wid in words:
-            raise IdentifierClash(f"word name collision at {wid}")
-        words[wid] = w
-        by_key[(w.bases, w.edges)] = wid
-
-    level = [
-        Word(bases=(m,), edges=(), src=cat.src[m], tgt=cat.tgt[m]) for m in sorted(cat.morphisms)
+    nxt = [
+        Word(bases=(c0, c1), edges=(q,), src=cat.src[c0], tgt=cat.tgt[c1])
+        for q in sorted(quiver.edges)
+        for c0 in into_bases.get(quiver.esrc[q], ())
+        for c1 in out_bases.get(quiver.etgt[q], ())
     ]
-    for w in level:
-        add(w)
     edge_count = 0
     truncated = False
-    while level:
-        nxt = [
-            Word(bases=w.bases + (c,), edges=w.edges + (q,), src=w.src, tgt=cat.tgt[c])
-            for w in level
-            for q in out_edges[w.tgt]
-            for c in out_bases[quiver.etgt[q]]
-        ]
-        if not nxt:
-            break
+    while nxt:
         edge_count += 1
         if bound is not None and edge_count > bound:
             truncated = True
             break
         for w in nxt:
-            add(w)
-        level = nxt
+            wid = name(w)
+            if wid in words or wid in cat.morphisms:
+                raise IdentifierClash(f"word name collision at {wid}")
+            words[wid] = w
+            by_key[(w.bases, w.edges)] = wid
+        nxt = [
+            Word(bases=w.bases + (c,), edges=w.edges + (q,), src=w.src, tgt=cat.tgt[c])
+            for w in nxt
+            for q in out_edges.get(w.tgt, ())
+            for c in out_bases.get(quiver.etgt[q], ())
+        ]
+    if not cat.closed:
+        for g, f in cat.composable_pairs():
+            cat.compose_pair(g, f)  # raises at the first composite the base lacks
 
-    src = {wid: w.src for wid, w in words.items()}
-    tgt = {wid: w.tgt for wid, w in words.items()}
+    src, tgt, compose = dict(cat.src), dict(cat.tgt), dict(cat.compose)
+    new_out: dict[str, list[str]] = {}
+    for wid, w in words.items():
+        src[wid] = w.src
+        tgt[wid] = w.tgt
+        new_out.setdefault(w.src, []).append(wid)
 
-    def glue(g_id: str, f_id: str) -> Optional[str]:
-        f, g = words[f_id], words[g_id]
-        if bound is not None and len(f.edges) + len(g.edges) > bound:
-            return None  # outside the truncation
-        junction = cat.compose_pair(g.bases[0], f.bases[-1])
-        return by_key[(f.bases[:-1] + (junction,) + g.bases[1:], f.edges + g.edges)]
+    def glue(g_id: str, f_id: str) -> None:
+        f, g = words.get(f_id), words.get(g_id)
+        f_bases, f_edges = (f.bases, f.edges) if f else ((f_id,), ())
+        g_bases, g_edges = (g.bases, g.edges) if g else ((g_id,), ())
+        if bound is not None and len(f_edges) + len(g_edges) > bound:
+            return  # outside the truncation
+        junction = cat.compose_pair(g_bases[0], f_bases[-1])
+        compose[(g_id, f_id)] = by_key[(f_bases[:-1] + (junction,) + g_bases[1:],
+                                        f_edges + g_edges)]
+
+    for f_id, f in words.items():
+        for g_id in out_bases.get(f.tgt, ()):
+            glue(g_id, f_id)
+        for g_id in new_out.get(f.tgt, ()):
+            glue(g_id, f_id)
+    for g_id, g in words.items():
+        for f_id in into_bases.get(g.src, ()):
+            glue(g_id, f_id)
 
     closed = not truncated
     category = FinCategory(
         objects=cat.objects,
-        morphisms=frozenset(words),
+        morphisms=cat.morphisms.union(words),
         src=src,
         tgt=tgt,
-        identity={o: cat.identity[o] for o in cat.objects},
-        compose=compose_table(src, tgt, glue),
+        identity=cat.identity,
+        compose=compose,
         closed=closed,
     )
-    return CollageCategory(base=cat, quiver=quiver, words=words, category=category, closed=closed)
+    return CollageCategory(base=cat, quiver=quiver, new_words=words, category=category,
+                           closed=closed)
 
 
 def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
@@ -292,9 +336,10 @@ def extend_set_functor(
 ) -> SetFunctor:
     """Extend a Set-valued functor on the base along the collage.
 
-    Values are unchanged; the action of a word is the composite of the
-    base actions and edge actions in sequence order. Well defined since
-    the adjoined edges satisfy no relations.
+    Values are unchanged, and so is the action of each base morphism: its
+    graph is shared, not copied. The action of a word with edges is the
+    composite of the base actions and edge actions in sequence order. Well
+    defined since the adjoined edges satisfy no relations.
     """
     if fun.base != collage.base:
         raise BaseMismatch("functor base differs from the collage base")
@@ -302,12 +347,11 @@ def extend_set_functor(
     if missing:
         raise MissingEdgeAction(f"no action for edges: {', '.join(missing)}")
 
-    action: dict[str, dict[str, str]] = {}
-    for wid, word in collage.words.items():
-        graph = {x: x for x in fun.value[collage.base.src[word.bases[0]]]}
-        step: Mapping[str, str]
-        for kind, ident in word.parts():
-            step = fun.action[ident] if kind == "base" else edge_actions[ident]
-            graph = {x: step[y] for x, y in graph.items()}
+    action = dict(fun.action)
+    for wid, word in collage.new_words.items():
+        graph = fun.action[word.bases[0]]
+        for q, c in zip(word.edges, word.bases[1:]):
+            along, then = edge_actions[q], fun.action[c]
+            graph = {x: then[along[y]] for x, y in graph.items()}
         action[wid] = graph
     return SetFunctor(base=collage.category, value=dict(fun.value), action=action)

@@ -3,9 +3,13 @@ universal constructions everything else consumes.
 
 All structure is explicit finite data over opaque string identifiers:
 source/target tables, composition tables, functor graphs. Every
-operation is a pure function and never mutates its inputs, so values are
-shared freely; callers must not mutate their tables either (the
-dataclasses are frozen but the dicts inside them are not).
+operation is a pure function and never mutates its inputs, so values and
+the tables inside them are shared freely: a grown category starts from
+copies of its parent's tables, and a grown functor keeps its parent's
+action graphs. A category also caches what it derives from its tables,
+on first read and per instance: its morphisms by source and by target,
+and its opposite. The dataclasses are frozen but the dicts inside them
+are not, so tables must never be mutated once they are handed over.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BaseMismatch, BoundExceeded, NotComposable
@@ -31,6 +36,10 @@ class FinCategory:
     truncation of a larger one: composable pairs whose composite fell
     outside the truncation bound are absent from the table, and only
     bound-aware consumers may use the value.
+
+    ``by_src``, ``by_tgt`` and ``opposite(cat)`` are derived from the
+    tables on first read and cached with the instance; they take no part
+    in equality or ``repr``.
     """
 
     objects: frozenset[str]
@@ -59,6 +68,22 @@ class FinCategory:
         ids = self.identities()
         return sorted(m for m in self.morphisms if m not in ids)
 
+    @cached_property
+    def by_src(self) -> dict[str, list[str]]:
+        """The morphisms out of each object that has any, sorted."""
+        out: dict[str, list[str]] = {}
+        for m in sorted(self.morphisms):
+            out.setdefault(self.src[m], []).append(m)
+        return out
+
+    @cached_property
+    def by_tgt(self) -> dict[str, list[str]]:
+        """The morphisms into each object that has any, sorted."""
+        out: dict[str, list[str]] = {}
+        for m in sorted(self.morphisms):
+            out.setdefault(self.tgt[m], []).append(m)
+        return out
+
     def hom(self, x: str, y: str) -> list[str]:
         return sorted(m for m in self.morphisms if self.src[m] == x and self.tgt[m] == y)
 
@@ -75,11 +100,8 @@ class FinCategory:
 
     def composable_pairs(self) -> Iterator[tuple[str, str]]:
         """All pairs ``(g, f)`` with ``tgt(f) == src(g)``."""
-        by_src: dict[str, list[str]] = {}
-        for m in self.morphisms:
-            by_src.setdefault(self.src[m], []).append(m)
         for f in sorted(self.morphisms):
-            for g in sorted(by_src.get(self.tgt[f], ())):
+            for g in self.by_src.get(self.tgt[f], ()):
                 yield g, f
 
 
@@ -119,7 +141,8 @@ class SetFunctor:
     ``action`` assigns each morphism a total function, stored as an
     explicit graph from ``value[src]`` to ``value[tgt]``. Contravariant
     assignments are represented by taking ``base`` to be the opposite of
-    the category of interest.
+    the category of interest. The tables are copied, the graphs inside
+    ``action`` are kept as given and shared.
     """
 
     base: FinCategory
@@ -128,7 +151,7 @@ class SetFunctor:
 
     def __post_init__(self):
         object.__setattr__(self, "value", {o: frozenset(v) for o, v in self.value.items()})
-        object.__setattr__(self, "action", {m: dict(g) for m, g in self.action.items()})
+        object.__setattr__(self, "action", dict(self.action))
 
 
 @dataclass(frozen=True)
@@ -279,14 +302,11 @@ def validate_category(cat: FinCategory) -> list[str]:
         if g in ids and gf != f:
             report.append(f"left identity law fails: {g} after {f} = {gf}")
 
-    by_src: dict[str, list[str]] = {}
-    for m in cat.morphisms:
-        by_src.setdefault(cat.src[m], []).append(m)
     for f in sorted(cat.morphisms):
-        for g in sorted(by_src.get(cat.tgt[f], ())):
+        for g in cat.by_src.get(cat.tgt[f], ()):
             if (g, f) not in cat.compose:
                 continue
-            for h in sorted(by_src.get(cat.tgt[g], ())):
+            for h in cat.by_src.get(cat.tgt[g], ()):
                 if (h, g) not in cat.compose:
                     continue
                 left = cat.compose.get((h, cat.compose[(g, f)]))
@@ -363,16 +383,22 @@ def validate_setfunctor(fun: SetFunctor) -> list[str]:
 
 def opposite(cat: FinCategory) -> FinCategory:
     """Reverse every morphism. Identifiers are preserved, so the operation
-    is an involution on the nose."""
-    return FinCategory(
-        objects=cat.objects,
-        morphisms=cat.morphisms,
-        src=dict(cat.tgt),
-        tgt=dict(cat.src),
-        identity=dict(cat.identity),
-        compose={(g, f): x for (f, g), x in cat.compose.items()},
-        closed=cat.closed,
-    )
+    is an involution on the nose: the opposite is built once per category
+    and cached with it, and ``opposite(opposite(cat)) is cat``."""
+    op = cat.__dict__.get("_opposite")
+    if op is None:
+        op = FinCategory(
+            objects=cat.objects,
+            morphisms=cat.morphisms,
+            src=cat.tgt,
+            tgt=cat.src,
+            identity=cat.identity,
+            compose={(g, f): x for (f, g), x in cat.compose.items()},
+            closed=cat.closed,
+        )
+        object.__setattr__(op, "_opposite", cat)
+        object.__setattr__(cat, "_opposite", op)
+    return op
 
 
 def opposite_functor(fun: CatFunctor) -> CatFunctor:

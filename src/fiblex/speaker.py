@@ -480,15 +480,17 @@ def _check_overridden_composites(lang: FinCategory, word: str, action: Mapping[s
     act only on fibres the acquisition left alone."""
     if not unforced:
         return
-    for (g, f), gf in sorted(lang.compose.items()):
-        if lang.tgt[g] != word:
-            continue
-        for tup, x in fresh.items():
-            if action[gf][x] != action[f].get(action[g][x]):
-                raise UnforcedActionAtL(
-                    f"overrides break the composite {gf} = {g}∘{f} at {tuple_name(tup)}",
-                    tuple(sorted({g, f, gf} & unforced)),
-                )
+    for g in lang.by_tgt[word]:
+        for f in lang.by_tgt[lang.src[g]]:
+            gf = lang.compose.get((g, f))
+            if gf is None:
+                continue
+            for tup, x in fresh.items():
+                if action[gf][x] != action[f].get(action[g][x]):
+                    raise UnforcedActionAtL(
+                        f"overrides break the composite {gf} = {g}∘{f} at {tuple_name(tup)}",
+                        tuple(sorted({g, f, gf} & unforced)),
+                    )
 
 
 def acquire_by_paraphrasis(
@@ -513,8 +515,10 @@ def acquire_by_paraphrasis(
     Actions of pre-existing morphisms pointing at the learned word are
     not determined by the construction; they must be supplied through
     ``edge_overrides`` (keyed by morphism, then by apex tuple name). An
-    override that leaves the fibre it must land in, or that breaks a
-    composite, raises ``UnforcedActionAtL``.
+    override that leaves the fibre it must land in, that breaks a
+    composite, or that names a morphism or apex tuple it cannot act on (a
+    morphism that is an identity or does not point at the word, or a name
+    that is neither) raises ``UnforcedActionAtL``.
     Two apex tuples whose names coincide raise ``IdentifierClash``, so
     the learned fibre has exactly one element per apex tuple.
     """
@@ -535,13 +539,20 @@ def acquire_by_paraphrasis(
         report = _report(learner, learner, event_id, "paraphrasis", word, "no-sense")
         return learner, report
 
-    overrides = {m: dict(g) for m, g in (edge_overrides or {}).items()}
-    unforced = [m for m in lang.non_identities() if lang.tgt[m] == word]
-    uncovered = sorted(m for m in unforced if m not in overrides)
+    overrides = edge_overrides or {}
+    unforced = [m for m in lang.by_tgt[word] if m != lang.identity[word]]
+    uncovered = [m for m in unforced if m not in overrides]
     if uncovered:
         raise UnforcedActionAtL(
             "morphisms into the learned word need explicit actions: " + ", ".join(uncovered),
             uncovered,
+        )
+    stray = sorted(set(overrides).difference(unforced))
+    if stray:
+        raise UnforcedActionAtL(
+            f"overrides name morphisms other than the non-identities into {word}: "
+            + ", ".join(stray),
+            stray,
         )
 
     apex = cone.sorted_apex()
@@ -565,9 +576,14 @@ def acquire_by_paraphrasis(
 
     value = dict(learner.meaning.value)
     value[word] = frozenset(fresh.values())
-    action = {m: dict(g) for m, g in learner.meaning.action.items()}
+    action = dict(learner.meaning.action)
     action[meaning_base.identity[word]] = {n: n for n in fresh.values()}
     for m in unforced:
+        unknown = sorted(set(overrides[m]).difference(named))
+        if unknown:
+            raise UnforcedActionAtL(
+                f"override for {m} names no apex element: {', '.join(unknown)}", (m,)
+            )
         graph = {}
         for tup in apex:
             key = tuple_name(tup)

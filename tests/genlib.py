@@ -3,7 +3,9 @@
 Base categories are free categories on random acyclic quivers (plus the
 occasional discrete category), so functoriality of generated data is
 guaranteed by construction: actions are chosen freely on edges and
-extended along path decompositions.
+extended along path decompositions. Two small categories with relations,
+one with an idempotent and one with an isomorphism, carry random
+functors built to respect them.
 """
 
 import random
@@ -12,10 +14,25 @@ from fiblex.collage import free_category_with_paths
 from fiblex.fincat import (
     FinCategory,
     SetFunctor,
+    compose_table,
     discrete_category,
     opposite,
     quiver_from_edges,
 )
+
+
+def opposite_from_tables(cat):
+    """The opposite category built from the raw tables, bypassing the
+    opposite that ``fiblex.fincat.opposite`` caches with each category."""
+    return FinCategory(
+        objects=cat.objects,
+        morphisms=cat.morphisms,
+        src=cat.tgt,
+        tgt=cat.src,
+        identity=cat.identity,
+        compose={(g, f): x for (f, g), x in cat.compose.items()},
+        closed=cat.closed,
+    )
 
 
 def random_base(
@@ -236,3 +253,79 @@ def random_speaker_data(rng: random.Random, fresh_object: bool = False):
     action = {m: dict(g) for m, g in fun.action.items()}
     action[base.identity[word]] = {}
     return base, paths, SetFunctor(base=fun.base, value=value, action=action), word
+
+
+def random_fibres(rng, objects, arrows):
+    """Fibres of 1-3 elements, some emptied; emptiness is pushed back
+    along ``(src, tgt)`` arrows, since nothing maps into an empty set."""
+    empty = {o for o in objects if rng.random() < 0.1}
+    while True:
+        more = {s for s, t in arrows if t in empty} - empty
+        if not more:
+            break
+        empty |= more
+    return {
+        o: frozenset() if o in empty else frozenset(f"{o}x{i}" for i in range(rng.randint(1, 3)))
+        for o in objects
+    }
+
+
+def with_identities(src, tgt, after):
+    """A composition table: identities compose trivially, and ``after``
+    gives every other composite."""
+
+    def glue(g, f):
+        if g.startswith("id_"):
+            return f
+        return g if f.startswith("id_") else after[(g, f)]
+
+    return compose_table(src, tgt, glue)
+
+
+def idempotent_functor(rng):
+    """An object with a non-identity idempotent e, and f: o -> t with f∘e."""
+    src = {"id_o": "o", "id_t": "t", "e": "o", "f": "o", "fe": "o"}
+    tgt = {"id_o": "o", "id_t": "t", "e": "o", "f": "t", "fe": "t"}
+    after = {("e", "e"): "e", ("f", "e"): "fe", ("fe", "e"): "fe"}
+    cat = FinCategory(
+        objects={"o", "t"},
+        morphisms=src,
+        src=src,
+        tgt=tgt,
+        identity={"o": "id_o", "t": "id_t"},
+        compose=with_identities(src, tgt, after),
+    )
+    value = random_fibres(rng, ["o", "t"], [("o", "t")])
+    elems = sorted(value["o"])
+    image = rng.sample(elems, rng.randint(1, len(elems))) if elems else []
+    e = {x: x if x in image else rng.choice(image) for x in elems}
+    f = {x: rng.choice(sorted(value["t"])) for x in elems}
+    action = {"id_o": {x: x for x in elems}, "id_t": {y: y for y in value["t"]},
+              "e": e, "f": f, "fe": {x: f[e[x]] for x in elems}}
+    return SetFunctor(base=cat, value=value, action=action)
+
+
+def iso_functor(rng):
+    """A source component of two isomorphic objects a ⇄ b, with w: b -> c."""
+    src = {"id_a": "a", "id_b": "b", "id_c": "c", "u": "a", "v": "b", "w": "b", "wu": "a"}
+    tgt = {"id_a": "a", "id_b": "b", "id_c": "c", "u": "b", "v": "a", "w": "c", "wu": "c"}
+    after = {("v", "u"): "id_a", ("u", "v"): "id_b", ("w", "u"): "wu", ("wu", "v"): "w"}
+    cat = FinCategory(
+        objects={"a", "b", "c"},
+        morphisms=src,
+        src=src,
+        tgt=tgt,
+        identity={"a": "id_a", "b": "id_b", "c": "id_c"},
+        compose=with_identities(src, tgt, after),
+    )
+    value = random_fibres(rng, ["a", "c"], [("a", "c")])
+    elems = sorted(value["a"])
+    twins = [f"b{x}" for x in elems]
+    rng.shuffle(twins)
+    value["b"] = frozenset(twins)
+    u = dict(zip(elems, twins))
+    w = {y: rng.choice(sorted(value["c"])) for y in twins}
+    action = {"id_a": {x: x for x in elems}, "id_b": {y: y for y in twins},
+              "id_c": {z: z for z in value["c"]}, "u": u, "v": {y: x for x, y in u.items()},
+              "w": w, "wu": {x: w[u[x]] for x in elems}}
+    return SetFunctor(base=cat, value=value, action=action)

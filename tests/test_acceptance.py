@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 from genlib import (
     free_category_by_paths,
     functor_on_free,
+    idempotent_functor,
+    iso_functor,
     random_base,
+    random_fibres,
     random_functor_between,
     random_presheaf,
 )
@@ -623,24 +626,9 @@ def test_c5_limits_and_tautologies():
     _verdict("C5 limit-oracle", True, f"({diagrams} diagrams, {tautologies} tautologies)")
 
 
-def _random_fibres(rng, objects, arrows):
-    """Fibres of 1-3 elements, some emptied; emptiness is pushed back
-    along ``(src, tgt)`` arrows, since nothing maps into an empty set."""
-    empty = {o for o in objects if rng.random() < 0.1}
-    while True:
-        more = {s for s, t in arrows if t in empty} - empty
-        if not more:
-            break
-        empty |= more
-    return {
-        o: frozenset() if o in empty else frozenset(f"{o}x{i}" for i in range(rng.randint(1, 3)))
-        for o in objects
-    }
-
-
 def _free_piece(rng, vertices, edges):
     """A random functor on the free category of an acyclic quiver."""
-    value = _random_fibres(rng, vertices, [(s, t) for _, s, t in edges])
+    value = random_fibres(rng, vertices, [(s, t) for _, s, t in edges])
     edge_act = {e: {x: rng.choice(sorted(value[t])) for x in value[s]} for e, s, t in edges}
     return functor_on_free(quiver_from_edges(vertices, edges), value, edge_act)
 
@@ -665,67 +653,6 @@ def _zigzag_piece(rng):
     return _free_piece(rng, vertices, edges)
 
 
-def _with_identities(src, tgt, after):
-    """A composition table: identities compose trivially, and ``after``
-    gives every other composite."""
-
-    def glue(g, f):
-        if g.startswith("id_"):
-            return f
-        return g if f.startswith("id_") else after[(g, f)]
-
-    return compose_table(src, tgt, glue)
-
-
-def _idempotent_piece(rng):
-    """An object with a non-identity idempotent e, and f: o -> t with f∘e."""
-    src = {"id_o": "o", "id_t": "t", "e": "o", "f": "o", "fe": "o"}
-    tgt = {"id_o": "o", "id_t": "t", "e": "o", "f": "t", "fe": "t"}
-    after = {("e", "e"): "e", ("f", "e"): "fe", ("fe", "e"): "fe"}
-    cat = FinCategory(
-        objects={"o", "t"},
-        morphisms=src,
-        src=src,
-        tgt=tgt,
-        identity={"o": "id_o", "t": "id_t"},
-        compose=_with_identities(src, tgt, after),
-    )
-    value = _random_fibres(rng, ["o", "t"], [("o", "t")])
-    elems = sorted(value["o"])
-    image = rng.sample(elems, rng.randint(1, len(elems))) if elems else []
-    e = {x: x if x in image else rng.choice(image) for x in elems}
-    f = {x: rng.choice(sorted(value["t"])) for x in elems}
-    action = {"id_o": {x: x for x in elems}, "id_t": {y: y for y in value["t"]},
-              "e": e, "f": f, "fe": {x: f[e[x]] for x in elems}}
-    return SetFunctor(base=cat, value=value, action=action)
-
-
-def _iso_piece(rng):
-    """A source component of two isomorphic objects a ⇄ b, with w: b -> c."""
-    src = {"id_a": "a", "id_b": "b", "id_c": "c", "u": "a", "v": "b", "w": "b", "wu": "a"}
-    tgt = {"id_a": "a", "id_b": "b", "id_c": "c", "u": "b", "v": "a", "w": "c", "wu": "c"}
-    after = {("v", "u"): "id_a", ("u", "v"): "id_b", ("w", "u"): "wu", ("wu", "v"): "w"}
-    cat = FinCategory(
-        objects={"a", "b", "c"},
-        morphisms=src,
-        src=src,
-        tgt=tgt,
-        identity={"a": "id_a", "b": "id_b", "c": "id_c"},
-        compose=_with_identities(src, tgt, after),
-    )
-    value = _random_fibres(rng, ["a", "c"], [("a", "c")])
-    elems = sorted(value["a"])
-    twins = [f"b{x}" for x in elems]
-    rng.shuffle(twins)
-    value["b"] = frozenset(twins)
-    u = dict(zip(elems, twins))
-    w = {y: rng.choice(sorted(value["c"])) for y in twins}
-    action = {"id_a": {x: x for x in elems}, "id_b": {y: y for y in twins},
-              "id_c": {z: z for z in value["c"]}, "u": u, "v": {y: x for x, y in u.items()},
-              "w": w, "wu": {x: w[u[x]] for x in elems}}
-    return SetFunctor(base=cat, value=value, action=action)
-
-
 def _unconstrained_piece(rng):
     """Actions drawn with no regard to composition: the limit must still
     check every arrow, composites included."""
@@ -743,7 +670,7 @@ def _unconstrained_piece(rng):
 
 
 LIMIT_PIECES = (
-    _genlib_piece, _cospan_piece, _zigzag_piece, _idempotent_piece, _iso_piece,
+    _genlib_piece, _cospan_piece, _zigzag_piece, idempotent_functor, iso_functor,
     _unconstrained_piece,
 )
 

@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from collage_oracle import full_collage, full_extension
+from genlib import free_category_by_paths, idempotent_functor, iso_functor, random_presheaf
 from fiblex.errors import BoundExceeded, MissingEdgeAction, UnboundedHomSet, VertexMismatch
 from fiblex.collage import (
     Word,
@@ -10,7 +14,9 @@ from fiblex.collage import (
     extend_set_functor,
     fp_collage,
     free_category,
+    free_category_with_paths,
     normalize_word,
+    word_id,
 )
 from fiblex.fincat import (
     SetFunctor,
@@ -242,3 +248,128 @@ def test_missing_edge_action_is_rejected():
     )
     with pytest.raises(MissingEdgeAction):
         extend_set_functor(fun, col, {})
+
+
+# --- the delta path against the full enumeration ----------------------------------
+
+
+def test_collage_over_a_truncated_base_raises_bound_exceeded():
+    # the loop e with paths of length at most 2: e∘e∘e is missing, so the
+    # base lacks the composite of e and e∘e
+    base = free_category(quiver_from_edges(["v"], [("e", "v", "v")]), bound=2)
+    assert not base.closed
+    for quiver, bound in ((discrete_quiver(["v"]), None),
+                          (quiver_from_edges(["v"], [("q", "v", "v")]), 1)):
+        with pytest.raises(BoundExceeded):
+            full_collage(base, quiver, bound, lambda w: word_id(base, w))
+        with pytest.raises(BoundExceeded):
+            fp_collage(base, quiver, bound=bound)
+
+
+def _random_closed_base(rng):
+    """A closed base category with a Set-valued functor on it: a free
+    category, its opposite, or a category with an idempotent or with an
+    isomorphism."""
+    kind = rng.choice(["free", "opposite", "idempotent", "iso"])
+    if kind == "idempotent":
+        return idempotent_functor(rng)
+    if kind == "iso":
+        return iso_functor(rng)
+    n = rng.randint(1, 4)
+    vertices = [f"v{i}" for i in range(n)]
+    edges = []
+    for k in range(rng.randint(0, 4)):
+        i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        if i != j:
+            edges.append((f"e{k}", vertices[i], vertices[j]))
+    cat, paths = free_category_by_paths(quiver_from_edges(vertices, edges))
+    if kind == "opposite":
+        return random_presheaf(rng, cat, paths)
+    value = {v: frozenset(f"{v}x{i}" for i in range(rng.randint(1, 3))) for v in vertices}
+    edge_act = {e: {x: rng.choice(sorted(value[t])) for x in value[s]} for e, s, t in edges}
+    action = {}
+    for m, path in paths.items():
+        graph = {x: x for x in value[cat.src[m]]}
+        for e in path:
+            graph = {x: edge_act[e][y] for x, y in graph.items()}
+        action[m] = graph
+    return SetFunctor(base=cat, value=value, action=action)
+
+
+def _random_quiver(rng, base):
+    """Up to three edges in any direction, loops included; some are named
+    like a base morphism or like a word the collage will generate."""
+    vertices = sorted(base.objects)
+    names = [f"q{i}" for i in range(3)] + [rng.choice(sorted(base.morphisms)), "(q0,q1)", "q0∘q1"]
+    non_identities = base.non_identities()
+    if non_identities:
+        names.append(f"({rng.choice(non_identities)},q0)")
+    picked = list(dict.fromkeys(rng.choice(names) for _ in range(rng.randint(0, 3))))
+    return quiver_from_edges(
+        vertices, [(q, rng.choice(vertices), rng.choice(vertices)) for q in picked]
+    )
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except Exception as err:  # the error class is part of what must agree
+        return None, type(err)
+
+
+def _same_category(new, oracle):
+    assert new.objects == oracle.objects
+    assert new.morphisms == oracle.morphisms
+    assert new.src == oracle.src and new.tgt == oracle.tgt
+    assert new.identity == oracle.identity
+    assert new.compose == oracle.compose
+    assert new.closed == oracle.closed
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_delta_collage_and_extension_match_the_full_enumeration(seed):
+    rng = random.Random(seed)
+    fun = _random_closed_base(rng)
+    base = fun.base
+    quiver = _random_quiver(rng, base)
+    bound = rng.choice([None, None, 0, 1, 2, 3])
+
+    col, err = _outcome(lambda: fp_collage(base, quiver, bound=bound))
+    full, oracle_err = _outcome(lambda: full_collage(base, quiver, bound, lambda w: word_id(base, w)))
+    assert err == oracle_err
+    if err is None:
+        words, category = full
+        _same_category(col.category, category)
+        assert col.closed == category.closed
+        assert col.words == words
+        assert col.edge_words() == sorted(w for w, word in words.items() if word.edges)
+
+        edge_actions = {}
+        for q in sorted(quiver.edges):
+            image = sorted(fun.value[quiver.etgt[q]])
+            if image or not fun.value[quiver.esrc[q]]:
+                edge_actions[q] = {x: rng.choice(image) for x in fun.value[quiver.esrc[q]]}
+        if edge_actions and rng.random() < 0.1:
+            del edge_actions[rng.choice(sorted(edge_actions))]
+        ext, err = _outcome(lambda: extend_set_functor(fun, col, edge_actions))
+        full_ext, oracle_err = _outcome(
+            lambda: full_extension(fun, quiver, words, category, edge_actions)
+        )
+        assert err == oracle_err
+        if err is None:
+            assert ext.base == full_ext.base
+            assert ext.value == full_ext.value
+            assert ext.action == full_ext.action
+
+    # the same quiver as a free category: a collage of the discrete category
+    def path_name(w):
+        return "∘".join(reversed(w.edges)) if w.edges else w.bases[0]
+
+    free, err = _outcome(lambda: free_category_with_paths(quiver, bound))
+    discrete = discrete_category(quiver.vertices)
+    full, oracle_err = _outcome(lambda: full_collage(discrete, quiver, bound, path_name))
+    assert err == oracle_err
+    if err is None:
+        _same_category(free[0], full[1])
+        assert free[1] == {m: w.edges for m, w in full[0].items()}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genlib import free_category_by_paths, functor_on_free
+from genlib import free_category_by_paths, functor_on_free, opposite_from_tables
 from fiblex.collage import free_category, free_category_with_paths
 from fiblex.errors import BoundExceeded, IdentifierClash, UnboundedHomSet
 from fiblex.fibration import component_presheaf
@@ -97,6 +97,24 @@ def test_opposite_swaps_arrow():
 def test_opposite_is_an_involution():
     for cat in (arrow_category(), chain_category(), discrete_category(["P"])):
         assert opposite(opposite(cat)) == cat
+
+
+def test_opposite_is_cached_as_an_involution():
+    for cat in (arrow_category(), chain_category(), discrete_category(["P"])):
+        op = opposite(cat)
+        assert opposite(cat) is op
+        assert opposite(op) is cat
+        assert op == opposite_from_tables(cat)
+        assert opposite(opposite_from_tables(op)) == op
+
+
+def test_cached_indexes_are_derived_and_invisible():
+    cat = chain_category()
+    fresh = FinCategory(cat.objects, cat.morphisms, cat.src, cat.tgt, cat.identity, cat.compose)
+    opposite(cat)
+    assert cat.by_src == {"A": ["f", "g∘f", "id_A"], "B": ["g", "id_B"], "C": ["id_C"]}
+    assert cat.by_tgt == {"A": ["id_A"], "B": ["f", "id_B"], "C": ["g", "g∘f", "id_C"]}
+    assert cat == fresh and repr(cat) == repr(fresh)
 
 
 # --- quivers -----------------------------------------------------------------

@@ -526,15 +526,21 @@ def test_paraphrasis_requires_empty_learner_fibre():
         acquire_by_paraphrasis(alice, knowing, "cat", expl)
 
 
-def unforced_setup():
-    lang = free_category(quiver_from_edges(["X", "cat", "feline"], [("m", "X", "cat")]))
+def unforced_setup(with_k=False):
+    """``m: X → cat`` points at the word to be learned, and so does no
+    other non-identity; ``with_k`` adds ``k: X → feline``, which does not."""
+    edges = [("m", "X", "cat")] + ([("k", "X", "feline")] if with_k else [])
+    lang = free_category(quiver_from_edges(["X", "cat", "feline"], edges))
     teacher = make_speaker(
         "alice",
         lang,
         {"X": ["ax"], "cat": ["cleo"], "feline": ["felix"]},
-        actions={"m": {"cleo": "ax"}},
+        actions={"m": {"cleo": "ax"}, "k": {"felix": "ax"}},
     )
-    learner = make_speaker("bob", lang, {"X": ["x0"], "cat": [], "feline": ["tiger"]})
+    learner = make_speaker(
+        "bob", lang, {"X": ["x0"], "cat": [], "feline": ["tiger"]},
+        actions={"k": {"tiger": "x0"}},
+    )
     expl = discrete_explanation(lang, "cat", {"a1": "feline"})
     return teacher, learner, Explanation(expl.shape, expl.diagram, "cat", {("felix",): "cleo"})
 
@@ -560,6 +566,25 @@ def test_paraphrasis_refuses_an_override_outside_the_target_fibre():
         )
     assert err.value.morphisms == ("m",)
     assert "(tiger)" in str(err.value) and "nope" in str(err.value)
+
+
+@pytest.mark.parametrize("stray, named", [
+    ({"m": {"(tiger)": "x0", "(nonexistent)": "x0"}}, ("m", "(nonexistent)")),
+    ({"id_X": {"x0": "bogus"}}, ("id_X",)),
+    ({"id_cat": {"(tiger)": "(tiger)"}}, ("id_cat",)),
+    ({"zzz": {}}, ("zzz",)),
+    ({"k": {"(tiger)": "x0"}}, ("k",)),
+])
+def test_paraphrasis_refuses_overrides_it_cannot_install(stray, named):
+    # an apex name that is no tuple, an identity (elsewhere or on the
+    # word), an unknown morphism, and a non-identity that does not point
+    # at the word
+    teacher, learner, expl = unforced_setup(with_k=True)
+    overrides = {"m": {"(tiger)": "x0"}, **stray}
+    with pytest.raises(UnforcedActionAtL) as err:
+        acquire_by_paraphrasis(teacher, learner, "cat", expl, edge_overrides=overrides)
+    assert err.value.morphisms == named[:1]
+    assert all(name in str(err.value) for name in named)
 
 
 def test_paraphrasis_refuses_overrides_that_break_a_composite():
@@ -619,3 +644,47 @@ def test_paraphrasis_refuses_apex_tuples_with_one_name():
         acquire_by_paraphrasis(teacher, learner, "e", expl, event_id="ev")
     assert "('a', 'b,c')" in str(err.value)
     assert "('a,b', 'c')" in str(err.value)
+
+
+def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(monkeypatch):
+    # Composites glued and words built during one paraphrasis are counted,
+    # then counted again with a disconnected chain z0 → … → z5 (and its
+    # fifteen composites) added to the language: the counts must not move.
+    import fiblex.collage as collage_module
+
+    counts = {"compose_pair": 0, "words": 0}
+    compose_pair = FinCategory.compose_pair
+    word_post_init = collage_module.Word.__post_init__
+
+    def counted_compose_pair(self, g, f):
+        counts["compose_pair"] += 1
+        return compose_pair(self, g, f)
+
+    def counted_word(self):
+        counts["words"] += 1
+        word_post_init(self)
+
+    def learn(chain_length):
+        chain = [f"z{i}" for i in range(chain_length)]
+        edges = [("f", "X", "feline"), ("g", "Y", "X")]
+        edges += [(f"c{i}", a, b) for i, (a, b) in enumerate(zip(chain, chain[1:]))]
+        lang = free_category(quiver_from_edges(["cat", "feline", "X", "Y"] + chain, edges))
+        fibres = {"cat": [], "feline": ["tiger", "leo"], "X": ["x0"], "Y": ["y0"]}
+        fibres.update({z: [f"{z}e"] for z in chain})
+        actions = {}
+        for m in lang.non_identities():
+            s_obj, t_obj = lang.src[m], lang.tgt[m]
+            actions[m] = {x: fibres[s_obj][0] for x in fibres[t_obj]}
+        teacher = make_speaker("alice", lang, {**fibres, "cat": ["cleo"]}, actions)
+        learner = make_speaker("bob", lang, fibres, actions)
+        expl = discrete_explanation(lang, "cat", {"a1": "feline", "a2": "Y"})
+        counts.update(compose_pair=0, words=0)
+        out, report = acquire_by_paraphrasis(teacher, learner, "cat", expl, event_id="e")
+        assert report.outcome == "learned" and len(out.fibre("cat")) == 2
+        return dict(counts)
+
+    monkeypatch.setattr(FinCategory, "compose_pair", counted_compose_pair)
+    monkeypatch.setattr(collage_module.Word, "__post_init__", counted_word)
+    small = learn(0)
+    assert small["compose_pair"] > 0 and small["words"] > 0
+    assert learn(6) == small
