@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .errors import (
     BaseMismatch,
@@ -35,7 +35,7 @@ from .errors import (
     UnboundedHomSet,
     VertexMismatch,
 )
-from .fincat import CatFunctor, FinCategory, Quiver, SetFunctor, discrete_category
+from .fincat import FinCategory, Quiver, SetFunctor, discrete_category
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,17 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
 
     Words can grow without bound exactly when some quiver edge can reach
     back to its own source through other quiver edges and non-identity
-    base morphisms.
+    base morphisms. A quiver whose vertices differ from the objects, or
+    with an edge between non-vertices, raises ``VertexMismatch``.
     """
     if quiver.vertices != cat.objects:
         raise VertexMismatch("quiver must share the category's objects")
+    for e in sorted(quiver.edges):
+        if quiver.esrc[e] not in cat.objects or quiver.etgt[e] not in cat.objects:
+            raise VertexMismatch(
+                f"quiver edge {e} runs from {quiver.esrc[e]} to {quiver.etgt[e]}, "
+                "which are not both vertices"
+            )
     out_edges = _edges_by_src(quiver)
 
     def reaches(start: str, goal: str) -> bool:
@@ -270,63 +277,6 @@ def _adjoin(
 
 def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
     return free_category_with_paths(q, bound)[0]
-
-
-def canonical_functor(cat: FinCategory, collage: CollageCategory) -> CatFunctor:
-    """The identity-on-objects embedding of the base into its collage."""
-    if collage.base != cat:
-        raise BaseMismatch("collage was not built from this category")
-    return CatFunctor(
-        dom=cat,
-        cod=collage.category,
-        omap={o: o for o in cat.objects},
-        mmap={m: m for m in cat.morphisms},
-    )
-
-
-def normalize_word(
-    cat: FinCategory,
-    quiver: Quiver,
-    parts: Sequence[tuple[str, str]],
-    at: Optional[str] = None,
-) -> Word:
-    """Fold a raw alternating sequence of ``("base", id)`` and
-    ``("edge", id)`` parts into normal form: adjacent base morphisms are
-    composed and identities are inserted around edges where no base
-    morphism was given. The empty sequence needs an anchor object."""
-    if not parts:
-        if at is None:
-            raise NotComposable("empty word needs an anchor object")
-        ident = cat.identity[at]
-        return Word(bases=(ident,), edges=(), src=at, tgt=at)
-
-    first_kind, first_id = parts[0]
-    if first_kind == "base":
-        here = cat.src[first_id]
-    else:
-        here = quiver.esrc[first_id]
-    start = here
-
-    bases: list[str] = []
-    edges: list[str] = []
-    acc = cat.identity[here]
-    for kind, ident in parts:
-        if kind == "base":
-            if cat.src[ident] != here:
-                raise NotComposable(f"base morphism {ident} does not start at {here}")
-            acc = cat.compose_pair(ident, acc)
-            here = cat.tgt[ident]
-        elif kind == "edge":
-            if quiver.esrc[ident] != here:
-                raise NotComposable(f"edge {ident} does not start at {here}")
-            bases.append(acc)
-            edges.append(ident)
-            here = quiver.etgt[ident]
-            acc = cat.identity[here]
-        else:
-            raise NotComposable(f"unknown word part kind {kind!r}")
-    bases.append(acc)
-    return Word(bases=tuple(bases), edges=tuple(edges), src=start, tgt=here)
 
 
 def extend_set_functor(

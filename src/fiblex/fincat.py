@@ -245,10 +245,6 @@ def terminal_category(obj: str = "pt") -> FinCategory:
     return discrete_category([obj])
 
 
-def identity_functor(cat: FinCategory) -> CatFunctor:
-    return CatFunctor(cat, cat, {o: o for o in cat.objects}, {m: m for m in cat.morphisms})
-
-
 def quiver_from_edges(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Quiver:
     """Build a quiver from ``(edge_id, src, tgt)`` triples."""
     es, esrc, etgt = [], {}, {}
@@ -406,20 +402,7 @@ def opposite_functor(fun: CatFunctor) -> CatFunctor:
 
 
 # ---------------------------------------------------------------------------
-# quivers
-
-
-def discrete_quiver(vertices: Iterable[str]) -> Quiver:
-    return Quiver(frozenset(vertices), frozenset(), {}, {})
-
-
-def underlying_quiver(cat: FinCategory) -> Quiver:
-    """Forget composition: every morphism (identities included) becomes an edge."""
-    return Quiver(cat.objects, cat.morphisms, dict(cat.src), dict(cat.tgt))
-
-
-# ---------------------------------------------------------------------------
-# comma objects and components
+# comma objects and union-find
 
 
 def comma_object_id(d: str, f: str) -> str:
@@ -442,27 +425,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra
-
-    def blocks(self) -> dict[str, str]:
-        """Map each item to the least identifier in its block."""
-        rep: dict[str, str] = {}
-        for x in self.parent:
-            r = self.find(x)
-            if r not in rep or x < rep[r]:
-                rep[r] = x
-        return {x: rep[self.find(x)] for x in self.parent}
-
-
-def connected_components(cat: FinCategory) -> dict[str, str]:
-    """Partition objects by zigzags of morphisms.
-
-    Returns the map sending each object to its component representative,
-    the least object identifier in the block.
-    """
-    uf = _UnionFind(cat.objects)
-    for m in cat.morphisms:
-        uf.union(cat.src[m], cat.tgt[m])
-    return uf.blocks()
 
 
 # ---------------------------------------------------------------------------

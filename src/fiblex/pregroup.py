@@ -1,27 +1,22 @@
-"""Pregroup types, reduction search, and reduction categories.
+"""Pregroup types, lexicons, and reduction categories.
 
 Types are sequences of simple types ``(basic, z)`` where the adjoint
 order ``z`` counts right adjoints (positive) or left adjoints
-(negative). Reductions are found by breadth-first search over two moves:
-
-* contraction: delete an adjacent pair ``(a, z)(b, z + 1)`` when
-  ``a <= b`` for even ``z``, or ``b <= a`` for odd ``z``;
-* induced step: replace ``(a, 0)`` by ``(b, 0)`` when ``a <= b``
-  (order steps are applied at adjoint order zero only).
-
-Since moves never lengthen a sequence the state space is finite and the
-search is memoized, hence terminating. Categories generated from a
-lexicon are posetal: a reduction path is a truth, not a choice, so two
-type strings carry at most one morphism between them.
+(negative). A contraction deletes an adjacent pair ``(a, z)(b, z + 1)``
+when ``a <= b`` for even ``z``, or ``b <= a`` for odd ``z``. Since
+contractions strictly shorten a sequence, the types reachable from a
+phrase are finitely many. Categories generated from a lexicon are
+posetal: a reduction path is a truth, not a choice, so two type strings
+carry at most one morphism between them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
-from .errors import FiblexError, UnknownWord
+from .errors import FiblexError
 from .fincat import FinCategory, compose_table
 
 Simple = tuple[str, int]
@@ -94,20 +89,6 @@ def format_type(t: PgType) -> str:
     return " ".join(out)
 
 
-@dataclass(frozen=True)
-class Step:
-    """One rewrite: ``contract`` deletes positions ``pos`` and ``pos+1``,
-    ``induce`` replaces the simple type at ``pos``."""
-
-    kind: str
-    pos: int
-    before: tuple[Simple, ...]
-    after: tuple[Simple, ...]
-
-
-Derivation = tuple[Step, ...]
-
-
 def contractions(t: PgType, order: TypeOrder) -> Iterable[tuple[int, PgType]]:
     for i in range(len(t) - 1):
         (a, z), (b, z1) = t[i], t[i + 1]
@@ -115,68 +96,6 @@ def contractions(t: PgType, order: TypeOrder) -> Iterable[tuple[int, PgType]]:
             continue
         if (z % 2 == 0 and order.holds(a, b)) or (z % 2 != 0 and order.holds(b, a)):
             yield i, t[:i] + t[i + 2 :]
-
-
-def induced_steps(t: PgType, order: TypeOrder) -> Iterable[tuple[int, Simple, PgType]]:
-    for i, (a, z) in enumerate(t):
-        if z != 0:
-            continue
-        for b in sorted(order.basics):
-            if b != a and order.holds(a, b):
-                yield i, (b, 0), t[:i] + ((b, 0),) + t[i + 1 :]
-
-
-def reduce(t: PgType, goal: PgType, order: TypeOrder) -> Optional[Derivation]:
-    """Search for a rewrite sequence from ``t`` to ``goal``; None when
-    the exhaustive search runs out of states."""
-    if t == goal:
-        return ()
-    seen = {t}
-    parents: dict[PgType, tuple[PgType, Step]] = {}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            moves: list[tuple[Step, PgType]] = []
-            for i, shorter in contractions(state, order):
-                moves.append(
-                    (Step("contract", i, (state[i], state[i + 1]), ()), shorter)
-                )
-            for i, repl, changed in induced_steps(state, order):
-                moves.append((Step("induce", i, (state[i],), (repl,)), changed))
-            for step, out in moves:
-                if out in seen:
-                    continue
-                seen.add(out)
-                parents[out] = (state, step)
-                if out == goal:
-                    path = []
-                    cur = out
-                    while cur != t:
-                        prev, st = parents[cur]
-                        path.append(st)
-                        cur = prev
-                    return tuple(reversed(path))
-                nxt.append(out)
-        frontier = nxt
-    return None
-
-
-def replay(t: PgType, derivation: Derivation) -> PgType:
-    """Apply a derivation step by step, validating each move."""
-    cur = t
-    for step in derivation:
-        if step.kind == "contract":
-            if cur[step.pos : step.pos + 2] != step.before:
-                raise FiblexError(f"contraction does not match the state at {step.pos}")
-            cur = cur[: step.pos] + cur[step.pos + 2 :]
-        elif step.kind == "induce":
-            if (cur[step.pos],) != step.before:
-                raise FiblexError(f"induced step does not match the state at {step.pos}")
-            cur = cur[: step.pos] + step.after + cur[step.pos + 1 :]
-        else:
-            raise FiblexError(f"unknown step kind {step.kind!r}")
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +120,6 @@ class Lexicon:
                         raise FiblexError(f"{word!r} uses unknown basic type {base!r}")
                     if abs(z) > self.z_max:
                         raise FiblexError(f"{word!r} exceeds z_max={self.z_max}")
-
-
-@dataclass(frozen=True)
-class SentenceCheck:
-    ok: bool
-    assignment: Optional[tuple[PgType, ...]]
-    derivation: Optional[Derivation]
-
-
-def sentence_check(lex: Lexicon, words: Sequence[str]) -> SentenceCheck:
-    """Try every per-word type choice and reduce to the sentence type."""
-    for w in words:
-        if w not in lex.entries:
-            raise UnknownWord(f"word {w!r} is not in the lexicon")
-    for choice in itertools.product(*(lex.entries[w] for w in words)):
-        whole = tuple(itertools.chain.from_iterable(choice))
-        derivation = reduce(whole, lex.sentence, lex.order)
-        if derivation is not None:
-            return SentenceCheck(ok=True, assignment=choice, derivation=derivation)
-    return SentenceCheck(ok=False, assignment=None, derivation=None)
 
 
 def language_category_from_lexicon(

@@ -19,18 +19,22 @@ from .errors import FiblexError, ScenarioError
 from .fincat import (
     CatFunctor,
     FinCategory,
+    SetFunctor,
     discrete_category,
     natural_iso_check,
+    opposite,
     parse_tuple_name,
     quiver_from_edges,
     terminal_category,
     validate_category,
+    validate_setfunctor,
 )
-from .jsonio import _declared_speaker, category_from_dict
+from .jsonio import category_from_dict
 from .pregroup import Lexicon, language_category_from_lexicon, parse_type, type_order
 from .speaker import (
     Explanation,
     Speaker,
+    _derived_speaker,
     acquire_by_example,
     acquire_by_example_merged,
     acquire_by_paraphrasis,
@@ -97,6 +101,34 @@ def _category_from_decl(name: str, decl: dict) -> FinCategory:
         except FiblexError as err:
             raise ScenarioError(f"category {name}: {err}") from err
     raise ScenarioError(f"category {name}: unknown kind {kind!r}")
+
+
+def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: dict) -> Speaker:
+    """The speaker with the declared fibres and non-identity actions over
+    a language whose axioms the caller has checked; the meaning is
+    checked here. A ``fibres`` key that names no object, or an
+    ``actions`` key that names no morphism, raises ``ScenarioError``."""
+    stray = sorted(set(fibres).difference(language.objects))
+    if stray:
+        raise ScenarioError(f"speaker {name}: fibres key {stray[0]!r} names no object")
+    stray = sorted(set(actions).difference(language.morphisms))
+    if stray:
+        raise ScenarioError(f"speaker {name}: actions key {stray[0]!r} names no morphism")
+    base = opposite(language)
+    value = {o: frozenset(fibres.get(o, ())) for o in language.objects}
+    action: dict[str, dict[str, str]] = {}
+    for m in language.morphisms:
+        if base.is_identity(m):
+            action[m] = {x: x for x in value[base.src[m]]}
+        else:
+            if m not in actions:
+                raise FiblexError(f"speaker {name}: no action table for {m}")
+            action[m] = dict(actions[m])
+    meaning = SetFunctor(base=base, value=value, action=action)
+    problems = validate_setfunctor(meaning)
+    if problems:
+        raise FiblexError(f"speaker {name}: invalid meaning: {problems[0]}")
+    return _derived_speaker(name, language, meaning)
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -381,11 +413,9 @@ def run_scenario(
 
 def validate_scenario(scenario: Scenario) -> dict:
     """Structural validation only: declarations are checked and every
-    explanation is resolved against the initial store, but no event runs."""
-    checks = []
-    for name, cat in sorted(scenario.categories.items()):
-        problems = validate_category(cat)
-        checks.append({"category": name, "problems": problems})
+    explanation is resolved against the initial store, but no event runs.
+    ``load_scenario`` has already checked every declared category."""
+    checks = [{"category": name, "problems": []} for name in sorted(scenario.categories)]
     store = initial_store(scenario)
     for name in sorted(scenario.explanations):
         try:

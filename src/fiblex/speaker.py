@@ -231,16 +231,13 @@ def _acts_on_its_fibres(speaker: Speaker, diagram: CatFunctor) -> bool:
     )
 
 
-def validate_explanation(
-    speaker: Speaker, explanation: Explanation, demand_matching: bool = False
-) -> ExplanationCheck:
+def validate_explanation(speaker: Speaker, explanation: Explanation) -> ExplanationCheck:
     """Compute the limit of the explanation and compare it to the fibre.
 
     With an embedding, validity means the embedding is an injection of
     the apex into the target fibre and exactness that it is onto. With
     no embedding the apex tuples are taken as the defining fibre
-    content: the explanation is then valid outright (or, when a matching
-    is demanded, whenever the fibre is big enough) and exact when the
+    content: the explanation is then valid outright and exact when the
     cardinalities agree. An empty apex is flagged vacuous.
 
     A diagram that is no functor still has a limit, as long as each arrow
@@ -275,7 +272,7 @@ def validate_explanation(
         valid = not problems
         exact = valid and set(emb.values()) == set(fibre)
     else:
-        valid = not problems and (not demand_matching or len(cone.apex) <= len(fibre))
+        valid = not problems
         exact = valid and len(cone.apex) == len(fibre)
     return ExplanationCheck(
         valid=valid, exact=exact, vacuous=vacuous, limit=cone, problems=tuple(problems)
@@ -627,12 +624,3 @@ def acquire_by_paraphrasis(
     )
     return out, report
 
-
-def restriction_along_embedding(new: Speaker, old_language: FinCategory) -> SetFunctor:
-    """Restrict a post-paraphrasis meaning along the canonical embedding
-    of the old language (0-edge words keep their names)."""
-    return SetFunctor(
-        base=opposite(old_language),
-        value={o: new.meaning.value[o] for o in old_language.objects},
-        action={m: new.meaning.action[m] for m in old_language.morphisms},
-    )

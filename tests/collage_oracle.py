@@ -6,13 +6,24 @@
 included, along its parts. ``fiblex.collage`` builds only the words with
 edges and glues only the pairs that involve one; the two must agree on
 every name, table, action and error.
+
+``normalize_word`` folds a raw alternating sequence of base morphisms and
+edges into normal form, and ``canonical_functor`` is the embedding of the
+base into its collage; the tests check the collage laws with them.
 """
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from fiblex.collage import Word
-from fiblex.errors import IdentifierClash, MissingEdgeAction, UnboundedHomSet, VertexMismatch
-from fiblex.fincat import FinCategory, Quiver, SetFunctor, compose_table
+from fiblex.collage import CollageCategory, Word
+from fiblex.errors import (
+    BaseMismatch,
+    IdentifierClash,
+    MissingEdgeAction,
+    NotComposable,
+    UnboundedHomSet,
+    VertexMismatch,
+)
+from fiblex.fincat import CatFunctor, FinCategory, Quiver, SetFunctor, compose_table
 
 
 def full_collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
@@ -128,3 +139,60 @@ def full_extension(
             graph = {x: step[y] for x, y in graph.items()}
         action[wid] = graph
     return SetFunctor(base=category, value=dict(fun.value), action=action)
+
+
+def canonical_functor(cat: FinCategory, collage: CollageCategory) -> CatFunctor:
+    """The identity-on-objects embedding of the base into its collage."""
+    if collage.base != cat:
+        raise BaseMismatch("collage was not built from this category")
+    return CatFunctor(
+        dom=cat,
+        cod=collage.category,
+        omap={o: o for o in cat.objects},
+        mmap={m: m for m in cat.morphisms},
+    )
+
+
+def normalize_word(
+    cat: FinCategory,
+    quiver: Quiver,
+    parts: Sequence[tuple[str, str]],
+    at: Optional[str] = None,
+) -> Word:
+    """Fold a raw alternating sequence of ``("base", id)`` and
+    ``("edge", id)`` parts into normal form: adjacent base morphisms are
+    composed and identities are inserted around edges where no base
+    morphism was given. The empty sequence needs an anchor object."""
+    if not parts:
+        if at is None:
+            raise NotComposable("empty word needs an anchor object")
+        ident = cat.identity[at]
+        return Word(bases=(ident,), edges=(), src=at, tgt=at)
+
+    first_kind, first_id = parts[0]
+    if first_kind == "base":
+        here = cat.src[first_id]
+    else:
+        here = quiver.esrc[first_id]
+    start = here
+
+    bases: list[str] = []
+    edges: list[str] = []
+    acc = cat.identity[here]
+    for kind, ident in parts:
+        if kind == "base":
+            if cat.src[ident] != here:
+                raise NotComposable(f"base morphism {ident} does not start at {here}")
+            acc = cat.compose_pair(ident, acc)
+            here = cat.tgt[ident]
+        elif kind == "edge":
+            if quiver.esrc[ident] != here:
+                raise NotComposable(f"edge {ident} does not start at {here}")
+            bases.append(acc)
+            edges.append(ident)
+            here = quiver.etgt[ident]
+            acc = cat.identity[here]
+        else:
+            raise NotComposable(f"unknown word part kind {kind!r}")
+    bases.append(acc)
+    return Word(bases=tuple(bases), edges=tuple(edges), src=start, tgt=here)

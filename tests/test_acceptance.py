@@ -14,6 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collage_oracle import normalize_word
 from genlib import (
     free_category_by_paths,
     functor_on_free,
@@ -24,7 +25,19 @@ from genlib import (
     random_functor_between,
     random_presheaf,
 )
-from fiblex.collage import fp_collage, normalize_word
+from reference import (
+    component_presheaf,
+    compose_functors,
+    comprehensive_factorization,
+    discrete_quiver,
+    is_discrete_fibration,
+    iso_over_base,
+    reduce,
+    replay,
+    restriction_along_embedding,
+    to_presheaf,
+)
+from fiblex.collage import fp_collage
 from fiblex.errors import IdentifierClash
 from fiblex.fincat import (
     CatFunctor,
@@ -32,29 +45,18 @@ from fiblex.fincat import (
     SetFunctor,
     compose_table,
     discrete_category,
-    discrete_quiver,
     natural_iso_check,
     opposite,
     quiver_from_edges,
     set_limit,
     validate_category,
 )
-from fiblex.fibration import (
-    component_presheaf,
-    comprehensive_factorization,
-    compose_functors,
-    grothendieck,
-    is_discrete_fibration,
-    iso_over_base,
-    to_presheaf,
-)
+from fiblex.fibration import grothendieck
 from fiblex.jsonio import canonical_dumps
 from fiblex.pregroup import (
     Lexicon,
     language_category_from_lexicon,
     parse_type,
-    reduce,
-    replay,
     type_order,
 )
 from fiblex.scenario import load_scenario, run_events, run_scenario
@@ -62,7 +64,6 @@ from fiblex.speaker import (
     Speaker,
     acquire_by_example,
     acquire_by_example_merged,
-    restriction_along_embedding,
     tautological_explanation,
     validate_explanation,
 )

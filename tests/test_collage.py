@@ -4,24 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collage_oracle import full_collage, full_extension
+from collage_oracle import canonical_functor, full_collage, full_extension, normalize_word
 from genlib import free_category_by_paths, idempotent_functor, iso_functor, random_presheaf
+from reference import discrete_quiver
 from fiblex.errors import BoundExceeded, MissingEdgeAction, UnboundedHomSet, VertexMismatch
 from fiblex.collage import (
     Word,
-    canonical_functor,
     collage_is_finite,
     extend_set_functor,
     fp_collage,
     free_category,
     free_category_with_paths,
-    normalize_word,
     word_id,
 )
 from fiblex.fincat import (
     SetFunctor,
     discrete_category,
-    discrete_quiver,
     quiver_from_edges,
     validate_category,
     validate_functor,
@@ -62,6 +60,15 @@ def test_parallel_edge_without_return_is_finite():
 def test_vertex_mismatch_is_rejected():
     with pytest.raises(VertexMismatch):
         collage_is_finite(arrow_cat(), discrete_quiver(["A"]))
+
+
+def test_an_edge_off_the_vertices_is_rejected():
+    quiver = quiver_from_edges(["A", "B"], [("f", "A", "Bee")])
+    message = "quiver edge f runs from A to Bee, which are not both vertices"
+    with pytest.raises(VertexMismatch, match=message):
+        collage_is_finite(discrete_category(["A", "B"]), quiver)
+    with pytest.raises(VertexMismatch, match=message):
+        free_category(quiver)
 
 
 # --- fp_collage -----------------------------------------------------------------

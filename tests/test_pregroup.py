@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from reference import reduce, replay, sentence_check
 from fiblex.errors import FiblexError, UnknownWord
 from fiblex.fincat import validate_category
 from fiblex.pregroup import (
@@ -7,9 +11,6 @@ from fiblex.pregroup import (
     format_type,
     language_category_from_lexicon,
     parse_type,
-    reduce,
-    replay,
-    sentence_check,
     type_order,
 )
 
@@ -151,6 +152,31 @@ def test_reduction_category_is_acyclic_and_valid():
             continue
         assert cat.src[m] != cat.tgt[m]
         assert cat.hom(cat.tgt[m], cat.src[m]) == []
+
+
+def test_language_category_agrees_with_the_reduction_search():
+    # with no order between distinct basics only contractions apply, so
+    # t -> u is a morphism exactly when the search derives u from t
+    rng = random.Random(5)
+    marks = ["^ll", "^l", "", "^r", "^rr"]
+    morphisms = absent = 0
+    for _ in range(300):
+        basics = ["n", "s", "o"][: rng.randint(1, 3)]
+        order = type_order(basics)
+        lex = Lexicon(order=order, entries={"-": (parse_type("n"),)}, sentence=parse_type("n"))
+        phrases = [
+            " ".join(rng.choice(basics) + rng.choice(marks) for _ in range(rng.randint(1, 5)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        cat = language_category_from_lexicon(lex, phrases)
+        types = {o: () if o == "1" else parse_type(o) for o in cat.objects}
+        for t, u in itertools.product(sorted(cat.objects), repeat=2):
+            derived = reduce(types[t], types[u], order) is not None
+            assert bool(cat.hom(t, u)) == derived, (phrases, t, u)
+            if t != u:
+                morphisms += derived
+                absent += not derived
+    assert morphisms > 100 and absent > 100
 
 
 def test_paraphrasis_enriches_a_pregroup_language_beyond_reductions():

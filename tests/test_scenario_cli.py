@@ -131,6 +131,56 @@ def test_bad_declarations_name_their_cause(language, actions, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("key, entry, message", [
+    ("fibres", {"A": ["a1", "a2"], "B": ["b"], "C": ["c"], "D": ["d"]},
+     "speaker bob: speaker bob: fibres key 'D' names no object"),
+    ("actions", {**FUNCTORIAL, "k": {"c": "b"}},
+     "speaker bob: speaker bob: actions key 'k' names no morphism"),
+])
+def test_declared_speaker_keys_must_name_the_language(key, entry, message):
+    doc = one_speaker_doc(THREE_ARROWS, FUNCTORIAL)
+    doc["speakers"]["bob"][key] = entry
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == message
+
+
+OFF_THE_VERTICES = "quiver edge f runs from cat to felin, which are not both vertices"
+
+
+def test_a_free_language_with_an_edge_off_its_vertices_is_refused():
+    doc = {
+        "name": "typo",
+        "categories": {"lang": {"kind": "free", "vertices": ["cat", "feline"],
+                                "edges": [{"id": "f", "src": "cat", "tgt": "felin"}]}},
+        "speakers": {"p": {"language": "lang", "fibres": {"cat": ["c"], "feline": ["x"]},
+                           "actions": {"f": {"x": "c"}}}},
+    }
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == f"category lang: {OFF_THE_VERTICES}"
+
+
+def test_an_explanation_shape_with_an_edge_off_its_vertices_is_refused():
+    shape = {"kind": "free", "vertices": ["cat", "feline"],
+             "edges": [{"id": "f", "src": "cat", "tgt": "felin"}]}
+    doc = {
+        "name": "typo",
+        "categories": {"lang": {"kind": "discrete", "objects": ["black", "feline"]}},
+        "speakers": {"p": {"language": "lang", "fibres": {"black": ["b"], "feline": ["x"]}}},
+        "explanations": {"e": {"language": "lang", "target": "black", "shape": shape,
+                               "diagram": {"cat": "feline", "feline": "feline"}}},
+        "events": [{"event": "validate-explanation", "speaker": "p", "explanation": "e"}],
+    }
+    scenario = load_scenario(doc)
+    report = validate_scenario(scenario)
+    assert report["status"] == "error"
+    assert report["checks"][-1] == {"explanation": "e", "problems": [OFF_THE_VERTICES]}
+    code, report = run_scenario(scenario)
+    assert code == 2
+    assert report["error"] == OFF_THE_VERTICES
+
+
 def count_calls(monkeypatch, fn):
     """Count calls of ``fn`` through every fiblex module that binds it."""
     calls = []
@@ -161,6 +211,14 @@ def test_a_run_checks_each_declaration_once(name, monkeypatch):
     )
     assert len(categories) == len(doc["categories"]) + len(explanations)
     assert len(meanings) == len(doc["speakers"])
+
+
+def test_validate_does_not_check_the_declared_categories_again(monkeypatch):
+    scenario = load("alice-bob.json")
+    categories = count_calls(monkeypatch, fincat.validate_category)
+    report = validate_scenario(scenario)
+    assert categories == []
+    assert report["checks"][0] == {"category": "lang", "problems": []}
 
 
 def test_run_is_deterministic():

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import pytest
 
+from reference import restriction_along_embedding
 import fiblex.speaker as speaker_module
 from fiblex.collage import free_category
 from fiblex.errors import (
@@ -29,7 +30,6 @@ from fiblex.speaker import (
     acquire_by_example,
     acquire_by_example_merged,
     acquire_by_paraphrasis,
-    restriction_along_embedding,
     tautological_explanation,
     validate_explanation,
 )
