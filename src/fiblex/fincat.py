@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import BaseMismatch, BoundExceeded, NotComposable
+from .errors import BaseMismatch, BoundExceeded, IdentifierClash, NotComposable
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +246,15 @@ def terminal_category(obj: str = "pt") -> FinCategory:
 
 
 def quiver_from_edges(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Quiver:
-    """Build a quiver from ``(edge_id, src, tgt)`` triples."""
-    es, esrc, etgt = [], {}, {}
+    """Build a quiver from ``(edge_id, src, tgt)`` triples; an id given
+    twice raises ``IdentifierClash``."""
+    esrc, etgt = {}, {}
     for e, s, t in edges:
-        es.append(e)
+        if e in esrc:
+            raise IdentifierClash(f"edge id {e} is given twice")
         esrc[e] = s
         etgt[e] = t
-    return Quiver(frozenset(vertices), frozenset(es), esrc, etgt)
+    return Quiver(frozenset(vertices), frozenset(esrc), esrc, etgt)
 
 
 # ---------------------------------------------------------------------------

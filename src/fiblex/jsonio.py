@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import FiblexError
+from .errors import FiblexError, IdentifierClash
 from .fincat import FinCategory, validate_category
 
 
@@ -24,12 +24,17 @@ def category_from_dict(doc: dict) -> FinCategory:
 
     ``identity`` defaults to ``id_<object>``; identities may be left out
     of ``morphisms``, and composites with an identity out of ``compose``.
-    A violated axiom raises ``FiblexError`` with the first problem found.
+    A morphism id listed twice raises ``IdentifierClash``, and a violated
+    axiom ``FiblexError`` with the first problem found.
     """
     identity = dict(doc.get("identity") or {o: f"id_{o}" for o in doc["objects"]})
     src = {i: o for o, i in identity.items()}
     tgt = dict(src)
+    listed = set()
     for m in doc.get("morphisms", []):
+        if m["id"] in listed:
+            raise IdentifierClash(f"morphism id {m['id']} is listed twice")
+        listed.add(m["id"])
         src[m["id"]] = m["src"]
         tgt[m["id"]] = m["tgt"]
     compose = {(g, f): gf for g, f, gf in doc.get("compose", [])}

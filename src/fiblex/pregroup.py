@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FiblexError
+from .errors import FiblexError, IdentifierClash
 from .fincat import FinCategory, compose_table
 
 Simple = tuple[str, int]
@@ -30,9 +30,6 @@ class TypeOrder:
 
     basics: frozenset[str]
     leq: frozenset[tuple[str, str]]
-
-    def __le__(self, pair):  # pragma: no cover - guard against misuse
-        raise TypeError("use TypeOrder.holds(a, b)")
 
     def holds(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
@@ -115,11 +112,16 @@ class Lexicon:
             if not types:
                 raise FiblexError(f"lexicon entry {word!r} has no types")
             for t in types:
-                for base, z in t:
-                    if base not in self.order.basics:
-                        raise FiblexError(f"{word!r} uses unknown basic type {base!r}")
-                    if abs(z) > self.z_max:
-                        raise FiblexError(f"{word!r} exceeds z_max={self.z_max}")
+                _check_type(repr(word), t, self.order, self.z_max)
+        _check_type("the sentence type", self.sentence, self.order, self.z_max)
+
+
+def _check_type(label: str, t: PgType, order: TypeOrder, z_max: int) -> None:
+    for base, z in t:
+        if base not in order.basics:
+            raise FiblexError(f"{label} uses unknown basic type {base!r}")
+        if abs(z) > z_max:
+            raise FiblexError(f"{label} exceeds z_max={z_max}")
 
 
 def language_category_from_lexicon(
@@ -131,9 +133,14 @@ def language_category_from_lexicon(
 
     Contractions strictly shorten, so the rewrite relation is acyclic
     and the category is posetal: distinct irreducible types (for
-    example two bare noun phrases) share no morphisms at all.
+    example two bare noun phrases) share no morphisms at all. A phrase
+    with a basic type the order lacks raises ``FiblexError``, and two
+    types or morphisms that would share a name raise ``IdentifierClash``.
     """
-    start = [parse_type(p, lex.z_max) for p in phrases]
+    start = []
+    for p in phrases:
+        start.append(parse_type(p, lex.z_max))
+        _check_type(f"phrase {p!r}", start[-1], lex.order, lex.z_max)
     reached: dict[PgType, None] = {}
     stack = list(start)
     steps: dict[PgType, set[PgType]] = {}
@@ -164,12 +171,16 @@ def language_category_from_lexicon(
 
     names = {t: format_type(t) if t else "1" for t in reached}
     objects = frozenset(names.values())
+    if len(objects) < len(names):  # format_type is injective, so a basic type is named 1
+        raise IdentifierClash("the empty type and the basic type 1 share the object name 1")
     identity = {o: f"id_{o}" for o in objects}
     src = {i: o for o, i in identity.items()}
     tgt = dict(src)
     for t in reached:
         for u in reach[t]:
             mid = f"{names[t]}→{names[u]}"
+            if mid in src:
+                raise IdentifierClash(f"two morphisms share the name {mid}")
             src[mid] = names[t]
             tgt[mid] = names[u]
 

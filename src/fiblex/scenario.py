@@ -26,7 +26,6 @@ from .fincat import (
     parse_tuple_name,
     quiver_from_edges,
     terminal_category,
-    validate_category,
     validate_setfunctor,
 )
 from .jsonio import category_from_dict
@@ -34,7 +33,7 @@ from .pregroup import Lexicon, language_category_from_lexicon, parse_type, type_
 from .speaker import (
     Explanation,
     Speaker,
-    _derived_speaker,
+    _derived,
     acquire_by_example,
     acquire_by_example_merged,
     acquire_by_paraphrasis,
@@ -70,7 +69,8 @@ Store = dict[str, Binding]
 # loading
 
 
-def _category_from_decl(name: str, decl: dict) -> FinCategory:
+def _category_from_decl(decl: dict) -> FinCategory:
+    """The declared category; explicit tables are checked, constructions build or raise."""
     kind = decl.get("kind", "explicit")
     if kind == "discrete":
         return discrete_category(decl["objects"])
@@ -90,17 +90,14 @@ def _category_from_decl(name: str, decl: dict) -> FinCategory:
         }
         lex = Lexicon(
             order=order,
-            entries=entries or {"-": (parse_type(decl["basics"][0], z_max),)},
+            entries=entries,
             sentence=parse_type(decl.get("sentence", decl["basics"][0]), z_max),
             z_max=z_max,
         )
         return language_category_from_lexicon(lex, decl["phrases"])
     if kind == "explicit":
-        try:
-            return category_from_dict(decl)
-        except FiblexError as err:
-            raise ScenarioError(f"category {name}: {err}") from err
-    raise ScenarioError(f"category {name}: unknown kind {kind!r}")
+        return category_from_dict(decl)
+    raise ScenarioError(f"unknown kind {kind!r}")
 
 
 def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: dict) -> Speaker:
@@ -110,10 +107,10 @@ def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: d
     ``actions`` key that names no morphism, raises ``ScenarioError``."""
     stray = sorted(set(fibres).difference(language.objects))
     if stray:
-        raise ScenarioError(f"speaker {name}: fibres key {stray[0]!r} names no object")
+        raise ScenarioError(f"fibres key {stray[0]!r} names no object")
     stray = sorted(set(actions).difference(language.morphisms))
     if stray:
-        raise ScenarioError(f"speaker {name}: actions key {stray[0]!r} names no morphism")
+        raise ScenarioError(f"actions key {stray[0]!r} names no morphism")
     base = opposite(language)
     value = {o: frozenset(fibres.get(o, ())) for o in language.objects}
     action: dict[str, dict[str, str]] = {}
@@ -122,13 +119,13 @@ def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: d
             action[m] = {x: x for x in value[base.src[m]]}
         else:
             if m not in actions:
-                raise FiblexError(f"speaker {name}: no action table for {m}")
+                raise FiblexError(f"no action table for {m}")
             action[m] = dict(actions[m])
     meaning = SetFunctor(base=base, value=value, action=action)
     problems = validate_setfunctor(meaning)
     if problems:
-        raise FiblexError(f"speaker {name}: invalid meaning: {problems[0]}")
-    return _derived_speaker(name, language, meaning)
+        raise FiblexError(f"invalid meaning: {problems[0]}")
+    return _derived(Speaker, name=name, language=language, meaning=meaning)
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -137,16 +134,11 @@ def load_scenario(doc: dict) -> Scenario:
     categories: dict[str, FinCategory] = {}
     for name, decl in doc.get("categories", {}).items():
         try:
-            categories[name] = _category_from_decl(name, decl)
+            categories[name] = _category_from_decl(decl)
         except FiblexError as err:
             raise ScenarioError(f"category {name}: {err}") from err
-        # explicit tables are checked as they are decoded, the others here
-        if decl.get("kind", "explicit") != "explicit":
-            problems = validate_category(categories[name])
-            if problems:
-                raise ScenarioError(f"category {name}: {problems[0]}")
 
-    # speakers share their declared language, checked once above
+    # speakers share their declared language
     speakers: dict[str, Speaker] = {}
     for name, decl in doc.get("speakers", {}).items():
         lang_name = decl.get("language")
@@ -217,7 +209,7 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
     if lang_name not in scenario.categories:
         raise ScenarioError(f"explanation {name}: undeclared language {lang_name!r}")
     language = scenario.categories[lang_name]
-    shape = _category_from_decl(f"{name}.shape", decl["shape"])
+    shape = _category_from_decl(decl["shape"])
     omap = dict(decl["diagram"])
     mmap = dict(decl.get("diagram_morphisms", {}))
     for o, word in omap.items():
@@ -235,8 +227,8 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
                 raise ScenarioError(f"explanation {name}: bad embedding key {key!r}")
             embedding[tup] = x
     diagram = CatFunctor(dom=shape, cod=language, omap=omap, mmap=mmap)
-    return Explanation(
-        shape=shape, diagram=diagram, target=decl["target"], embedding=embedding
+    return _derived(
+        Explanation, shape=shape, diagram=diagram, target=decl["target"], embedding=embedding
     )
 
 
@@ -412,9 +404,10 @@ def run_scenario(
 
 
 def validate_scenario(scenario: Scenario) -> dict:
-    """Structural validation only: declarations are checked and every
-    explanation is resolved against the initial store, but no event runs.
-    ``load_scenario`` has already checked every declared category."""
+    """Structural validation only: every explanation is resolved against
+    the initial store, but no event runs. The declared categories and
+    speakers were checked by ``load_scenario``, so their entries carry no
+    problems."""
     checks = [{"category": name, "problems": []} for name in sorted(scenario.categories)]
     store = initial_store(scenario)
     for name in sorted(scenario.explanations):

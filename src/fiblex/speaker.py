@@ -19,14 +19,14 @@ on first read). Words are acquired in three ways:
 Every acquisition returns a fresh speaker plus a report of what changed,
 and never mutates its inputs.
 
-Validation happens where data enters: constructing ``Speaker(...)``
-checks the language axioms, that the meaning lives on the opposite
-language, and functoriality. The acquisitions build meanings that are
-presheaves by construction (a coproduct or pushout over the learner's
-unchanged language, or a limit installed over a free collage), so the
-speakers they return are assembled by ``_derived_speaker`` without those
-checks. Actions supplied through ``edge_overrides`` are user data and are
-checked where they are installed.
+Validation happens where data enters: ``Speaker(...)`` checks the
+language axioms, the meaning's base and functoriality, and
+``Explanation(...)`` that its shape is a category. The speakers the
+acquisitions build (presheaves by construction) and the explanations the
+scenario layer builds (over shapes its constructions or decoder vouch
+for) are assembled by ``_derived`` without those checks. A diagram's maps
+and the actions given through ``edge_overrides`` are user data, checked
+where they are used.
 """
 
 from __future__ import annotations
@@ -103,14 +103,13 @@ class Speaker:
         return {o: len(self.meaning.value[o]) for o in sorted(self.language.objects)}
 
 
-def _derived_speaker(name: str, language: FinCategory, meaning: SetFunctor) -> Speaker:
-    """A speaker the engine derived from checked data, assembled without
-    the checks of ``Speaker.__post_init__``. ``meaning`` must be a
-    Set-valued functor on ``opposite(language)``."""
-    out = object.__new__(Speaker)
-    object.__setattr__(out, "name", name)
-    object.__setattr__(out, "language", language)
-    object.__setattr__(out, "meaning", meaning)
+def _derived(cls, **fields):
+    """A frozen ``cls`` value the engine derived from checked data, built
+    without ``cls.__post_init__``, whose checks the fields must already
+    pass (a speaker's meaning is a Set-valued functor on its opposite language)."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
     return out
 
 
@@ -120,7 +119,8 @@ class Explanation:
 
     ``embedding`` optionally identifies the limit's tuples with fibre
     elements of the target; when absent, validation treats the tuples
-    themselves as the intended fibre content.
+    themselves as the intended fibre content. The constructor checks that
+    ``shape`` is a category; ``validate_explanation`` checks the diagram.
     """
 
     shape: FinCategory
@@ -129,6 +129,9 @@ class Explanation:
     embedding: Optional[dict[tuple[str, ...], str]] = None
 
     def __post_init__(self):
+        problems = validate_category(self.shape)
+        if problems:
+            raise FiblexError(f"invalid explanation shape: {problems[0]}")
         if self.embedding is not None:
             object.__setattr__(self, "embedding", dict(self.embedding))
 
@@ -248,9 +251,7 @@ def validate_explanation(speaker: Speaker, explanation: Explanation) -> Explanat
     """
     if explanation.target not in speaker.language.objects:
         raise DiagramOutsideLanguage(f"target {explanation.target} is not a language object")
-    problems = []
-    problems += validate_category(explanation.shape)
-    problems += validate_functor(explanation.diagram)
+    problems = validate_functor(explanation.diagram)
     if problems and not _acts_on_its_fibres(speaker, explanation.diagram):
         order = tuple(sorted(explanation.shape.objects))
         empty = LimitCone(order=order, apex=frozenset(), legs={o: {} for o in order})
@@ -292,7 +293,7 @@ def tautological_explanation(speaker: Speaker, word: str) -> Explanation:
         {"id_pt": speaker.language.identity[word]},
     )
     embedding = {(x,): x for x in speaker.fibre(word)}
-    return Explanation(shape=shape, diagram=diagram, target=word, embedding=embedding)
+    return _derived(Explanation, shape=shape, diagram=diagram, target=word, embedding=embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +385,8 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
                 image = old[m] if isinstance(m, str) else (m[0], lang.compose[(m[1], g)])
                 graph[name] = name_of[s_obj][image]
         action[g] = graph
-    return _derived_speaker(
-        learner.name, lang, SetFunctor(base=meaning.base, value=value, action=action)
-    )
+    return _derived(Speaker, name=learner.name, language=lang,
+                    meaning=SetFunctor(base=meaning.base, value=value, action=action))
 
 
 def acquire_by_example(
@@ -611,7 +611,7 @@ def acquire_by_paraphrasis(
     }
     new_meaning = extend_set_functor(extended, collage, edge_actions)
     new_language = opposite(collage.category)
-    out = _derived_speaker(learner.name, new_language, new_meaning)
+    out = _derived(Speaker, name=learner.name, language=new_language, meaning=new_meaning)
     report = _report(
         learner,
         out,

@@ -1,10 +1,14 @@
-"""Suite-wide oracle for the speakers the engine derives.
+"""Suite-wide oracles for the values the engine builds without checks.
 
-The acquisitions assemble their results with ``speaker._derived_speaker``,
-which skips the checks of ``Speaker.__post_init__``. For the whole test
-session every such speaker is checked in full here instead: the language
-axioms, the meaning's base, and functoriality. The base is compared with
-an opposite built from the language's tables (``opposite_from_tables``),
+The acquisitions assemble their speakers, and the scenario layer its
+explanations, with ``speaker._derived``, which skips the checks of
+``Speaker.__post_init__`` and ``Explanation.__post_init__``; the scenario
+layer trusts the categories its constructions build. For the whole test
+session every such value is checked in full here instead: a derived
+speaker's language axioms, its meaning's base and functoriality, a
+derived explanation's shape, and every category that
+``scenario._category_from_decl`` returns. The base is compared with an
+opposite built from the language's tables (``opposite_from_tables``),
 since the library caches each category's opposite and would compare it
 with itself.
 """
@@ -13,29 +17,49 @@ import sys
 
 import pytest
 
+import fiblex.scenario as scenario_module
 import fiblex.speaker as speaker_module
 from fiblex.fincat import validate_category, validate_setfunctor
+from fiblex.speaker import Speaker
 from genlib import opposite_from_tables
 
 
-def _checked(derive):
-    def derived(name, language, meaning):
-        assert validate_category(language) == [], f"speaker {name}: derived language"
-        assert meaning.base == opposite_from_tables(language), f"speaker {name}: derived base"
-        assert validate_setfunctor(meaning) == [], f"speaker {name}: derived meaning"
-        return derive(name, language, meaning)
+def _checked_derived(derive):
+    def derived(cls, **fields):
+        if cls is Speaker:
+            name, language, meaning = fields["name"], fields["language"], fields["meaning"]
+            assert validate_category(language) == [], f"speaker {name}: derived language"
+            assert meaning.base == opposite_from_tables(language), f"speaker {name}: derived base"
+            assert validate_setfunctor(meaning) == [], f"speaker {name}: derived meaning"
+        else:
+            assert validate_category(fields["shape"]) == [], "derived explanation shape"
+        return derive(cls, **fields)
 
     return derived
 
 
+def _checked_declaration(decode):
+    def decoded(decl):
+        cat = decode(decl)
+        assert validate_category(cat) == [], f"declared category: {decl}"
+        return cat
+
+    return decoded
+
+
+def _patch_everywhere(patch, original, replacement):
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fiblex."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    patch.setattr(module, attr, replacement)
+
+
 @pytest.fixture(autouse=True, scope="session")
-def derived_speakers_are_checked():
-    original = speaker_module._derived_speaker
-    checked = _checked(original)
+def engine_built_values_are_checked():
+    derive = speaker_module._derived
+    decode = scenario_module._category_from_decl
     with pytest.MonkeyPatch.context() as patch:
-        for name, module in list(sys.modules.items()):
-            if name.startswith("fiblex."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        patch.setattr(module, attr, checked)
+        _patch_everywhere(patch, derive, _checked_derived(derive))
+        _patch_everywhere(patch, decode, _checked_declaration(decode))
         yield

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from reference import reduce, replay, sentence_check
-from fiblex.errors import FiblexError, UnknownWord
+from fiblex.errors import FiblexError, IdentifierClash, UnknownWord
 from fiblex.fincat import validate_category
 from fiblex.pregroup import (
     Lexicon,
@@ -152,6 +152,33 @@ def test_reduction_category_is_acyclic_and_valid():
             continue
         assert cat.src[m] != cat.tgt[m]
         assert cat.hom(cat.tgt[m], cat.src[m]) == []
+
+
+def bare_lexicon(basics):
+    return Lexicon(order=type_order(basics), entries={}, sentence=parse_type(basics[0]))
+
+
+def test_a_basic_type_named_like_the_empty_type_is_refused():
+    with pytest.raises(IdentifierClash, match="the basic type 1 share the object name 1"):
+        language_category_from_lexicon(bare_lexicon(["1", "n"]), ["1", "n n^r"])
+
+
+def test_a_reduction_named_like_an_identity_is_refused():
+    # "id_x p^l p" reduces to "id_x", and that morphism's name is the
+    # identity's of the irreducible type "x p^l p→id_x" (basic "p→id_x")
+    lex = bare_lexicon(["id_x", "x", "p", "p→id_x"])
+    with pytest.raises(IdentifierClash, match="two morphisms share the name id_x p\\^l p→id_x"):
+        language_category_from_lexicon(lex, ["id_x p^l p", "x p^l p→id_x"])
+
+
+def test_unknown_basic_types_are_refused_in_phrases_and_the_sentence():
+    lex = bare_lexicon(["n", "s"])
+    with pytest.raises(FiblexError, match="phrase 'x x\\^r' uses unknown basic type 'x'"):
+        language_category_from_lexicon(lex, ["x x^r"])
+    with pytest.raises(FiblexError, match="phrase 'cat' uses unknown basic type 'cat'"):
+        language_category_from_lexicon(lex, ["n", "cat"])
+    with pytest.raises(FiblexError, match="the sentence type uses unknown basic type 'q'"):
+        Lexicon(order=ORDER, entries={}, sentence=parse_type("q"))
 
 
 def test_language_category_agrees_with_the_reduction_search():

@@ -1,14 +1,17 @@
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiblex.cli import main
 import fiblex.fincat as fincat
-import fiblex.speaker as speaker_module
-from fiblex.errors import ScenarioError
+from fiblex.errors import FiblexError, IdentifierClash, ScenarioError
+from fiblex.fincat import validate_category
 from fiblex.jsonio import canonical_dumps
 from fiblex.scenario import (
     export_dot,
@@ -18,6 +21,11 @@ from fiblex.scenario import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# the benchmark's document generator, loaded from its file
+_spec = importlib.util.spec_from_file_location("bench_generate", BENCH / "generate.py")
+bench_generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_generate)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -116,14 +124,14 @@ def test_declared_speakers_share_their_checked_language():
 
 @pytest.mark.parametrize("language, actions, message", [
     (THREE_ARROWS, {**FUNCTORIAL, "h": {"c": "a2"}},
-     "speaker bob: speaker bob: invalid meaning: action of composite h disagrees with the "
-     "composite action at c"),
+     "speaker bob: invalid meaning: action of composite h disagrees with the composite "
+     "action at c"),
     (THREE_ARROWS, {**FUNCTORIAL, "f": {"b": "zz"}},
-     "speaker bob: speaker bob: invalid meaning: action of f leaves the target value set"),
+     "speaker bob: invalid meaning: action of f leaves the target value set"),
     (THREE_ARROWS, {"f": {"b": "a1"}, "g": {"c": "b"}},
-     "speaker bob: speaker bob: no action table for h"),
+     "speaker bob: no action table for h"),
     ({**THREE_ARROWS, "compose": []}, FUNCTORIAL,
-     "category lang: category lang: no composite for composable pair (g, f)"),
+     "category lang: no composite for composable pair (g, f)"),
 ])
 def test_bad_declarations_name_their_cause(language, actions, message):
     with pytest.raises(ScenarioError) as err:
@@ -133,9 +141,9 @@ def test_bad_declarations_name_their_cause(language, actions, message):
 
 @pytest.mark.parametrize("key, entry, message", [
     ("fibres", {"A": ["a1", "a2"], "B": ["b"], "C": ["c"], "D": ["d"]},
-     "speaker bob: speaker bob: fibres key 'D' names no object"),
+     "speaker bob: fibres key 'D' names no object"),
     ("actions", {**FUNCTORIAL, "k": {"c": "b"}},
-     "speaker bob: speaker bob: actions key 'k' names no morphism"),
+     "speaker bob: actions key 'k' names no morphism"),
 ])
 def test_declared_speaker_keys_must_name_the_language(key, entry, message):
     doc = one_speaker_doc(THREE_ARROWS, FUNCTORIAL)
@@ -197,20 +205,101 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
-@pytest.mark.parametrize("name", SHIPPED)
+def explicit_language_doc():
+    doc = one_speaker_doc(THREE_ARROWS, FUNCTORIAL)
+    doc["explanations"] = {"c": {"kind": "tautological", "speaker": "bob", "target": "C"}}
+    doc["events"] = [{"event": "validate-explanation", "speaker": "bob", "explanation": "c"}]
+    return doc
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["explicit-language"])
 def test_a_run_checks_each_declaration_once(name, monkeypatch):
     categories = count_calls(monkeypatch, fincat.validate_category)
     meanings = count_calls(monkeypatch, fincat.validate_setfunctor)
-    explanations = count_calls(monkeypatch, speaker_module.validate_explanation)
-    doc = json.loads((SCENARIOS / name).read_text())
+    if name == "explicit-language":
+        doc = explicit_language_doc()
+    else:
+        doc = json.loads((SCENARIOS / name).read_text())
+    scenario = load_scenario(doc)
+    # explicit tables are checked as they are decoded; constructions are trusted
+    explicit = sum(d.get("kind", "explicit") == "explicit" for d in doc["categories"].values())
+    assert len(categories) == explicit
+    code, _ = run_scenario(scenario)
+    assert code == 0
+    # no event checks a category, an explanation's shape or a derived speaker
+    assert len(categories) == explicit
+    assert len(meanings) == len(doc["speakers"])
+
+
+@pytest.mark.parametrize("workload", bench_generate.WORKLOADS)
+def test_a_benchmark_pass_checks_no_category(workload, monkeypatch):
+    doc = bench_generate.generate(workload, 1)[0]
+    categories = count_calls(monkeypatch, fincat.validate_category)
     code, _ = run_scenario(load_scenario(doc))
     assert code == 0
-    # one check of each explanation's shape, none of any derived speaker
-    assert len(explanations) == sum(
-        e["event"] in ("paraphrasis", "validate-explanation") for e in doc["events"]
-    )
-    assert len(categories) == len(doc["categories"]) + len(explanations)
-    assert len(meanings) == len(doc["speakers"])
+    assert categories == []
+
+
+@pytest.mark.parametrize("language, message", [
+    ({"kind": "free", "vertices": ["a", "b", "c"],
+      "edges": [{"id": "f", "src": "a", "tgt": "b"}, {"id": "f", "src": "b", "tgt": "c"}]},
+     "category lang: edge id f is given twice"),
+    ({**THREE_ARROWS,
+      "morphisms": THREE_ARROWS["morphisms"] + [{"id": "f", "src": "B", "tgt": "C"}]},
+     "category lang: morphism id f is listed twice"),
+])
+def test_a_repeated_id_is_refused(language, message):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario({"name": "twice", "categories": {"lang": language}})
+    assert isinstance(err.value.__cause__, IdentifierClash)
+    assert str(err.value) == message
+
+
+# names with the delimiters of generated identifiers, the empty type's name and an identity's
+TRICKY = st.sampled_from(["a", "b", "1", "id_a", "a,b", "(a)", "a@b", "a:b", "a→b", "b∘a"])
+
+
+@st.composite
+def declarations(draw):
+    names = st.lists(TRICKY, min_size=1, max_size=4, unique=True)
+    kind = draw(st.sampled_from(["discrete", "free", "pregroup"]))
+    if kind == "discrete":
+        return {"kind": "discrete", "objects": draw(names)}
+    if kind == "free":
+        vertices = draw(names)
+        ids = st.one_of(TRICKY, st.sampled_from([f"id_{v}" for v in vertices]))
+        edges = draw(st.lists(st.tuples(ids, st.sampled_from(vertices), st.sampled_from(vertices)),
+                              max_size=4, unique_by=lambda e: e[0]))
+        return {"kind": "free", "vertices": vertices, "bound": draw(st.sampled_from([None, 2])),
+                "edges": [{"id": e, "src": s, "tgt": t} for e, s, t in edges]}
+    basics = draw(names)
+    # a basic, or a pair that contracts when the order allows
+    unit = st.tuples(st.sampled_from(basics), st.sampled_from(basics)).flatmap(
+        lambda ab: st.sampled_from([ab[0], f"{ab[0]} {ab[1]}^r", f"{ab[0]}^l {ab[1]}"]))
+    phrase = st.lists(unit, min_size=1, max_size=3).map(" ".join)
+    order = st.lists(st.tuples(st.sampled_from(basics), st.sampled_from(basics)), max_size=2)
+    return {"kind": "pregroup", "basics": basics, "order": draw(order),
+            "phrases": draw(st.lists(phrase, max_size=4))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(declarations())
+def test_every_declared_construction_is_a_category_or_refused(decl):
+    try:
+        scenario = load_scenario({"name": "adversarial", "categories": {"c": decl}})
+    except FiblexError:
+        return
+    assert validate_category(scenario.categories["c"]) == []
+
+
+@pytest.mark.parametrize("doc", [
+    *[pytest.param(json.loads((SCENARIOS / name).read_text()), id=name) for name in SHIPPED],
+    *[pytest.param(bench_generate.generate(w, seed)[0], id=f"{w}-{seed}")
+      for w in bench_generate.WORKLOADS for seed in (0, 1, 2)],
+])
+def test_documents_match_the_schema(doc):
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(doc, json.loads((SCENARIOS / "schema.json").read_text()))
 
 
 def test_validate_does_not_check_the_declared_categories_again(monkeypatch):

@@ -153,6 +153,17 @@ def test_explanation_touching_empty_fibre_is_vacuous_but_valid():
     assert check.limit.apex == frozenset()
 
 
+def test_explanation_refuses_a_shape_that_is_no_category():
+    # one object whose identity has no composite with itself
+    shape = FinCategory(objects={"s"}, morphisms={"id_s"}, src={"id_s": "s"},
+                        tgt={"id_s": "s"}, identity={"s": "id_s"}, compose={})
+    lang = discrete_category(["cat"])
+    diagram = CatFunctor(shape, lang, {"s": "cat"}, {"id_s": "id_cat"})
+    with pytest.raises(FiblexError) as err:
+        Explanation(shape, diagram, "cat")
+    assert str(err.value) == "invalid explanation shape: no composite for composable pair (id_s, id_s)"
+
+
 def test_explanation_outside_language_is_rejected():
     speaker = discrete_speaker("p", {"cat": ["c"]})
     other = discrete_category(["dog"])
