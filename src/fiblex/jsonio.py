@@ -24,8 +24,9 @@ def category_from_dict(doc: dict) -> FinCategory:
 
     ``identity`` defaults to ``id_<object>``; identities may be left out
     of ``morphisms``, and composites with an identity out of ``compose``.
-    A morphism id listed twice raises ``IdentifierClash``, and a violated
-    axiom ``FiblexError`` with the first problem found.
+    A morphism id or a ``compose`` pair listed twice raises
+    ``IdentifierClash``, and a violated axiom ``FiblexError`` with the
+    first problem found.
     """
     identity = dict(doc.get("identity") or {o: f"id_{o}" for o in doc["objects"]})
     src = {i: o for o, i in identity.items()}
@@ -37,7 +38,11 @@ def category_from_dict(doc: dict) -> FinCategory:
         listed.add(m["id"])
         src[m["id"]] = m["src"]
         tgt[m["id"]] = m["tgt"]
-    compose = {(g, f): gf for g, f, gf in doc.get("compose", [])}
+    compose = {}
+    for g, f, gf in doc.get("compose", []):
+        if (g, f) in compose:
+            raise IdentifierClash(f"compose entry for ({g}, {f}) is listed twice")
+        compose[g, f] = gf
     for m in src:
         if src[m] in identity and tgt[m] in identity:
             compose.setdefault((m, identity[src[m]]), m)

@@ -24,16 +24,16 @@ language axioms, the meaning's base and functoriality, and
 ``Explanation(...)`` that its shape is a category. The speakers the
 acquisitions build (presheaves by construction) and the explanations the
 scenario layer builds (over shapes its constructions or decoder vouch
-for) are assembled by ``_derived`` without those checks. A diagram's maps
-and the actions given through ``edge_overrides`` are user data, checked
-where they are used.
+for) are assembled by ``_derived`` without those checks. A diagram's maps,
+a merged example's glue map and the actions given through
+``edge_overrides`` are user data, checked where they are used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .collage import extend_set_functor, fp_collage
 from .errors import (
@@ -105,8 +105,9 @@ class Speaker:
 
 def _derived(cls, **fields):
     """A frozen ``cls`` value the engine derived from checked data, built
-    without ``cls.__post_init__``, whose checks the fields must already
-    pass (a speaker's meaning is a Set-valued functor on its opposite language)."""
+    without ``cls.__post_init__``, whose checks and copies the fields must
+    already pass (a speaker's meaning is a Set-valued functor on its
+    opposite language; a meaning's tables are its own, its values frozensets)."""
     out = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(out, name, value)
@@ -183,14 +184,17 @@ class AcquisitionReport:
         }
 
 
-def _report(learner: Speaker, out: Speaker, event: str, kind: str, word: str,
-            outcome: str, new_morphisms=(), apex=()) -> AcquisitionReport:
-    before = learner.fibre_sizes()
-    after = out.fibre_sizes()
+def _report(learner: Speaker, out: Speaker, changed: Iterable[str], event: str, kind: str,
+            word: str, outcome: str, new_morphisms=(), apex=()) -> AcquisitionReport:
+    """The report of an acquisition that changed the fibres over ``changed``
+    only (both speakers have the same objects)."""
+    before = {o: len(fibre) for o, fibre in learner.meaning.value.items()}
+    after = dict(before)
     new_elements = {}
-    for o in sorted(out.language.objects):
-        old = learner.meaning.value.get(o, frozenset())
-        gained = tuple(sorted(out.meaning.value[o] - old))
+    for o in sorted(changed):
+        fibre = out.meaning.value[o]
+        after[o] = len(fibre)
+        gained = tuple(sorted(fibre - learner.meaning.value[o]))
         if gained:
             new_elements[o] = gained
     return AcquisitionReport(
@@ -319,7 +323,7 @@ def _example_preconditions(learner: Speaker, word: str, witnesses: Sequence[str]
 
 
 def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
-                    glue: Mapping[str, str], event_id: str) -> Speaker:
+                    glue: Mapping[str, str], event_id: str) -> tuple[Speaker, Iterable[str]]:
     """The learner whose meaning F becomes the objectwise pushout
     F ← F(word)·Hom(−, word) → S·Hom(−, word) for the witness set S.
 
@@ -333,60 +337,101 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
     ``s`` paired with the identity of the word. A class with no anchor is
     a single pair ``(s, f)``, named ``event:(s,f)``. The action of ``g``
     sends ``(s, f)`` to ``(s, f∘g)`` and acts on F(L) as F does.
+
+    Only the down-set of the word, the objects with an arrow into it,
+    gains elements, and the union-find runs only over the glued members
+    (none when the glue map is empty), so an element in no glued class
+    keeps its name. Only the graphs into the down-set, and out of an
+    object whose elements were renamed, are rebuilt; every other graph is
+    the learner's own, shared. Returns the speaker and the down-set, the
+    objects whose fibres may have changed.
     """
     lang, meaning = learner.language, learner.meaning
-    into_word: dict[str, list[str]] = {o: [] for o in lang.objects}
-    for f in sorted(lang.morphisms):
-        if lang.tgt[f] == word:
-            into_word[lang.src[f]].append(f)
-    value: dict[str, frozenset[str]] = {}
-    name_of: dict[str, dict] = {}  # object -> member of F(L) ⊔ S×Hom(L, word) -> name
-    for obj in sorted(lang.objects):
-        # sorted, so that a clash is reported the same way on every run
-        members = sorted(meaning.value[obj])
-        members += [(s, f) for f in into_word[obj] for s in witnesses]
-        uf = _UnionFind(members)
+    ident = lang.identity[word]
+    into_word: dict[str, list[str]] = {}
+    for f in lang.by_tgt[word]:
+        into_word.setdefault(lang.src[f], []).append(f)
+    value = dict(meaning.value)
+    rows: dict[str, dict[str, list[str]]] = {}  # object -> f -> names of (s, f), s in witnesses
+    renamed: dict[str, dict[str, str]] = {}  # object -> glued element -> its class name
+    for obj in sorted(into_word):  # sorted, so that a clash is reported the same way on every run
+        old = meaning.value[obj]
+        links = [(x, (glue[y], f)) for f in into_word[obj] for y, x in meaning.action[f].items()]
+        glued: dict[tuple[str, str], str] = {}
+        ren: dict[str, str] = {}
+        if links:
+            uf = _UnionFind(m for link in links for m in link)
+            for x, p in links:
+                uf.union(x, p)
+            classes: dict = {}
+            for m in uf.parent:
+                classes.setdefault(uf.find(m), []).append(m)
+            for cls in classes.values():
+                if obj == word:
+                    name = min(m[0] for m in cls if isinstance(m, tuple) and m[1] == ident)
+                else:
+                    name = min((m for m in cls if isinstance(m, str)),
+                               key=lambda m: pair_object_id(obj, m))
+                for m in cls:
+                    if isinstance(m, tuple):
+                        glued[m] = name
+                    elif m != name:
+                        ren[m] = name
+        # the classes of elements have distinct names, so a clash is a fresh pair's
+        fibre = {ren.get(x, x) for x in old} if ren else set(old)
+        fresh: dict[tuple[str, str], str] = {}
+        rows[obj] = {}
         for f in into_word[obj]:
-            for y, x in meaning.action[f].items():
-                uf.union(x, (glue[y], f))
-        classes: dict = {}
-        for m in members:
-            classes.setdefault(uf.find(m), []).append(m)
-        names: dict = {}
-        owner: dict[str, str] = {}
-        for cls in classes.values():
-            if obj == word:
-                anchors = [(m[0], m[0], f"the witness {m[0]}")
-                           for m in cls if isinstance(m, tuple) and m[1] == lang.identity[word]]
-            else:
-                anchors = [(pair_object_id(obj, m), m, f"the element {m}")
-                           for m in cls if isinstance(m, str)]
-            if anchors:
-                _key, name, origin = min(anchors)
-            else:
-                (s, f), = cls
-                name, origin = f"{event_id}:{comma_object_id(s, f)}", f"the pair ({s}, {f})"
-            if name in owner:
-                raise IdentifierClash(
-                    f"{name} over {obj} would name both {owner[name]} and {origin}"
-                )
-            owner[name] = origin
-            names.update((m, name) for m in cls)
-        value[obj] = frozenset(owner)
-        name_of[obj] = names
+            row = rows[obj][f] = []
+            for s in witnesses:
+                name = glued.get((s, f))
+                if name is None:
+                    name = s if f == ident else f"{event_id}:{comma_object_id(s, f)}"
+                    if name in fibre:
+                        first = next((p for p, n in fresh.items() if n == name), name)
+                        raise IdentifierClash(
+                            f"{name} over {obj} would name both"
+                            f" {_origin(obj == word, ident, first)}"
+                            f" and {_origin(obj == word, ident, (s, f))}"
+                        )
+                    fibre.add(name)
+                    fresh[s, f] = name
+                row.append(name)
+        value[obj] = frozenset(fibre)
+        if ren:
+            renamed[obj] = ren
 
-    action: dict[str, dict[str, str]] = {}
-    for g in lang.morphisms:
-        s_obj, t_obj = lang.src[g], lang.tgt[g]
-        old = meaning.action[g]
-        graph: dict[str, str] = {}
-        for m, name in name_of[t_obj].items():
-            if name not in graph:
-                image = old[m] if isinstance(m, str) else (m[0], lang.compose[(m[1], g)])
-                graph[name] = name_of[s_obj][image]
-        action[g] = graph
-    return _derived(Speaker, name=learner.name, language=lang,
-                    meaning=SetFunctor(base=meaning.base, value=value, action=action))
+    action = dict(meaning.action)
+    for t_obj, gained in rows.items():
+        ren_t = renamed.get(t_obj, {})
+        for g in lang.by_tgt[t_obj]:
+            s_obj = lang.src[g]
+            ren_s = renamed.get(s_obj, {})
+            old = meaning.action[g]
+            if ren_s or ren_t:
+                graph = {ren_t.get(x, x): ren_s.get(y, y) for x, y in old.items()}
+            else:
+                graph = dict(old)
+            image = rows[s_obj]
+            for f, row in gained.items():
+                graph.update(zip(row, image[lang.compose[(f, g)]]))
+            action[g] = graph
+    for s_obj, ren in renamed.items():
+        for g in lang.by_src[s_obj]:
+            if lang.tgt[g] not in rows:
+                action[g] = {x: ren.get(y, y) for x, y in meaning.action[g].items()}
+    out = _derived(Speaker, name=learner.name, language=lang,
+                   meaning=_derived(SetFunctor, base=meaning.base, value=value, action=action))
+    return out, rows.keys()
+
+
+def _origin(at_word: bool, ident: str, member) -> str:
+    """What a class of an example's pushout is named after: a pair ``(s, f)``
+    of a witness and an arrow into the word, or an element's name."""
+    if isinstance(member, tuple):
+        s, f = member
+        return f"the witness {s}" if f == ident else f"the pair ({s}, {f})"
+    return f"the witness {member}" if at_word else f"the element {member}"
 
 
 def acquire_by_example(
@@ -412,8 +457,8 @@ def acquire_by_example(
         raise FibreNotEmpty(
             f"fibre over {word} is not empty; use acquire_by_example_merged"
         )
-    out = _adjoin_example(learner, word, ordered, {}, event_id)
-    return out, _report(learner, out, event_id, "example", word, "learned")
+    out, changed = _adjoin_example(learner, word, ordered, {}, event_id)
+    return out, _report(learner, out, changed, event_id, "example", word, "learned")
 
 
 def acquire_by_example_merged(
@@ -427,23 +472,26 @@ def acquire_by_example_merged(
     """Acquisition by example with prior meaning glued onto the witnesses.
 
     ``glue`` sends each element the learner already has over the word to
-    the witness it must be identified with. The new meaning is the
-    objectwise pushout of F ← F(word)·Hom(−, word) → S·Hom(−, word),
-    named as in ``acquire_by_example``. With an empty fibre the glue map
-    is the empty one and the plain procedure applies verbatim.
+    the witness it must be identified with; a key that names no such
+    element raises ``FiblexError``. The new meaning is the objectwise
+    pushout of F ← F(word)·Hom(−, word) → S·Hom(−, word), named as in
+    ``acquire_by_example``. With an empty fibre the glue map is the empty
+    one and the pushout is the plain coproduct.
     """
     ordered = _example_preconditions(learner, word, witnesses, teacher)
     current = learner.fibre(word)
     missing = sorted(set(current) - set(glue))
     if missing:
         raise FiblexError(f"glue map is not total on the fibre: missing {', '.join(missing)}")
+    extra = sorted(set(glue) - set(current))
+    if extra:
+        raise FiblexError(f"glue map names elements outside the fibre over {word}: "
+                          + ", ".join(extra))
     stray = sorted(set(glue.values()) - set(ordered))
     if stray:
         raise FiblexError(f"glue map hits unknown witnesses: {', '.join(stray)}")
-    if not current:
-        return acquire_by_example(learner, word, ordered, teacher=None, event_id=event_id)
-    out = _adjoin_example(learner, word, ordered, glue, event_id)
-    return out, _report(learner, out, event_id, "merged-example", word, "learned")
+    out, changed = _adjoin_example(learner, word, ordered, glue, event_id)
+    return out, _report(learner, out, changed, event_id, "merged-example", word, "learned")
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +581,7 @@ def acquire_by_paraphrasis(
     cone = set_limit(composite_meaning(learner, explanation))
     if not cone.apex:
         # every action touching the (still empty) fibre stays forced
-        report = _report(learner, learner, event_id, "paraphrasis", word, "no-sense")
+        report = _report(learner, learner, (), event_id, "paraphrasis", word, "no-sense")
         return learner, report
 
     overrides = edge_overrides or {}
@@ -615,6 +663,7 @@ def acquire_by_paraphrasis(
     report = _report(
         learner,
         out,
+        (word,),
         event_id,
         "paraphrasis",
         word,

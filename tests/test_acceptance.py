@@ -5,6 +5,7 @@ Random instances are drawn from seeded generators so runs are
 reproducible.
 """
 
+import copy
 import itertools
 import json
 import random
@@ -545,6 +546,104 @@ def test_c4_example_over_an_idempotent():
         else:
             plain += 1
     _verdict("C4 idempotent-word", True, f"({plain} plain, {merged} merged)")
+
+
+# names with the delimiters of generated identifiers
+ADVERSARIAL = st.one_of(
+    st.sampled_from(["a", "b", "a,b", "(a)", "a@b", "a:b", "a→b", "b∘a"]),
+    st.text(alphabet="ab,()@:→∘", min_size=1, max_size=3),
+)
+
+
+def _generated(parts):
+    """Names an event ``ev`` generates for pairs of one of ``parts`` and an
+    arrow of ``_idempotent_language`` into W."""
+    return st.builds(lambda s, f: f"ev:({s},{f})", parts, st.sampled_from(["a", "ea", "e"]))
+
+
+@st.composite
+def adversarial_examples(draw):
+    """A speaker on ``_idempotent_language`` whose elements, like the
+    witnesses, have adversarial names, plus witnesses and a glue map."""
+    lang = _idempotent_language()
+    rng = draw(st.randoms(use_true_random=False))
+    sizes = {"A": rng.randint(1, 3), "W": rng.randint(0, 3), "B": 0}
+    if sizes["W"]:
+        sizes["B"] = rng.randint(0, 2)
+    fun = _idempotent_presheaf(rng, lang, sizes)
+    witnesses = draw(st.lists(st.one_of(ADVERSARIAL, _generated(ADVERSARIAL)),
+                              min_size=1, max_size=3, unique=True))
+    names = st.one_of(ADVERSARIAL, _generated(st.sampled_from(witnesses)))
+    rename = {
+        o: dict(zip(sorted(fun.value[o]),
+                    draw(st.lists(names, min_size=sizes[o], max_size=sizes[o], unique=True))))
+        for o in "AWB"
+    }
+    base = fun.base
+    value = {o: [rename[o][x] for x in fun.value[o]] for o in "AWB"}
+    action = {
+        m: {rename[base.src[m]][x]: rename[base.tgt[m]][y] for x, y in graph.items()}
+        for m, graph in fun.action.items()
+    }
+    learner = Speaker("q", lang, SetFunctor(base=base, value=value, action=action))
+    glue = {y: draw(st.sampled_from(witnesses)) for y in sorted(value["W"])}
+    return learner, witnesses, glue
+
+
+def _generated_names_clash(learner, word, witnesses, glue, event_id):
+    """Whether two members of some fibre of the example's pushout get one
+    name, re-derived naively: the classes of F(L) ⊔ S×Hom(L, word) merged
+    one link at a time, each named by the least identity anchor, else
+    ``event:(s,f)``."""
+    lang, fun = learner.language, learner.meaning
+    ident = lang.identity[word]
+    for obj in sorted(lang.objects):
+        arrows = lang.hom(obj, word)
+        classes = [{x} for x in fun.value[obj]] + [{(s, f)} for f in arrows for s in witnesses]
+        for f in arrows:
+            for y in fun.value[word]:
+                a = next(c for c in classes if fun.action[f][y] in c)
+                b = next(c for c in classes if (glue[y], f) in c)
+                if a is not b:
+                    a |= b
+                    classes = [c for c in classes if c is not b]
+        names = []
+        for c in classes:
+            if obj == word:
+                anchors = sorted(m[0] for m in c if isinstance(m, tuple) and m[1] == ident)
+            else:
+                anchors = [m for _, m in sorted((f"{m}@{obj}", m) for m in c if isinstance(m, str))]
+            if anchors:
+                names.append(anchors[0])
+            else:
+                (s, f), = c
+                names.append(f"{event_id}:({s},{f})")
+        if len(set(names)) < len(names):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_examples())
+def test_c4_example_with_adversarial_names(instance):
+    # the engine agrees with the factorize-and-rename oracle, or refuses
+    # exactly when two members would share a generated name; either way
+    # the learner, whose untouched graphs the result shares, is unchanged
+    learner, witnesses, glue = instance
+    snapshot = copy.deepcopy((learner.meaning.value, learner.meaning.action))
+    try:
+        if glue:
+            out, _ = acquire_by_example_merged(learner, "W", witnesses, glue, event_id="ev")
+        else:
+            out, _ = acquire_by_example(learner, "W", witnesses, event_id="ev")
+    except IdentifierClash:
+        assert _generated_names_clash(learner, "W", witnesses, glue, "ev")
+    else:
+        assert not _generated_names_clash(learner, "W", witnesses, glue, "ev")
+        want = _factorized_example_merged(learner, "W", witnesses, glue, "ev")
+        assert out.meaning.value == want.value
+        assert out.meaning.action == want.action
+    assert (learner.meaning.value, learner.meaning.action) == snapshot
 
 
 # --- 5. limits ------------------------------------------------------------------------

@@ -247,6 +247,10 @@ def test_a_benchmark_pass_checks_no_category(workload, monkeypatch):
     ({**THREE_ARROWS,
       "morphisms": THREE_ARROWS["morphisms"] + [{"id": "f", "src": "B", "tgt": "C"}]},
      "category lang: morphism id f is listed twice"),
+    ({**THREE_ARROWS,
+      "morphisms": THREE_ARROWS["morphisms"] + [{"id": "k", "src": "A", "tgt": "C"}],
+      "compose": [["g", "f", "h"], ["g", "f", "k"]]},
+     "category lang: compose entry for (g, f) is listed twice"),
 ])
 def test_a_repeated_id_is_refused(language, message):
     with pytest.raises(ScenarioError) as err:

@@ -19,6 +19,7 @@ from fiblex.fincat import (
     CatFunctor,
     FinCategory,
     SetFunctor,
+    _UnionFind,
     discrete_category,
     opposite,
     quiver_from_edges,
@@ -365,6 +366,24 @@ def test_merged_with_empty_fibre_matches_plain():
     assert plain == merged
 
 
+def test_merged_with_empty_fibre_reports_a_merged_example():
+    bob = discrete_speaker("bob", {"cat": [], "dog": ["fido"]})
+    _, report = acquire_by_example_merged(bob, "cat", ["s"], glue={}, event_id="e1")
+    assert report.kind == "merged-example"
+    assert report.new_elements == {"cat": ("s",)}
+
+
+@pytest.mark.parametrize("fibre, glue, stray", [
+    (["x"], {"x": "s", "nonexistent": "s"}, "nonexistent"),
+    ([], {"ghost": "s"}, "ghost"),
+])
+def test_merged_refuses_glue_keys_outside_the_fibre(fibre, glue, stray):
+    bob = discrete_speaker("bob", {"cat": fibre})
+    with pytest.raises(FiblexError) as err:
+        acquire_by_example_merged(bob, "cat", ["s"], glue=glue)
+    assert str(err.value) == f"glue map names elements outside the fibre over cat: {stray}"
+
+
 def test_merged_glues_prior_meaning_onto_witness():
     bob = discrete_speaker("bob", {"cat": ["x"], "dog": ["fido"]})
     out, _ = acquire_by_example_merged(bob, "cat", ["s"], glue={"x": "s"})
@@ -698,4 +717,64 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
     monkeypatch.setattr(collage_module.Word, "__post_init__", counted_word)
     small = learn(0)
     assert small["compose_pair"] > 0 and small["words"] > 0
+    assert learn(6) == small
+
+
+def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeypatch):
+    # A plain and a merged example over W, whose down-set is W, X and Y,
+    # are run, then run again with a disconnected chain z0 → … → z5 added
+    # to the language: the entries of the rebuilt graphs, the union-find
+    # members and the objects the report inspects must not move, and every
+    # chain graph must be the learner's own.
+    members, inspected = [], []
+    union_find_init = _UnionFind.__init__
+    report = speaker_module._report
+
+    def counted_union_find(self, items):
+        union_find_init(self, items)
+        members.append(len(self.parent))
+
+    def recorded_report(learner, out, changed, *args, **kwargs):
+        inspected.append(sorted(changed))
+        return report(learner, out, changed, *args, **kwargs)
+
+    def learn(chain_length):
+        chain = [f"z{i}" for i in range(chain_length)]
+        edges = [("m", "X", "W"), ("n", "Y", "X"), ("b", "W", "V")]
+        edges += [(f"c{i}", a, b) for i, (a, b) in enumerate(zip(chain, chain[1:]))]
+        lang = free_category(quiver_from_edges(["W", "X", "Y", "V"] + chain, edges))
+        pads = {z: [f"{z}e"] for z in chain}
+        pad_actions = {
+            g: {x: f"{lang.src[g]}e" for x in pads[lang.tgt[g]]}
+            for g in lang.non_identities() if lang.src[g] in pads
+        }
+        plain = make_speaker("bob", lang, {"X": ["x0"], "Y": ["y0"], **pads},
+                             {"n": {"x0": "y0"}, **pad_actions})
+        merged = make_speaker(
+            "bob", lang, {"W": ["w0", "w1"], "X": ["x0", "x1"], "Y": ["y0"], "V": ["v0"], **pads},
+            {"m": {"w0": "x0", "w1": "x1"}, "n": {"x0": "y0", "x1": "y0"},
+             "m∘n": {"w0": "y0", "w1": "y0"}, "b": {"v0": "w0"}, "b∘m": {"v0": "x0"},
+             "b∘m∘n": {"v0": "y0"}, **pad_actions},
+        )
+        counts = {}
+        for kind, learner, acquire in [
+            ("plain", plain, lambda: acquire_by_example(plain, "W", ["s", "t"], event_id="e")),
+            ("merged", merged, lambda: acquire_by_example_merged(
+                merged, "W", ["s", "t"], {"w0": "s", "w1": "s"}, event_id="e")),
+        ]:
+            members.clear()
+            inspected.clear()
+            out, _ = acquire()
+            old, new = learner.meaning.action, out.meaning.action
+            assert all(new[g] is old[g] for g in lang.morphisms if lang.src[g] in pads)
+            rebuilt = sum(len(new[g]) for g in lang.morphisms if new[g] is not old[g])
+            counts[kind] = (rebuilt, list(members), list(inspected))
+        return counts
+
+    monkeypatch.setattr(_UnionFind, "__init__", counted_union_find)
+    monkeypatch.setattr(speaker_module, "_report", recorded_report)
+    small = learn(0)
+    assert small["plain"][0] > 0 and small["merged"][0] > 0
+    assert small["plain"][1] == [] and small["merged"][1]
+    assert small["plain"][2] == small["merged"][2] == [["W", "X", "Y"]]
     assert learn(6) == small
