@@ -15,17 +15,23 @@ is the collage of the discrete category on its vertices.
 The collage is built from the delta, as in semi-naive evaluation: the
 base's tables are copied as they stand, only the words with at least one
 edge are enumerated, and only the pairs in which at least one side is
-such a new word are glued. An extended functor likewise keeps the base
-actions and computes only the new words' actions. The cost of adjoining
-grows with the new words and the base morphisms that meet them, not with
-the size of the base.
+such a new word are glued. Its opposite is built alongside, from the
+base's opposite table (copied from the cached opposite when there is
+one) and the glued pairs reversed, so the grown category and its
+opposite are each other's cached opposites. An extended
+functor likewise keeps the base's values and actions and computes only
+the new words' actions. Finiteness is decided by one pass over the
+strongly connected components that the edges' targets reach. Apart from
+the C-level copies of the base's tables, the cost of adjoining grows
+with the new words and the base morphisms that meet them, not with the
+size of the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
     BaseMismatch,
@@ -35,7 +41,15 @@ from .errors import (
     UnboundedHomSet,
     VertexMismatch,
 )
-from .fincat import FinCategory, Quiver, SetFunctor, discrete_category
+from .fincat import (
+    FinCategory,
+    Quiver,
+    SetFunctor,
+    _derived,
+    _opposite_compose,
+    _pair_opposites,
+    discrete_category,
+)
 
 
 @dataclass(frozen=True)
@@ -113,8 +127,12 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
 
     Words can grow without bound exactly when some quiver edge can reach
     back to its own source through other quiver edges and non-identity
-    base morphisms. A quiver whose vertices differ from the objects, or
-    with an edge between non-vertices, raises ``VertexMismatch``.
+    base morphisms, that is when both ends of an edge lie in one strongly
+    connected component of the graph of base arrows and edges (a loop
+    edge included). One pass finds the components of the part of that
+    graph the edges' targets reach. A quiver whose vertices differ from
+    the objects, or with an edge between non-vertices, raises
+    ``VertexMismatch``.
     """
     if quiver.vertices != cat.objects:
         raise VertexMismatch("quiver must share the category's objects")
@@ -126,21 +144,52 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
             )
     out_edges = _edges_by_src(quiver)
 
-    def reaches(start: str, goal: str) -> bool:
-        # identities and other endomorphisms are loops, which reach nothing new
-        seen, stack = set(), [start]
-        while stack:
-            v = stack.pop()
-            if v == goal:
-                return True
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(cat.tgt[m] for m in cat.by_src.get(v, ()))
-            stack.extend(quiver.etgt[e] for e in out_edges.get(v, ()))
-        return False
+    def arcs(v: str) -> list[str]:
+        # identities and other endomorphisms are loops, which join no two objects
+        return ([cat.tgt[m] for m in cat.by_src.get(v, ())]
+                + [quiver.etgt[e] for e in out_edges.get(v, ())])
 
-    return not any(reaches(quiver.etgt[e], quiver.esrc[e]) for e in quiver.edges)
+    component = _strong_components(quiver.etgt.values(), arcs)
+    return all(component.get(quiver.esrc[e]) != component[quiver.etgt[e]] for e in quiver.edges)
+
+
+def _strong_components(roots: Iterable[str], arcs: Callable[[str], list[str]]) -> dict[str, str]:
+    """The strongly connected component of each vertex reachable from
+    ``roots``, named by one of its vertices: Tarjan's algorithm (1972),
+    with an explicit stack so that long paths do not exhaust the
+    interpreter's."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    component: dict[str, str] = {}
+    open_: list[str] = []  # visited vertices not yet in a component
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        open_.append(root)
+        path = [(root, iter(arcs(root)))]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    open_.append(w)
+                    path.append((w, iter(arcs(w))))
+                    break
+                if w not in component:
+                    low[v] = min(low[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = open_.pop()
+                        component[w] = v
+                        if w == v:
+                            break
+    return component
 
 
 def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) -> CollageCategory:
@@ -197,7 +246,10 @@ def _adjoin(
     ``src``, ``tgt`` and ``compose`` start as copies of the base tables.
     Words with edges are enumerated level by level, each level extending
     the last by an edge and a base morphism; a pair is glued only when at
-    least one side is such a word."""
+    least one side is such a word. The collage's opposite is built with
+    it, each glued pair written reversed into a copy of the base's
+    opposite table, and the two are cached as each other's opposites;
+    both share the endpoint tables, swapped."""
     finite = collage_is_finite(cat, quiver)
     if not finite and bound is None:
         raise UnboundedHomSet("collage has unboundedly long words; an edge bound is required")
@@ -235,12 +287,14 @@ def _adjoin(
         for g, f in cat.composable_pairs():
             cat.compose_pair(g, f)  # raises at the first composite the base lacks
 
-    src, tgt, compose = dict(cat.src), dict(cat.tgt), dict(cat.compose)
+    src, tgt = dict(cat.src), dict(cat.tgt)
     new_out: dict[str, list[str]] = {}
     for wid, w in words.items():
         src[wid] = w.src
         tgt[wid] = w.tgt
         new_out.setdefault(w.src, []).append(wid)
+
+    compose, compose_op = dict(cat.compose), _opposite_compose(cat)
 
     def glue(g_id: str, f_id: str) -> None:
         f, g = words.get(f_id), words.get(g_id)
@@ -249,8 +303,8 @@ def _adjoin(
         if bound is not None and len(f_edges) + len(g_edges) > bound:
             return  # outside the truncation
         junction = cat.compose_pair(g_bases[0], f_bases[-1])
-        compose[(g_id, f_id)] = by_key[(f_bases[:-1] + (junction,) + g_bases[1:],
-                                        f_edges + g_edges)]
+        gf = by_key[(f_bases[:-1] + (junction,) + g_bases[1:], f_edges + g_edges)]
+        compose[(g_id, f_id)] = compose_op[(f_id, g_id)] = gf
 
     for f_id, f in words.items():
         for g_id in out_bases.get(f.tgt, ()):
@@ -262,15 +316,12 @@ def _adjoin(
             glue(g_id, f_id)
 
     closed = not truncated
-    category = FinCategory(
-        objects=cat.objects,
-        morphisms=cat.morphisms.union(words),
-        src=src,
-        tgt=tgt,
-        identity=cat.identity,
-        compose=compose,
-        closed=closed,
-    )
+    morphisms = cat.morphisms.union(words)
+    category = _derived(FinCategory, objects=cat.objects, morphisms=morphisms, src=src, tgt=tgt,
+                        identity=cat.identity, compose=compose, closed=closed)
+    _pair_opposites(category, _derived(
+        FinCategory, objects=cat.objects, morphisms=morphisms, src=tgt, tgt=src,
+        identity=cat.identity, compose=compose_op, closed=closed))
     return CollageCategory(base=cat, quiver=quiver, new_words=words, category=category,
                            closed=closed)
 
@@ -286,10 +337,11 @@ def extend_set_functor(
 ) -> SetFunctor:
     """Extend a Set-valued functor on the base along the collage.
 
-    Values are unchanged, and so is the action of each base morphism: its
-    graph is shared, not copied. The action of a word with edges is the
-    composite of the base actions and edge actions in sequence order. Well
-    defined since the adjoined edges satisfy no relations.
+    Values are unchanged, and so is the action of each base morphism: the
+    value table and each such graph are shared, not copied. The action of
+    a word with edges is the composite of the base actions and edge
+    actions in sequence order. Well defined since the adjoined edges
+    satisfy no relations.
     """
     if fun.base != collage.base:
         raise BaseMismatch("functor base differs from the collage base")
@@ -304,4 +356,4 @@ def extend_set_functor(
             along, then = edge_actions[q], fun.action[c]
             graph = {x: then[along[y]] for x, y in graph.items()}
         action[wid] = graph
-    return SetFunctor(base=collage.category, value=dict(fun.value), action=action)
+    return _derived(SetFunctor, base=collage.category, value=fun.value, action=action)

@@ -6,10 +6,11 @@ source/target tables, composition tables, functor graphs. Every
 operation is a pure function and never mutates its inputs, so values and
 the tables inside them are shared freely: a grown category starts from
 copies of its parent's tables, and a grown functor keeps its parent's
-action graphs. A category also caches what it derives from its tables,
-on first read and per instance: its morphisms by source and by target,
-and its opposite. The dataclasses are frozen but the dicts inside them
-are not, so tables must never be mutated once they are handed over.
+value table and action graphs. A category also caches what it derives
+from its tables, on first read and per instance: its morphisms by source
+and by target, and its opposite. The dataclasses are frozen but the
+dicts inside them are not, so tables must never be mutated once they are
+handed over.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class FinCategory:
 
     ``by_src``, ``by_tgt`` and ``opposite(cat)`` are derived from the
     tables on first read and cached with the instance; they take no part
-    in equality or ``repr``.
+    in equality, hashing or ``repr``. A hash reads only the object and
+    morphism sets and ``closed``, which equal categories share.
     """
 
     objects: frozenset[str]
@@ -57,6 +59,9 @@ class FinCategory:
         object.__setattr__(self, "tgt", dict(self.tgt))
         object.__setattr__(self, "identity", dict(self.identity))
         object.__setattr__(self, "compose", dict(self.compose))
+
+    def __hash__(self) -> int:
+        return hash((self.objects, self.morphisms, self.closed))
 
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src.get(m)) == m and self.src[m] == self.tgt[m]
@@ -183,6 +188,19 @@ class LimitCone:
 
     def sorted_apex(self) -> list[tuple[str, ...]]:
         return sorted(self.apex)
+
+
+def _derived(cls, **fields):
+    """A frozen ``cls`` value the engine derived from checked data, built
+    without ``cls.__post_init__``, whose checks and copies the fields must
+    already pass: the tables are the value's own and never written again,
+    a category's object and morphism sets and a meaning's fibres are
+    frozensets, and a speaker's meaning is a Set-valued functor on its
+    opposite language."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def tuple_name(tup: Sequence[str]) -> str:
@@ -382,7 +400,8 @@ def validate_setfunctor(fun: SetFunctor) -> list[str]:
 def opposite(cat: FinCategory) -> FinCategory:
     """Reverse every morphism. Identifiers are preserved, so the operation
     is an involution on the nose: the opposite is built once per category
-    and cached with it, and ``opposite(opposite(cat)) is cat``."""
+    (a collage's together with the collage) and cached with it, and
+    ``opposite(opposite(cat)) is cat``."""
     op = cat.__dict__.get("_opposite")
     if op is None:
         op = FinCategory(
@@ -391,12 +410,28 @@ def opposite(cat: FinCategory) -> FinCategory:
             src=cat.tgt,
             tgt=cat.src,
             identity=cat.identity,
-            compose={(g, f): x for (f, g), x in cat.compose.items()},
+            compose=_opposite_compose(cat),
             closed=cat.closed,
         )
-        object.__setattr__(op, "_opposite", cat)
-        object.__setattr__(cat, "_opposite", op)
+        _pair_opposites(cat, op)
     return op
+
+
+def _opposite_compose(cat: FinCategory) -> dict[tuple[str, str], str]:
+    """A fresh copy of the composition table of ``opposite(cat)``: a C-level
+    copy of the cached opposite's table when there is one, else ``cat``'s
+    table reversed, without building (and caching) the opposite."""
+    op = cat.__dict__.get("_opposite")
+    if op is not None:
+        return dict(op.compose)
+    return {(g, f): x for (f, g), x in cat.compose.items()}
+
+
+def _pair_opposites(cat: FinCategory, op: FinCategory) -> None:
+    """Cache ``op`` as the opposite of ``cat`` and ``cat`` as that of ``op``;
+    the two must have reversed tables."""
+    object.__setattr__(op, "_opposite", cat)
+    object.__setattr__(cat, "_opposite", op)
 
 
 def opposite_functor(fun: CatFunctor) -> CatFunctor:

@@ -52,6 +52,7 @@ from .fincat import (
     FinCategory,
     LimitCone,
     SetFunctor,
+    _derived,
     _UnionFind,
     comma_object_id,
     opposite,
@@ -98,20 +99,6 @@ class Speaker:
 
     def fibre(self, word: str) -> frozenset[str]:
         return self.meaning.value[word]
-
-    def fibre_sizes(self) -> dict[str, int]:
-        return {o: len(self.meaning.value[o]) for o in sorted(self.language.objects)}
-
-
-def _derived(cls, **fields):
-    """A frozen ``cls`` value the engine derived from checked data, built
-    without ``cls.__post_init__``, whose checks and copies the fields must
-    already pass (a speaker's meaning is a Set-valued functor on its
-    opposite language; a meaning's tables are its own, its values frozensets)."""
-    out = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
-    return out
 
 
 @dataclass(frozen=True)
@@ -601,13 +588,12 @@ def acquire_by_paraphrasis(
         )
 
     apex = cone.sorted_apex()
+    names = [tuple_name(tup) for tup in apex]  # each tuple is named once per event
     named: dict[str, tuple[str, ...]] = {}
-    for tup in apex:
-        other = named.setdefault(tuple_name(tup), tup)
+    for key, tup in zip(names, apex):
+        other = named.setdefault(key, tup)
         if other != tup:
-            raise IdentifierClash(
-                f"apex tuples {other} and {tup} share the name {tuple_name(tup)}"
-            )
+            raise IdentifierClash(f"apex tuples {other} and {tup} share the name {key}")
     fresh = {tup: f"{event_id}:{name}" for name, tup in named.items()}
     as_fresh = {name: fresh[tup] for name, tup in named.items()}
     shape_objects = sorted(explanation.shape.objects)
@@ -630,8 +616,7 @@ def acquire_by_paraphrasis(
                 f"override for {m} names no apex element: {', '.join(unknown)}", (m,)
             )
         graph = {}
-        for tup in apex:
-            key = tuple_name(tup)
+        for key, tup in zip(names, apex):
             if key not in overrides[m]:
                 raise UnforcedActionAtL(
                     f"override for {m} is missing the apex element {key}", (m,)
@@ -651,14 +636,14 @@ def acquire_by_paraphrasis(
             graph[fresh[tup]] = target_value
         action[m] = graph
     _check_overridden_composites(lang, word, action, fresh, set(unforced))
-    extended = SetFunctor(base=meaning_base, value=value, action=action)
+    extended = _derived(SetFunctor, base=meaning_base, value=value, action=action)
 
     collage = fp_collage(meaning_base, quiver, bound=bound)
     edge_actions = {
         edge_of[a]: {fresh[tup]: cone.legs[a][tup] for tup in apex} for a in shape_objects
     }
     new_meaning = extend_set_functor(extended, collage, edge_actions)
-    new_language = opposite(collage.category)
+    new_language = opposite(collage.category)  # built with the collage, from the delta
     out = _derived(Speaker, name=learner.name, language=new_language, meaning=new_meaning)
     report = _report(
         learner,
@@ -669,7 +654,7 @@ def acquire_by_paraphrasis(
         word,
         "learned",
         new_morphisms=collage.edge_words(),
-        apex=[tuple_name(t) for t in apex],
+        apex=names,
     )
     return out, report
 

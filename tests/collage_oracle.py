@@ -5,7 +5,9 @@
 ``full_extension`` computes the action of every word, base words
 included, along its parts. ``fiblex.collage`` builds only the words with
 edges and glues only the pairs that involve one; the two must agree on
-every name, table, action and error.
+every name, table, action and error. ``collage_is_finite_per_edge``
+decides finiteness by one search per edge, where ``fiblex.collage`` makes
+one pass over the strongly connected components.
 
 ``normalize_word`` folds a raw alternating sequence of base morphisms and
 edges into normal form, and ``canonical_functor`` is the embedding of the
@@ -26,16 +28,23 @@ from fiblex.errors import (
 from fiblex.fincat import CatFunctor, FinCategory, Quiver, SetFunctor, compose_table
 
 
-def full_collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
+def collage_is_finite_per_edge(cat: FinCategory, quiver: Quiver) -> bool:
+    """Finiteness by one depth-first search per edge, from the edge's
+    target back to its source, along base morphisms and edges."""
     if quiver.vertices != cat.objects:
         raise VertexMismatch("quiver must share the category's objects")
-    arcs: dict[str, set[str]] = {v: set() for v in cat.objects}
-    for m in cat.non_identities():
-        arcs[cat.src[m]].add(cat.tgt[m])
-    for e in quiver.edges:
-        arcs[quiver.esrc[e]].add(quiver.etgt[e])
+    for e in sorted(quiver.edges):
+        if quiver.esrc[e] not in cat.objects or quiver.etgt[e] not in cat.objects:
+            raise VertexMismatch(
+                f"quiver edge {e} runs from {quiver.esrc[e]} to {quiver.etgt[e]}, "
+                "which are not both vertices"
+            )
+    out_edges: dict[str, list[str]] = {}
+    for q in sorted(quiver.edges):
+        out_edges.setdefault(quiver.esrc[q], []).append(q)
 
     def reaches(start: str, goal: str) -> bool:
+        # identities and other endomorphisms are loops, which reach nothing new
         seen, stack = set(), [start]
         while stack:
             v = stack.pop()
@@ -44,7 +53,8 @@ def full_collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(arcs[v])
+            stack.extend(cat.tgt[m] for m in cat.by_src.get(v, ()))
+            stack.extend(quiver.etgt[e] for e in out_edges.get(v, ()))
         return False
 
     return not any(reaches(quiver.etgt[e], quiver.esrc[e]) for e in quiver.edges)
@@ -54,7 +64,7 @@ def full_collage(
     cat: FinCategory, quiver: Quiver, bound: Optional[int], name: Callable[[Word], str]
 ) -> tuple[dict[str, Word], FinCategory]:
     """Every word of the collage, by name, and the collage category."""
-    if not full_collage_is_finite(cat, quiver) and bound is None:
+    if not collage_is_finite_per_edge(cat, quiver) and bound is None:
         raise UnboundedHomSet("collage has unboundedly long words; an edge bound is required")
 
     out_edges: dict[str, list[str]] = {v: [] for v in cat.objects}

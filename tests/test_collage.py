@@ -1,11 +1,25 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collage_oracle import canonical_functor, full_collage, full_extension, normalize_word
-from genlib import free_category_by_paths, idempotent_functor, iso_functor, random_presheaf
+from collage_oracle import (
+    canonical_functor,
+    collage_is_finite_per_edge,
+    full_collage,
+    full_extension,
+    normalize_word,
+)
+from genlib import (
+    free_category_by_paths,
+    idempotent_functor,
+    iso_functor,
+    opposite_from_tables,
+    random_base,
+    random_presheaf,
+)
 from reference import discrete_quiver
 from fiblex.errors import BoundExceeded, MissingEdgeAction, UnboundedHomSet, VertexMismatch
 from fiblex.collage import (
@@ -20,6 +34,7 @@ from fiblex.collage import (
 from fiblex.fincat import (
     SetFunctor,
     discrete_category,
+    opposite,
     quiver_from_edges,
     validate_category,
     validate_functor,
@@ -69,6 +84,36 @@ def test_an_edge_off_the_vertices_is_rejected():
         collage_is_finite(discrete_category(["A", "B"]), quiver)
     with pytest.raises(VertexMismatch, match=message):
         free_category(quiver)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_one_component_pass_agrees_with_a_search_per_edge(seed):
+    # Bases: acyclic free categories (and discrete ones), the idempotent
+    # category, and the isomorphism a ⇄ b, whose base arrows close a cycle
+    # on their own. Quiver edges are drawn freely: loops, parallel edges
+    # and edges against the base arrows. Now and then an edge leaves the
+    # vertices, or a vertex is dropped, and both sides must refuse alike.
+    rng = random.Random(seed)
+    pick = rng.random()
+    if pick < 0.15:
+        cat = iso_functor(rng).base
+    elif pick < 0.25:
+        cat = idempotent_functor(rng).base
+    else:
+        cat, _ = random_base(rng, max_vertices=5, max_edges=6)
+    objects = sorted(cat.objects)
+    ends = objects + ["outside"] if rng.random() < 0.05 else objects
+    edges = [(f"q{i}", rng.choice(ends), rng.choice(ends)) for i in range(rng.randint(0, 4))]
+    vertices = objects[1:] if rng.random() < 0.05 else objects
+    quiver = quiver_from_edges(vertices, edges)
+    try:
+        expected = collage_is_finite_per_edge(cat, quiver)
+    except VertexMismatch as err:
+        with pytest.raises(VertexMismatch, match=re.escape(str(err))):
+            collage_is_finite(cat, quiver)
+        return
+    assert collage_is_finite(cat, quiver) == expected
 
 
 # --- fp_collage -----------------------------------------------------------------
@@ -348,6 +393,8 @@ def test_delta_collage_and_extension_match_the_full_enumeration(seed):
     if err is None:
         words, category = full
         _same_category(col.category, category)
+        _same_category(opposite(col.category), opposite_from_tables(category))
+        assert opposite(opposite(col.category)) is col.category
         assert col.closed == category.closed
         assert col.words == words
         assert col.edge_words() == sorted(w for w, word in words.items() if word.edges)
@@ -379,4 +426,5 @@ def test_delta_collage_and_extension_match_the_full_enumeration(seed):
     assert err == oracle_err
     if err is None:
         _same_category(free[0], full[1])
+        _same_category(opposite(free[0]), opposite_from_tables(full[1]))
         assert free[1] == {m: w.edges for m, w in full[0].items()}

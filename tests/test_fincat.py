@@ -119,6 +119,16 @@ def test_cached_indexes_are_derived_and_invisible():
     assert cat == fresh and repr(cat) == repr(fresh)
 
 
+def test_categories_hash_consistently_with_equality():
+    cat = chain_category()
+    fresh = FinCategory(cat.objects, cat.morphisms, cat.src, cat.tgt, cat.identity, cat.compose)
+    assert fresh == cat and fresh is not cat and hash(fresh) == hash(cat)
+    op = opposite(cat)
+    names = {cat: "cat", op: "op"}
+    assert names[cat] == names[fresh] == "cat" and names[op] == "op"
+    assert names[opposite_from_tables(cat)] == "op"
+
+
 # --- quivers -----------------------------------------------------------------
 
 

@@ -1,11 +1,76 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fiblex.jsonio as jsonio
 from fiblex.collage import free_category
 from fiblex.errors import FiblexError
 from fiblex.fincat import quiver_from_edges
 from fiblex.jsonio import canonical_dumps, category_from_dict
+
+
+def stdlib_dumps(value):
+    """The canonical text as the standard library writes it: the oracle."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# quotes, backslashes, control characters, line and paragraph separators,
+# non-ASCII text and a lone surrogate, besides any other character
+TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "猫", "→",
+          "\U0001f431", "\ud800"]
+texts = st.text(st.sampled_from(TRICKY) | st.characters(), max_size=6)
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | texts)
+documents = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_canonical_dumps_writes_the_bytes_of_the_standard_library(doc):
+    assert canonical_dumps(doc) == stdlib_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], {}], "d": [{"e": []}]},
+    {"a": [[[]]], "b": {"c": {"d": {}}}},
+    {"a": [[{"b": [1, {"c": [2, ("d", [3, {"e": None}])]}]}]]},
+    {2: [1], 1: {3: None}},  # keys that are not strings
+    {2.5: [], 0.5: {"x": None}},
+    {True: [1]},
+    {None: {"y": [False]}},
+    [1, 2.0, -0.0, float("inf"), float("nan"), 10**30, True, None, "x"],
+])
+def test_canonical_dumps_on_empty_nested_and_odd_values(doc):
+    assert canonical_dumps(doc) == stdlib_dumps(doc)
+
+
+LONG_LIST = list(range(60_000))
+LONG_DICT = {f"w{i}": i for i in range(30_000)}
+
+
+@pytest.mark.parametrize("doc", [
+    LONG_LIST,
+    LONG_DICT,
+    {"apex": LONG_LIST, "fibres": LONG_DICT, "z": [1]},
+    [[0], LONG_DICT, LONG_LIST],
+])
+def test_canonical_dumps_of_containers_the_c_encoder_writes_in_pieces(doc):
+    # past 100,000 pieces the C encoder returns its text as several strings
+    assert canonical_dumps(doc) == stdlib_dumps(doc)
+
+
+def test_canonical_dumps_without_the_c_encoder(monkeypatch):
+    monkeypatch.setattr(jsonio, "c_make_encoder", None)
+    doc = {"b": [1, {"c": "\u2028"}], "a": {}}
+    assert canonical_dumps(doc) == stdlib_dumps(doc)
 
 
 def declaration(cat):

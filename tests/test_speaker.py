@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields
 
 import pytest
@@ -677,14 +678,19 @@ def test_paraphrasis_refuses_apex_tuples_with_one_name():
 
 
 def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(monkeypatch):
-    # Composites glued and words built during one paraphrasis are counted,
-    # then counted again with a disconnected chain z0 → … → z5 (and its
-    # fifteen composites) added to the language: the counts must not move.
+    # Composites glued, words built and opposites computed during one
+    # paraphrasis are counted, then counted again with a disconnected chain
+    # z0 → … → z5 (and its fifteen composites) added to the language: the
+    # counts must not move. No opposite is computed at all: the grown
+    # language is built together with its opposite, the meaning's base.
+    # Every fibre but the learned word's is the learner's own.
     import fiblex.collage as collage_module
+    import fiblex.fincat as fincat_module
 
-    counts = {"compose_pair": 0, "words": 0}
+    counts = {"compose_pair": 0, "words": 0, "opposites": 0}
     compose_pair = FinCategory.compose_pair
     word_post_init = collage_module.Word.__post_init__
+    opposite_of = fincat_module.opposite
 
     def counted_compose_pair(self, g, f):
         counts["compose_pair"] += 1
@@ -693,6 +699,10 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
     def counted_word(self):
         counts["words"] += 1
         word_post_init(self)
+
+    def counted_opposite(cat):
+        counts["opposites"] += "_opposite" not in cat.__dict__  # a miss of the cache
+        return opposite_of(cat)
 
     def learn(chain_length):
         chain = [f"z{i}" for i in range(chain_length)]
@@ -708,15 +718,22 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
         teacher = make_speaker("alice", lang, {**fibres, "cat": ["cleo"]}, actions)
         learner = make_speaker("bob", lang, fibres, actions)
         expl = discrete_explanation(lang, "cat", {"a1": "feline", "a2": "Y"})
-        counts.update(compose_pair=0, words=0)
+        opposite(expl.shape)  # the explanation's own, computed when it is first checked
+        counts.update(compose_pair=0, words=0, opposites=0)
         out, report = acquire_by_paraphrasis(teacher, learner, "cat", expl, event_id="e")
         assert report.outcome == "learned" and len(out.fibre("cat")) == 2
+        assert opposite(out.language) is out.meaning.base
+        old, new = learner.meaning.value, out.meaning.value
+        assert all(new[o] is old[o] for o in lang.objects if o != "cat")
         return dict(counts)
 
     monkeypatch.setattr(FinCategory, "compose_pair", counted_compose_pair)
     monkeypatch.setattr(collage_module.Word, "__post_init__", counted_word)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fiblex") and getattr(module, "opposite", None) is opposite_of:
+            monkeypatch.setattr(module, "opposite", counted_opposite)
     small = learn(0)
-    assert small["compose_pair"] > 0 and small["words"] > 0
+    assert small["compose_pair"] > 0 and small["words"] > 0 and small["opposites"] == 0
     assert learn(6) == small
 
 
