@@ -49,6 +49,7 @@ from .fincat import (
     _opposite_compose,
     _pair_opposites,
     discrete_category,
+    tuple_name,
 )
 
 
@@ -88,7 +89,7 @@ def word_id(cat: FinCategory, word: Word) -> str:
     shown = [i for kind, i in word.parts() if kind == "edge" or not cat.is_identity(i)]
     if len(shown) == 1:
         return shown[0]
-    return "(" + ",".join(shown) + ")"
+    return tuple_name(shown)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,13 @@ def category_dot(
     cat: FinCategory,
     name: str = "C",
     dashed: Collection[str] = (),
-    include_identities: bool = False,
 ) -> str:
     dashed = set(dashed)
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
     for o in sorted(cat.objects):
         lines.append(f"  {_quote(o)};")
     for m in sorted(cat.morphisms):
-        if not include_identities and cat.is_identity(m):
+        if cat.is_identity(m):
             continue
         style = ', style=dashed' if m in dashed else ""
         lines.append(

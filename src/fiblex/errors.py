@@ -25,14 +25,6 @@ class BaseMismatch(FiblexError):
     """Two functors that must share a base category do not."""
 
 
-class NotAFibration(FiblexError):
-    """A functor expected to be a discrete fibration is not one."""
-
-    def __init__(self, message, failures=()):
-        super().__init__(message)
-        self.failures = tuple(failures)
-
-
 class MissingEdgeAction(FiblexError):
     """A quiver edge has no assigned action on meanings."""
 
@@ -63,10 +55,6 @@ class UnforcedActionAtL(FiblexError):
 
 class IdentifierClash(FiblexError):
     """Freshly introduced identifiers collide with existing ones."""
-
-
-class UnknownWord(FiblexError):
-    """A word is missing from the lexicon."""
 
 
 class ScenarioError(FiblexError):

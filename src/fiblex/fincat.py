@@ -19,9 +19,11 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import BaseMismatch, BoundExceeded, IdentifierClash, NotComposable
+
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +167,8 @@ class LimitCone:
 
     Apex elements are tuples with one component per base object, in the
     fixed order ``order`` (sorted object identifiers), so that limit
-    elements have reproducible canonical names. ``legs[o]`` is the
-    projection onto the ``o`` component, as an explicit graph.
+    elements have reproducible canonical names. ``legs[o]``, built on
+    first read, is the projection onto the ``o`` component as a graph.
 
     ``witness`` says why an apex computed by ``set_limit`` is empty, as
     the first place where its pass emptied: ``{"kind": "empty-fibre",
@@ -179,12 +181,14 @@ class LimitCone:
 
     order: tuple[str, ...]
     apex: frozenset[tuple[str, ...]]
-    legs: dict[str, dict[tuple[str, ...], str]]
     witness: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "apex", frozenset(self.apex))
-        object.__setattr__(self, "legs", {o: dict(g) for o, g in self.legs.items()})
+
+    @cached_property
+    def legs(self) -> dict[str, dict[tuple[str, ...], str]]:
+        return {o: {tup: tup[i] for tup in self.apex} for i, o in enumerate(self.order)}
 
     def sorted_apex(self) -> list[tuple[str, ...]]:
         return sorted(self.apex)
@@ -439,11 +443,7 @@ def opposite_functor(fun: CatFunctor) -> CatFunctor:
 
 
 # ---------------------------------------------------------------------------
-# comma objects and union-find
-
-
-def comma_object_id(d: str, f: str) -> str:
-    return f"({d},{f})"
+# union-find
 
 
 class _UnionFind:
@@ -503,13 +503,15 @@ def set_limit(fun: SetFunctor) -> LimitCone:
     base = fun.base
     order = tuple(sorted(base.objects))
     arrows_from: dict[str, list[str]] = {o: [] for o in order}
+    successors: dict[str, list[str]] = {o: [] for o in order}
     entered = set()  # objects with an arrow in from another object
     for m in base.non_identities():
         arrows_from[base.src[m]].append(m)
+        successors[base.src[m]].append(base.tgt[m])
         if base.tgt[m] != base.src[m]:
             entered.add(base.tgt[m])
 
-    reach = {o: _reach(base, arrows_from, o) for o in order if arrows_from[o]}
+    reach = {o: _reach(successors, o) for o in order if arrows_from[o]}
     roots, covered = [], set()
     for o in order:
         mine = reach.get(o, {o})
@@ -554,16 +556,15 @@ def set_limit(fun: SetFunctor) -> LimitCone:
             pick(tuple(itertools.chain.from_iterable(parts)))
             for parts in itertools.product(*pools)
         ]
-    legs = {o: {tup: tup[i] for tup in apex} for i, o in enumerate(order)}
-    return LimitCone(order=order, apex=frozenset(apex), legs=legs, witness=witness)
+    return LimitCone(order=order, apex=frozenset(apex), witness=witness)
 
 
-def _reach(base: FinCategory, arrows_from: Mapping[str, list[str]], start: str) -> set[str]:
-    """The objects reachable from ``start`` along non-identity arrows."""
+def _reach(arcs: Mapping[_T, Iterable[_T]], start: _T) -> set[_T]:
+    """The nodes reachable from ``start``, itself included, where ``arcs``
+    maps every node to its successors."""
     seen, stack = {start}, [start]
     while stack:
-        for m in arrows_from[stack.pop()]:
-            t = base.tgt[m]
+        for t in arcs[stack.pop()]:
             if t not in seen:
                 seen.add(t)
                 stack.append(t)

@@ -7,17 +7,17 @@ when ``a <= b`` for even ``z``, or ``b <= a`` for odd ``z``. Since
 contractions strictly shorten a sequence, the types reachable from a
 phrase are finitely many. Categories generated from a lexicon are
 posetal: a reduction path is a truth, not a choice, so two type strings
-carry at most one morphism between them.
+carry at most one morphism between them. Both the order and the
+reductions are closed by ``fincat``'s reachability walk.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FiblexError, IdentifierClash
-from .fincat import FinCategory, compose_table
+from .fincat import FinCategory, _reach, compose_table
 
 Simple = tuple[str, int]
 PgType = tuple[Simple, ...]
@@ -36,16 +36,14 @@ class TypeOrder:
 
 
 def type_order(basics: Iterable[str], pairs: Iterable[tuple[str, str]] = ()) -> TypeOrder:
+    """The reflexive, transitive closure of ``pairs``; a cycle, or a type
+    outside ``basics``, raises ``FiblexError``."""
     basics = frozenset(basics)
-    leq = {(a, a) for a in basics}
-    leq.update((a, b) for a, b in pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(leq), repeat=2):
-            if b == c and (a, d) not in leq:
-                leq.add((a, d))
-                changed = True
+    above: dict[str, list[str]] = {a: [] for a in basics}
+    for a, b in pairs:
+        above.setdefault(a, []).append(b)
+        above.setdefault(b, [])
+    leq = {(a, b) for a in above for b in _reach(above, a)}
     for a, b in leq:
         if a != b and (b, a) in leq:
             raise FiblexError(f"order is not antisymmetric: {a} and {b} are equivalent")
@@ -141,42 +139,24 @@ def language_category_from_lexicon(
     for p in phrases:
         start.append(parse_type(p, lex.z_max))
         _check_type(f"phrase {p!r}", start[-1], lex.order, lex.z_max)
-    reached: dict[PgType, None] = {}
+    steps: dict[PgType, set[PgType]] = {}  # the types one contraction away
     stack = list(start)
-    steps: dict[PgType, set[PgType]] = {}
     while stack:
         t = stack.pop()
-        if t in reached:
-            continue
-        reached[t] = None
-        steps[t] = set()
-        for _i, shorter in contractions(t, lex.order):
-            steps[t].add(shorter)
-            stack.append(shorter)
+        if t not in steps:
+            steps[t] = {shorter for _i, shorter in contractions(t, lex.order)}
+            stack += steps[t]
+    # contractions shorten, so no type reaches itself
+    reach = {t: _reach(steps, t) - {t} for t in steps}
 
-    reach: dict[PgType, set[PgType]] = {t: set() for t in reached}
-
-    def explore(t: PgType) -> set[PgType]:
-        if reach[t]:
-            return reach[t]
-        acc: set[PgType] = set()
-        for u in steps[t]:
-            acc.add(u)
-            acc |= explore(u)
-        reach[t] = acc
-        return acc
-
-    for t in reached:
-        explore(t)
-
-    names = {t: format_type(t) if t else "1" for t in reached}
+    names = {t: format_type(t) if t else "1" for t in steps}
     objects = frozenset(names.values())
     if len(objects) < len(names):  # format_type is injective, so a basic type is named 1
         raise IdentifierClash("the empty type and the basic type 1 share the object name 1")
     identity = {o: f"id_{o}" for o in objects}
     src = {i: o for o, i in identity.items()}
     tgt = dict(src)
-    for t in reached:
+    for t in steps:
         for u in reach[t]:
             mid = f"{names[t]}→{names[u]}"
             if mid in src:

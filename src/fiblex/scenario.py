@@ -2,8 +2,9 @@
 
 A scenario declares categories (explicit, discrete, free on a quiver,
 or generated from a pregroup lexicon), speakers over them, and
-explanations; then runs a list of acquisition events against an
-immutable speaker store (each event rebinds the learner's name) and
+explanations; then runs a list of acquisition events against a store
+of immutable speakers by name (each event rebinds the learner's name;
+what it adjoined to a language is read off against the declaration) and
 finally evaluates assertions. Reports are canonical JSON and running
 the same file twice yields byte-identical output.
 """
@@ -11,7 +12,7 @@ the same file twice yields byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from .collage import free_category
 from .dot import category_dot
@@ -56,13 +57,7 @@ class Scenario:
     assertions: list[dict]
 
 
-@dataclass(frozen=True)
-class Binding:
-    speaker: Speaker
-    dashed: frozenset[str] = frozenset()
-
-
-Store = dict[str, Binding]
+Store = dict[str, Speaker]
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +198,7 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
         raise ScenarioError(f"undeclared explanation {name!r}")
     decl = scenario.explanations[name]
     if decl.get("kind") == "tautological":
-        speaker = store[decl["speaker"]].speaker
-        return tautological_explanation(speaker, decl["target"])
+        return tautological_explanation(store[decl["speaker"]], decl["target"])
     lang_name = decl.get("language")
     if lang_name not in scenario.categories:
         raise ScenarioError(f"explanation {name}: undeclared language {lang_name!r}")
@@ -236,68 +230,51 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
 # running
 
 
-def initial_store(scenario: Scenario) -> Store:
-    return {name: Binding(speaker=s) for name, s in scenario.speakers.items()}
-
-
 def run_events(
     scenario: Scenario, upto: Optional[int] = None, default_bound: Optional[int] = None
 ) -> tuple[Store, list[dict]]:
-    store = initial_store(scenario)
+    store = dict(scenario.speakers)
     reports: list[dict] = []
     events = scenario.events if upto is None else scenario.events[: upto]
     for event in events:
         kind = event["event"]
         eid = event["id"]
-        entry: dict[str, Any] = {"id": eid, "event": kind}
-        if kind == "example":
-            binding = store[event["learner"]]
-            teacher = store[event["teacher"]].speaker if "teacher" in event else None
-            out, report = acquire_by_example(
-                binding.speaker,
-                event["word"],
-                event["witnesses"],
-                teacher=teacher,
-                event_id=eid,
-            )
-            store[event["learner"]] = Binding(out, binding.dashed)
-            entry["report"] = report.to_json()
-        elif kind == "merged-example":
-            binding = store[event["learner"]]
-            teacher = store[event["teacher"]].speaker if "teacher" in event else None
-            out, report = acquire_by_example_merged(
-                binding.speaker,
-                event["word"],
-                event["witnesses"],
-                glue=event.get("glue", {}),
-                teacher=teacher,
-                event_id=eid,
-            )
-            store[event["learner"]] = Binding(out, binding.dashed)
-            entry["report"] = report.to_json()
-        elif kind == "paraphrasis":
-            binding = store[event["learner"]]
-            teacher = store[event["teacher"]].speaker
+        if kind == "validate-explanation":
             explanation = resolve_explanation(scenario, store, event["explanation"])
-            out, report = acquire_by_paraphrasis(
-                teacher,
-                binding.speaker,
-                event["word"],
-                explanation,
-                edge_overrides=event.get("overrides"),
-                bound=event.get("bound", default_bound),
-                event_id=eid,
-            )
-            store[event["learner"]] = Binding(
-                out, binding.dashed | frozenset(report.new_morphisms)
-            )
-            entry["report"] = report.to_json()
-        elif kind == "validate-explanation":
-            speaker = store[event["speaker"]].speaker
-            explanation = resolve_explanation(scenario, store, event["explanation"])
-            check = validate_explanation(speaker, explanation)
-            entry["report"] = check.to_json()
-        reports.append(entry)
+            report = validate_explanation(store[event["speaker"]], explanation)
+        else:
+            learner = store[event["learner"]]
+            teacher = store[event["teacher"]] if "teacher" in event else None
+            if kind == "example":
+                out, report = acquire_by_example(
+                    learner,
+                    event["word"],
+                    event["witnesses"],
+                    teacher=teacher,
+                    event_id=eid,
+                )
+            elif kind == "merged-example":
+                out, report = acquire_by_example_merged(
+                    learner,
+                    event["word"],
+                    event["witnesses"],
+                    glue=event.get("glue", {}),
+                    teacher=teacher,
+                    event_id=eid,
+                )
+            else:  # paraphrasis
+                explanation = resolve_explanation(scenario, store, event["explanation"])
+                out, report = acquire_by_paraphrasis(
+                    teacher,
+                    learner,
+                    event["word"],
+                    explanation,
+                    edge_overrides=event.get("overrides"),
+                    bound=event.get("bound", default_bound),
+                    event_id=eid,
+                )
+            store[event["learner"]] = out
+        reports.append({"id": eid, "event": kind, "report": report.to_json()})
     return store, reports
 
 
@@ -313,14 +290,12 @@ def evaluate_assertion(
 ) -> tuple[bool, str]:
     kind = check.get("assert")
     if kind == "fibre-size":
-        speaker = store[check["speaker"]].speaker
-        size = len(speaker.fibre(check["object"]))
+        size = len(store[check["speaker"]].fibre(check["object"]))
         if "equals" in check:
             return size == check["equals"], f"fibre({check['object']}) = {size}"
         return size >= check.get("at-least", 1), f"fibre({check['object']}) = {size}"
     if kind == "morphism-count":
-        speaker = store[check["speaker"]].speaker
-        count = len(speaker.language.morphisms)
+        count = len(store[check["speaker"]].language.morphisms)
         return count == check["equals"], f"language has {count} morphisms"
     if kind == "new-morphisms":
         report = _event_report(reports, check["event"])
@@ -348,12 +323,12 @@ def evaluate_assertion(
             f"vacuous={report.get('vacuous')} apex={report.get('apex_size')}"
         )
     if kind == "unchanged":
-        now = store[check["speaker"]].speaker
+        now = store[check["speaker"]]
         initial = scenario.speakers[check["speaker"]]
         return now == initial, f"speaker {check['speaker']} vs initial declaration"
     if kind == "speakers-iso":
-        left = store[check["left"]].speaker
-        right = store[check["right"]].speaker
+        left = store[check["left"]]
+        right = store[check["right"]]
         if left.language != right.language:
             return False, "languages differ"
         witness = natural_iso_check(left.meaning, right.meaning)
@@ -405,14 +380,13 @@ def run_scenario(
 
 def validate_scenario(scenario: Scenario) -> dict:
     """Structural validation only: every explanation is resolved against
-    the initial store, but no event runs. The declared categories and
-    speakers were checked by ``load_scenario``, so their entries carry no
-    problems."""
-    checks = [{"category": name, "problems": []} for name in sorted(scenario.categories)]
-    store = initial_store(scenario)
+    the declared speakers, but no event runs. The declared categories and
+    speakers were checked by ``load_scenario``, so only explanations are
+    listed."""
+    checks = []
     for name in sorted(scenario.explanations):
         try:
-            resolve_explanation(scenario, store, name)
+            resolve_explanation(scenario, scenario.speakers, name)
             checks.append({"explanation": name, "problems": []})
         except FiblexError as err:
             checks.append({"explanation": name, "problems": [str(err)]})
@@ -428,22 +402,22 @@ def export_dot(
     default_bound: Optional[int] = None,
 ) -> str:
     """Render a speaker's language (or total category) after the first
-    ``stage`` events; adjoined edges are dashed."""
+    ``stage`` events; what they adjoined to the declared language is
+    dashed, which are the words paraphrasis reported new."""
     store, _ = run_events(scenario, upto=stage, default_bound=default_bound)
     if speaker not in store:
         raise ScenarioError(f"undeclared speaker {speaker!r}")
-    binding = store[speaker]
+    now = store[speaker]
+    dashed = now.language.morphisms - scenario.speakers[speaker].language.morphisms
     if which == "language":
         return category_dot(
-            binding.speaker.language,
+            now.language,
             name=f"{scenario.name}:{speaker}",
-            dashed=binding.dashed,
+            dashed=dashed,
         )
     if which == "total":
-        fib = binding.speaker.fibration
-        dashed_total = {
-            m for m in fib.total.morphisms if fib.proj.mmap[m] in binding.dashed
-        }
+        fib = now.fibration
+        dashed_total = {m for m in fib.total.morphisms if fib.proj.mmap[m] in dashed}
         return category_dot(
             fib.total, name=f"{scenario.name}:{speaker}:total", dashed=dashed_total
         )
@@ -451,11 +425,10 @@ def export_dot(
 
 
 def explain_report(scenario: Scenario, speaker: str, explanation: str) -> dict:
-    store = initial_store(scenario)
-    if speaker not in store:
+    if speaker not in scenario.speakers:
         raise ScenarioError(f"undeclared speaker {speaker!r}")
-    expl = resolve_explanation(scenario, store, explanation)
-    check = validate_explanation(store[speaker].speaker, expl)
+    expl = resolve_explanation(scenario, scenario.speakers, explanation)
+    check = validate_explanation(scenario.speakers[speaker], expl)
     report = check.to_json()
     if check.limit.witness is not None:
         # why the apex is empty; `fiblex run` reports leave it out

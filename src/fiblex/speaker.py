@@ -54,7 +54,6 @@ from .fincat import (
     SetFunctor,
     _derived,
     _UnionFind,
-    comma_object_id,
     opposite,
     opposite_functor,
     precompose,
@@ -244,8 +243,7 @@ def validate_explanation(speaker: Speaker, explanation: Explanation) -> Explanat
         raise DiagramOutsideLanguage(f"target {explanation.target} is not a language object")
     problems = validate_functor(explanation.diagram)
     if problems and not _acts_on_its_fibres(speaker, explanation.diagram):
-        order = tuple(sorted(explanation.shape.objects))
-        empty = LimitCone(order=order, apex=frozenset(), legs={o: {} for o in order})
+        empty = LimitCone(order=tuple(sorted(explanation.shape.objects)), apex=frozenset())
         return ExplanationCheck(
             valid=False, exact=False, vacuous=False, limit=empty, problems=tuple(problems)
         )
@@ -373,7 +371,7 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
             for s in witnesses:
                 name = glued.get((s, f))
                 if name is None:
-                    name = s if f == ident else f"{event_id}:{comma_object_id(s, f)}"
+                    name = s if f == ident else f"{event_id}:{tuple_name((s, f))}"
                     if name in fibre:
                         first = next((p for p, n in fresh.items() if n == name), name)
                         raise IdentifierClash(

@@ -10,7 +10,8 @@ The constructions here are the ones the paper defines those results by:
 - isomorphism of fibrations over a shared base;
 - the comprehensive factorization, through connected components of
   comma categories;
-- pregroup reduction search with replayable derivations, over
+- the order on basic types as a fixpoint of transitive steps, and
+  pregroup reduction search with replayable derivations, over
   contractions and induced steps, and sentence checks built on it;
 - small helpers on categories and speakers that only the tests use.
 
@@ -24,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from fiblex.errors import BaseMismatch, FiblexError, NotAFibration, UnknownWord
+from fiblex.errors import BaseMismatch, FiblexError
 from fiblex.fibration import Fibration, grothendieck, pair_object_id
 from fiblex.fincat import (
     CatFunctor,
@@ -32,12 +33,27 @@ from fiblex.fincat import (
     Quiver,
     SetFunctor,
     _UnionFind,
-    comma_object_id,
     natural_iso_check,
     opposite,
     validate_functor,
 )
 from fiblex.pregroup import Lexicon, PgType, Simple, TypeOrder, contractions
+
+
+# ---------------------------------------------------------------------------
+# errors only the oracles raise
+
+
+class NotAFibration(FiblexError):
+    """A functor expected to be a discrete fibration is not one."""
+
+    def __init__(self, message, failures=()):
+        super().__init__(message)
+        self.failures = tuple(failures)
+
+
+class UnknownWord(FiblexError):
+    """A word is missing from the lexicon."""
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +228,12 @@ def iso_over_base(p: Fibration, q: Fibration) -> Optional[CatFunctor]:
 # comprehensive factorization
 
 
+def comma_object_id(d: str, f: str) -> str:
+    """The name of the comma object of ``d`` over ``f``, written here
+    apart from the engine's ``tuple_name``."""
+    return f"({d},{f})"
+
+
 @dataclass(frozen=True)
 class Factorization:
     """A functor split as ``fibration.proj . first`` with the second
@@ -331,6 +353,29 @@ def restriction_along_embedding(new, old_language: FinCategory) -> SetFunctor:
 
 # ---------------------------------------------------------------------------
 # pregroup reductions
+
+
+def type_order_closure(
+    basics: Iterable[str], pairs: Iterable[tuple[str, str]] = ()
+) -> TypeOrder:
+    """The order ``type_order`` builds, closed by adding composites of
+    pairs until none is new."""
+    basics = frozenset(basics)
+    leq = {(a, a) for a in basics}
+    leq.update((a, b) for a, b in pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(list(leq), repeat=2):
+            if b == c and (a, d) not in leq:
+                leq.add((a, d))
+                changed = True
+    for a, b in leq:
+        if a != b and (b, a) in leq:
+            raise FiblexError(f"order is not antisymmetric: {a} and {b} are equivalent")
+        if a not in basics or b not in basics:
+            raise FiblexError(f"order mentions unknown basic type in ({a}, {b})")
+    return TypeOrder(basics=basics, leq=frozenset(leq))
 
 
 @dataclass(frozen=True)

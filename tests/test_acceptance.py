@@ -904,10 +904,10 @@ def test_c7_shipped_scenarios():
     # teacher untouched and the old language embeds with its meanings
     scenario = _load("alice-bob.json")
     store, _reports = run_events(scenario)
-    if store["alice"].speaker != scenario.speakers["alice"]:
+    if store["alice"] != scenario.speakers["alice"]:
         _verdict("C7 scenarios", False, "teacher changed")
     bob0 = scenario.speakers["bob"]
-    bob1 = store["bob"].speaker
+    bob1 = store["bob"]
     restricted = restriction_along_embedding(bob1, bob0.language)
     for o in ("feline", "black", "cursed"):
         if restricted.value[o] != bob0.meaning.value[o]:

@@ -4,6 +4,7 @@ import pytest
 
 from genlib import random_base, random_functor_between, random_presheaf
 from reference import (
+    NotAFibration,
     compose_functors,
     comprehensive_factorization,
     connected_components,
@@ -18,7 +19,6 @@ from reference import (
     validate_fibration_morphism,
 )
 from fiblex.collage import free_category
-from fiblex.errors import NotAFibration
 from fiblex.fincat import (
     CatFunctor,
     SetFunctor,

@@ -453,7 +453,7 @@ def test_limit_witness_is_left_out_of_equality():
     empty = SetFunctor(base=cat, value={"a": frozenset()}, action={"id_a": {}})
     cone = set_limit(empty)
     assert cone.witness is not None
-    assert cone == type(cone)(order=cone.order, apex=cone.apex, legs=cone.legs)
+    assert cone == type(cone)(order=cone.order, apex=cone.apex)
     assert "witness" not in repr(cone)
 
 

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import reduce, replay, sentence_check
-from fiblex.errors import FiblexError, IdentifierClash, UnknownWord
+from reference import UnknownWord, reduce, replay, sentence_check, type_order_closure
+from fiblex.errors import FiblexError, IdentifierClash
 from fiblex.fincat import validate_category
 from fiblex.pregroup import (
     Lexicon,
@@ -15,6 +17,51 @@ from fiblex.pregroup import (
 )
 
 ORDER = type_order(["n", "s"])
+
+
+@st.composite
+def type_relations(draw):
+    """Up to six basic types, a chain through some of them, and a few more
+    pairs, which may close a cycle or name the type x, never a basic."""
+    basics = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
+    ranked = draw(st.permutations(basics))
+    chain = draw(st.integers(0, len(ranked)))
+    pairs = list(zip(ranked[: chain - 1], ranked[1:chain]))
+    names = st.sampled_from(basics + ["x"])
+    pairs += draw(st.lists(st.tuples(names, names), max_size=3))
+    return basics, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(type_relations())
+def test_type_order_is_the_fixpoint_closure(relation):
+    basics, pairs = relation
+    try:
+        expected = type_order_closure(basics, pairs)
+    except FiblexError as err:
+        expected = err
+    if isinstance(expected, FiblexError):
+        with pytest.raises(FiblexError, match="order is not antisymmetric|order mentions unknown"):
+            type_order(basics, pairs)
+    else:
+        assert type_order(basics, pairs) == expected
+
+
+def test_type_order_closes_a_chain():
+    order = type_order(["a", "b", "c", "d", "s"], [("c", "d"), ("a", "b"), ("b", "c")])
+    assert {(a, b) for a, b in order.leq if a != b} == {
+        ("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")
+    }
+
+
+def test_a_cycle_in_the_type_order_is_refused():
+    with pytest.raises(FiblexError, match="order is not antisymmetric: [nps] and [nps] are"):
+        type_order(["n", "p", "s"], [("p", "n"), ("n", "s"), ("s", "p")])
+
+
+def test_a_type_order_pair_outside_the_basics_is_refused():
+    with pytest.raises(FiblexError, match="order mentions unknown basic type in \\(p, [np]\\)"):
+        type_order(["n", "s"], [("p", "n")])
 
 
 def test_parse_and_format_roundtrip():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from fiblex.cli import main
 import fiblex.fincat as fincat
 from fiblex.errors import FiblexError, IdentifierClash, ScenarioError
 from fiblex.fincat import validate_category
+import fiblex.scenario as scenario_mod
 from fiblex.jsonio import canonical_dumps
 from fiblex.scenario import (
     export_dot,
     load_scenario,
+    run_events,
     run_scenario,
     validate_scenario,
 )
@@ -311,7 +314,7 @@ def test_validate_does_not_check_the_declared_categories_again(monkeypatch):
     categories = count_calls(monkeypatch, fincat.validate_category)
     report = validate_scenario(scenario)
     assert categories == []
-    assert report["checks"][0] == {"category": "lang", "problems": []}
+    assert report["checks"] and all(set(c) == {"explanation", "problems"} for c in report["checks"])
 
 
 def test_run_is_deterministic():
@@ -337,6 +340,99 @@ def test_export_dot_total_category():
     text = export_dot(scenario, "bob", which="total", stage=None)
     assert "style=dashed" in text
     assert "tiger@feline" in text
+
+
+def two_paraphrases_doc():
+    """One learner, bob, learns cat from alice by paraphrasis, then mark by
+    example and more black by merged example, and last kitty as a
+    tautological paraphrase of the cat bob learned: an explanation over
+    the grown language, which a declared one cannot give. Alice's
+    explanation is checked in between."""
+    return {
+        "name": "two-paraphrases",
+        "categories": {
+            "lang": {"kind": "discrete", "objects": ["cat", "feline", "black", "mark", "kitty"]}
+        },
+        "speakers": {
+            "alice": {"language": "lang",
+                      "fibres": {"cat": ["cleo"], "feline": ["felix"], "black": ["nero"]}},
+            "bob": {"language": "lang", "fibres": {"feline": ["tiger", "lynx"], "black": ["noir"]}},
+        },
+        "explanations": {
+            "cat-as-black-feline": {
+                "language": "lang",
+                "target": "cat",
+                "shape": {"kind": "discrete", "objects": ["a1", "a2"]},
+                "diagram": {"a1": "feline", "a2": "black"},
+                "embedding": {"(felix,nero)": "cleo"},
+            },
+            "kitty-is-cat": {"kind": "tautological", "speaker": "bob", "target": "cat"},
+        },
+        "events": [
+            {"event": "paraphrasis", "id": "p1", "teacher": "alice", "learner": "bob",
+             "word": "cat", "explanation": "cat-as-black-feline"},
+            {"event": "example", "id": "e1", "learner": "bob", "word": "mark",
+             "witnesses": ["spot"]},
+            {"event": "merged-example", "id": "e2", "learner": "bob", "word": "black",
+             "witnesses": ["ink"], "glue": {"noir": "ink"}},
+            {"event": "validate-explanation", "id": "v1", "speaker": "alice",
+             "explanation": "cat-as-black-feline"},
+            {"event": "paraphrasis", "id": "p2", "teacher": "bob", "learner": "bob",
+             "word": "kitty", "explanation": "kitty-is-cat"},
+        ],
+        "assertions": [
+            {"assert": "outcome", "event": "p1", "equals": "learned"},
+            {"assert": "outcome", "event": "p2", "equals": "learned"},
+            {"assert": "explanation", "event": "v1", "valid": True, "exact": True},
+        ],
+    }
+
+
+DOT_EDGE = re.compile(r' -> .* \[label="((?:[^"\\]|\\.)*)"(, style=dashed)?\];$')
+
+
+def dot_edges(text):
+    """Each edge's label and whether it is dashed."""
+    return {m.group(1): bool(m.group(2)) for m in map(DOT_EDGE.search, text.splitlines()) if m}
+
+
+def test_dashed_edges_are_the_morphisms_reported_new_so_far():
+    scenario = load_scenario(two_paraphrases_doc())
+    code, report = run_scenario(scenario)
+    assert code == 0, report
+    learned = [e["report"]["new_morphisms"] for e in report["events"] if e["event"] == "paraphrasis"]
+    assert all(learned) and any("(" in m for m in learned[1])  # composites are adjoined too
+    for stage in range(len(scenario.events) + 1):
+        new = {m for e in report["events"][:stage] for m in e["report"].get("new_morphisms", ())}
+        edges = dot_edges(export_dot(scenario, "bob", stage=stage))
+        assert {m for m, dashed in edges.items() if dashed} == new
+        bob = run_events(scenario, upto=stage)[0]["bob"]
+        total = dot_edges(export_dot(scenario, "bob", which="total", stage=stage))
+        over_new = {m for m in bob.fibration.total.morphisms if bob.fibration.proj.mmap[m] in new}
+        assert {m for m, dashed in total.items() if dashed} == over_new
+        assert stage == 0 or over_new
+
+
+def test_each_event_calls_its_procedure_once_through_the_scenario_module(monkeypatch):
+    # the benchmark times events by rebinding these names in fiblex.scenario
+    procedure = {"example": "acquire_by_example", "merged-example": "acquire_by_example_merged",
+                 "paraphrasis": "acquire_by_paraphrasis",
+                 "validate-explanation": "validate_explanation"}
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in procedure.values():
+        monkeypatch.setattr(scenario_mod, name, counted(name, getattr(scenario_mod, name)))
+    scenario = load_scenario(two_paraphrases_doc())
+    code, report = run_scenario(scenario)
+    assert code == 0, report
+    assert calls == [procedure[e["event"]] for e in scenario.events]
+    assert set(calls) == set(procedure.values())
 
 
 def test_merged_example_event_over_the_wire():
