@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from .errors import FiblexError
+from .errors import FiblexError, ScenarioError
 from .jsonio import canonical_dumps
 from .scenario import (
     EXIT_STRUCTURAL,
@@ -27,11 +27,23 @@ def _load(path: str):
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
-        raise click.ClickException(f"cannot read scenario {path}: {err}")
+        raise ScenarioError(f"cannot read scenario {path}: {err}")
     return load_scenario(doc)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every command exits ``EXIT_STRUCTURAL`` on a ``FiblexError``, with
+    ``error: …`` on stderr."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FiblexError as err:
+            click.echo(f"error: {err}", err=True)
+            sys.exit(EXIT_STRUCTURAL)
+
+
+@click.group(cls=_Commands)
 def main():
     """Run and inspect vocabulary acquisition scenarios."""
 
@@ -43,12 +55,7 @@ def main():
               help="Write the canonical JSON report to this path.")
 def run(scenario, bound, report_path):
     """Execute a scenario's events and assertions."""
-    try:
-        loaded = _load(scenario)
-        code, report = run_scenario(loaded, default_bound=bound)
-    except FiblexError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_STRUCTURAL)
+    code, report = run_scenario(_load(scenario), default_bound=bound)
     text = canonical_dumps(report)
     if report_path:
         Path(report_path).write_text(text)
@@ -63,12 +70,7 @@ def run(scenario, bound, report_path):
 @click.argument("scenario", type=click.Path(exists=True))
 def validate(scenario):
     """Check a scenario's declarations without running events."""
-    try:
-        loaded = _load(scenario)
-        report = validate_scenario(loaded)
-    except FiblexError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_STRUCTURAL)
+    report = validate_scenario(_load(scenario))
     click.echo(canonical_dumps(report), nl=False)
     sys.exit(0 if report["status"] == "ok" else EXIT_STRUCTURAL)
 
@@ -83,12 +85,7 @@ def validate(scenario):
 @click.option("--out", type=click.Path(), default=None, help="Write DOT here instead of stdout.")
 def export_dot_cmd(scenario, speaker, which, stage, bound, out):
     """Render a speaker's language or total category as DOT."""
-    try:
-        loaded = _load(scenario)
-        text = export_dot(loaded, speaker, which=which, stage=stage, default_bound=bound)
-    except FiblexError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_STRUCTURAL)
+    text = export_dot(_load(scenario), speaker, which=which, stage=stage, default_bound=bound)
     if out:
         Path(out).write_text(text)
     else:
@@ -101,12 +98,7 @@ def export_dot_cmd(scenario, speaker, which, stage, bound, out):
 @click.option("--explanation", required=True)
 def explain(scenario, speaker, explanation):
     """Validate a declared explanation against a declared speaker."""
-    try:
-        loaded = _load(scenario)
-        report = explain_report(loaded, speaker, explanation)
-    except FiblexError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_STRUCTURAL)
+    report = explain_report(_load(scenario), speaker, explanation)
     click.echo(canonical_dumps(report), nl=False)
 
 

@@ -18,20 +18,19 @@ edge are enumerated, and only the pairs in which at least one side is
 such a new word are glued. Its opposite is built alongside, from the
 base's opposite table (copied from the cached opposite when there is
 one) and the glued pairs reversed, so the grown category and its
-opposite are each other's cached opposites. An extended
-functor likewise keeps the base's values and actions and computes only
-the new words' actions. Finiteness is decided by one pass over the
-strongly connected components that the edges' targets reach. Apart from
-the C-level copies of the base's tables, the cost of adjoining grows
-with the new words and the base morphisms that meet them, not with the
-size of the base.
+opposite are each other's cached opposites. An extended functor likewise
+keeps the base's values and actions and computes only the new words'
+actions. Finiteness is decided by one walk per edge, from its target
+back towards its source. Apart from the C-level copies of the base's
+tables, the cost of adjoining grows with the new words and the base
+morphisms that meet them, not with the size of the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import (
     BaseMismatch,
@@ -48,6 +47,7 @@ from .fincat import (
     _derived,
     _opposite_compose,
     _pair_opposites,
+    _reach,
     discrete_category,
     tuple_name,
 )
@@ -128,10 +128,9 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
 
     Words can grow without bound exactly when some quiver edge can reach
     back to its own source through other quiver edges and non-identity
-    base morphisms, that is when both ends of an edge lie in one strongly
-    connected component of the graph of base arrows and edges (a loop
-    edge included). One pass finds the components of the part of that
-    graph the edges' targets reach. A quiver whose vertices differ from
+    base morphisms (a loop edge included), so there is one walk per edge,
+    from its target along base arrows and edges, over only the part of
+    the graph that the walk reaches. A quiver whose vertices differ from
     the objects, or with an edge between non-vertices, raises
     ``VertexMismatch``.
     """
@@ -146,51 +145,11 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
     out_edges = _edges_by_src(quiver)
 
     def arcs(v: str) -> list[str]:
-        # identities and other endomorphisms are loops, which join no two objects
+        # identities and other endomorphisms are loops, which reach nothing new
         return ([cat.tgt[m] for m in cat.by_src.get(v, ())]
                 + [quiver.etgt[e] for e in out_edges.get(v, ())])
 
-    component = _strong_components(quiver.etgt.values(), arcs)
-    return all(component.get(quiver.esrc[e]) != component[quiver.etgt[e]] for e in quiver.edges)
-
-
-def _strong_components(roots: Iterable[str], arcs: Callable[[str], list[str]]) -> dict[str, str]:
-    """The strongly connected component of each vertex reachable from
-    ``roots``, named by one of its vertices: Tarjan's algorithm (1972),
-    with an explicit stack so that long paths do not exhaust the
-    interpreter's."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    component: dict[str, str] = {}
-    open_: list[str] = []  # visited vertices not yet in a component
-    for root in roots:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        open_.append(root)
-        path = [(root, iter(arcs(root)))]
-        while path:
-            v, todo = path[-1]
-            for w in todo:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    open_.append(w)
-                    path.append((w, iter(arcs(w))))
-                    break
-                if w not in component:
-                    low[v] = min(low[v], index[w])
-            else:
-                path.pop()
-                if path:
-                    u = path[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = open_.pop()
-                        component[w] = v
-                        if w == v:
-                            break
-    return component
+    return not any(quiver.esrc[e] in _reach(arcs, quiver.etgt[e]) for e in quiver.edges)
 
 
 def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) -> CollageCategory:
@@ -220,9 +179,7 @@ def free_category_with_paths(
     is flagged non-closed whenever paths were actually cut off.
     """
     collage = _adjoin(discrete_category(q.vertices), q, bound, _path_name)
-    paths = {m: () for m in collage.base.morphisms}
-    paths.update((m, word.edges) for m, word in collage.new_words.items())
-    return collage.category, paths
+    return collage.category, {m: word.edges for m, word in collage.words.items()}
 
 
 def _path_name(word: Word) -> str:
@@ -328,7 +285,7 @@ def _adjoin(
 
 
 def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
-    return free_category_with_paths(q, bound)[0]
+    return _adjoin(discrete_category(q.vertices), q, bound, _path_name).category
 
 
 def extend_set_functor(

@@ -405,18 +405,13 @@ def opposite(cat: FinCategory) -> FinCategory:
     """Reverse every morphism. Identifiers are preserved, so the operation
     is an involution on the nose: the opposite is built once per category
     (a collage's together with the collage) and cached with it, and
-    ``opposite(opposite(cat)) is cat``."""
+    ``opposite(opposite(cat)) is cat``. The two share their endpoint and
+    identity tables, the endpoints swapped."""
     op = cat.__dict__.get("_opposite")
     if op is None:
-        op = FinCategory(
-            objects=cat.objects,
-            morphisms=cat.morphisms,
-            src=cat.tgt,
-            tgt=cat.src,
-            identity=cat.identity,
-            compose=_opposite_compose(cat),
-            closed=cat.closed,
-        )
+        op = _derived(FinCategory, objects=cat.objects, morphisms=cat.morphisms, src=cat.tgt,
+                      tgt=cat.src, identity=cat.identity, compose=_opposite_compose(cat),
+                      closed=cat.closed)
         _pair_opposites(cat, op)
     return op
 
@@ -440,28 +435,6 @@ def _pair_opposites(cat: FinCategory, op: FinCategory) -> None:
 
 def opposite_functor(fun: CatFunctor) -> CatFunctor:
     return CatFunctor(opposite(fun.dom), opposite(fun.cod), fun.omap, fun.mmap)
-
-
-# ---------------------------------------------------------------------------
-# union-find
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +484,7 @@ def set_limit(fun: SetFunctor) -> LimitCone:
         if base.tgt[m] != base.src[m]:
             entered.add(base.tgt[m])
 
-    reach = {o: _reach(successors, o) for o in order if arrows_from[o]}
+    reach = {o: _reach(successors.__getitem__, o) for o in order if arrows_from[o]}
     roots, covered = [], set()
     for o in order:
         mine = reach.get(o, {o})
@@ -559,12 +532,12 @@ def set_limit(fun: SetFunctor) -> LimitCone:
     return LimitCone(order=order, apex=frozenset(apex), witness=witness)
 
 
-def _reach(arcs: Mapping[_T, Iterable[_T]], start: _T) -> set[_T]:
+def _reach(arcs: Callable[[_T], Iterable[_T]], start: _T) -> set[_T]:
     """The nodes reachable from ``start``, itself included, where ``arcs``
-    maps every node to its successors."""
+    gives the successors of each node it reaches."""
     seen, stack = {start}, [start]
     while stack:
-        for t in arcs[stack.pop()]:
+        for t in arcs(stack.pop()):
             if t not in seen:
                 seen.add(t)
                 stack.append(t)

@@ -14,6 +14,7 @@ reductions are closed by ``fincat``'s reachability walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .errors import FiblexError, IdentifierClash
@@ -43,7 +44,7 @@ def type_order(basics: Iterable[str], pairs: Iterable[tuple[str, str]] = ()) -> 
     for a, b in pairs:
         above.setdefault(a, []).append(b)
         above.setdefault(b, [])
-    leq = {(a, b) for a in above for b in _reach(above, a)}
+    leq = {(a, b) for a in above for b in _reach(above.__getitem__, a)}
     for a, b in leq:
         if a != b and (b, a) in leq:
             raise FiblexError(f"order is not antisymmetric: {a} and {b} are equivalent")
@@ -139,24 +140,23 @@ def language_category_from_lexicon(
     for p in phrases:
         start.append(parse_type(p, lex.z_max))
         _check_type(f"phrase {p!r}", start[-1], lex.order, lex.z_max)
-    steps: dict[PgType, set[PgType]] = {}  # the types one contraction away
-    stack = list(start)
-    while stack:
-        t = stack.pop()
-        if t not in steps:
-            steps[t] = {shorter for _i, shorter in contractions(t, lex.order)}
-            stack += steps[t]
-    # contractions shorten, so no type reaches itself
-    reach = {t: _reach(steps, t) - {t} for t in steps}
 
-    names = {t: format_type(t) if t else "1" for t in steps}
+    @cache
+    def step(t: PgType) -> frozenset[PgType]:  # the types one contraction away
+        return frozenset(shorter for _i, shorter in contractions(t, lex.order))
+
+    types = set().union(*(_reach(step, t) for t in start))
+    # contractions shorten, so no type reaches itself
+    reach = {t: _reach(step, t) - {t} for t in types}
+
+    names = {t: format_type(t) if t else "1" for t in types}
     objects = frozenset(names.values())
     if len(objects) < len(names):  # format_type is injective, so a basic type is named 1
         raise IdentifierClash("the empty type and the basic type 1 share the object name 1")
     identity = {o: f"id_{o}" for o in objects}
     src = {i: o for o, i in identity.items()}
     tgt = dict(src)
-    for t in steps:
+    for t in types:
         for u in reach[t]:
             mid = f"{names[t]}→{names[u]}"
             if mid in src:

@@ -46,6 +46,10 @@ EXIT_PASS = 0
 EXIT_ASSERTION = 1
 EXIT_STRUCTURAL = 2
 
+# the kinds `evaluate_assertion` knows, as in the scenario schema
+_ASSERTION_KINDS = frozenset({"fibre-size", "morphism-count", "new-morphisms", "outcome",
+                              "explanation", "unchanged", "speakers-iso"})
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -181,11 +185,16 @@ def _check_references(scenario: Scenario) -> None:
         for key in ("learner", "teacher", "speaker"):
             if key in event and event[key] not in known:
                 raise ScenarioError(f"event {eid}: undeclared speaker {event[key]!r}")
+        if event["event"] == "paraphrasis" and "teacher" not in event:
+            raise ScenarioError(f"event {eid}: paraphrasis needs a teacher")
         if event["event"] == "paraphrasis" or event["event"] == "validate-explanation":
             name = event.get("explanation")
             if name not in scenario.explanations:
                 raise ScenarioError(f"event {eid}: undeclared explanation {name!r}")
-    for check in scenario.assertions:
+    for i, check in enumerate(scenario.assertions):
+        kind = check.get("assert")
+        if kind not in _ASSERTION_KINDS:
+            raise ScenarioError(f"assertion {_assertion_name(check, i)}: unknown kind {kind!r}")
         for key in ("speaker", "left", "right"):
             if key in check and check[key] not in known:
                 raise ScenarioError(f"assertion references undeclared speaker {check[key]!r}")

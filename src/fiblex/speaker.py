@@ -53,7 +53,7 @@ from .fincat import (
     LimitCone,
     SetFunctor,
     _derived,
-    _UnionFind,
+    _reach,
     opposite,
     opposite_functor,
     precompose,
@@ -324,12 +324,12 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
     sends ``(s, f)`` to ``(s, f∘g)`` and acts on F(L) as F does.
 
     Only the down-set of the word, the objects with an arrow into it,
-    gains elements, and the union-find runs only over the glued members
-    (none when the glue map is empty), so an element in no glued class
-    keeps its name. Only the graphs into the down-set, and out of an
-    object whose elements were renamed, are rebuilt; every other graph is
-    the learner's own, shared. Returns the speaker and the down-set, the
-    objects whose fibres may have changed.
+    gains elements, and only the links between glued members (none when
+    the glue map is empty) are walked to find the classes, so an element
+    in no glued class keeps its name. Only the graphs into the down-set,
+    and out of an object whose elements were renamed, are rebuilt; every
+    other graph is the learner's own, shared. Returns the speaker and the
+    down-set, the objects whose fibres may have changed.
     """
     lang, meaning = learner.language, learner.meaning
     ident = lang.identity[word]
@@ -341,27 +341,30 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
     renamed: dict[str, dict[str, str]] = {}  # object -> glued element -> its class name
     for obj in sorted(into_word):  # sorted, so that a clash is reported the same way on every run
         old = meaning.value[obj]
-        links = [(x, (glue[y], f)) for f in into_word[obj] for y, x in meaning.action[f].items()]
+        linked: dict = {}  # each glued member -> the members glued to it, both ways
+        for f in into_word[obj]:
+            for y, x in meaning.action[f].items():
+                p = (glue[y], f)
+                linked.setdefault(x, []).append(p)
+                linked.setdefault(p, []).append(x)
         glued: dict[tuple[str, str], str] = {}
         ren: dict[str, str] = {}
-        if links:
-            uf = _UnionFind(m for link in links for m in link)
-            for x, p in links:
-                uf.union(x, p)
-            classes: dict = {}
-            for m in uf.parent:
-                classes.setdefault(uf.find(m), []).append(m)
-            for cls in classes.values():
-                if obj == word:
-                    name = min(m[0] for m in cls if isinstance(m, tuple) and m[1] == ident)
-                else:
-                    name = min((m for m in cls if isinstance(m, str)),
-                               key=lambda m: pair_object_id(obj, m))
-                for m in cls:
-                    if isinstance(m, tuple):
-                        glued[m] = name
-                    elif m != name:
-                        ren[m] = name
+        classed: set = set()
+        for start in linked:  # each class is the members a walk from one of them reaches
+            if start in classed:
+                continue
+            cls = _reach(linked.__getitem__, start)
+            classed |= cls
+            if obj == word:
+                name = min(m[0] for m in cls if isinstance(m, tuple) and m[1] == ident)
+            else:
+                name = min((m for m in cls if isinstance(m, str)),
+                           key=lambda m: pair_object_id(obj, m))
+            for m in cls:
+                if isinstance(m, tuple):
+                    glued[m] = name
+                elif m != name:
+                    ren[m] = name
         # the classes of elements have distinct names, so a clash is a fresh pair's
         fibre = {ren.get(x, x) for x in old} if ren else set(old)
         fresh: dict[tuple[str, str], str] = {}

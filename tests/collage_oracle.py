@@ -6,8 +6,10 @@
 included, along its parts. ``fiblex.collage`` builds only the words with
 edges and glues only the pairs that involve one; the two must agree on
 every name, table, action and error. ``collage_is_finite_per_edge``
-decides finiteness by one search per edge, where ``fiblex.collage`` makes
-one pass over the strongly connected components.
+decides finiteness by one search per edge, as ``fiblex.collage`` does
+with its own walk; ``full_words`` lets the tests decide it without a
+search, by the pigeonhole principle: with ``n`` edges, a word of ``n + 1``
+edges uses some edge twice, and so runs round a cycle.
 
 ``normalize_word`` folds a raw alternating sequence of base morphisms and
 edges into normal form, and ``canonical_functor`` is the embedding of the
@@ -66,7 +68,36 @@ def full_collage(
     """Every word of the collage, by name, and the collage category."""
     if not collage_is_finite_per_edge(cat, quiver) and bound is None:
         raise UnboundedHomSet("collage has unboundedly long words; an edge bound is required")
+    words, truncated = full_words(cat, quiver, bound, name)
+    by_key = {(w.bases, w.edges): wid for wid, w in words.items()}
+    src = {wid: w.src for wid, w in words.items()}
+    tgt = {wid: w.tgt for wid, w in words.items()}
 
+    def glue(g_id: str, f_id: str) -> Optional[str]:
+        f, g = words[f_id], words[g_id]
+        if bound is not None and len(f.edges) + len(g.edges) > bound:
+            return None
+        junction = cat.compose_pair(g.bases[0], f.bases[-1])
+        return by_key[(f.bases[:-1] + (junction,) + g.bases[1:], f.edges + g.edges)]
+
+    category = FinCategory(
+        objects=cat.objects,
+        morphisms=frozenset(words),
+        src=src,
+        tgt=tgt,
+        identity={o: cat.identity[o] for o in cat.objects},
+        compose=compose_table(src, tgt, glue),
+        closed=not truncated,
+    )
+    return words, category
+
+
+def full_words(
+    cat: FinCategory, quiver: Quiver, bound: Optional[int], name: Callable[[Word], str]
+) -> tuple[dict[str, Word], bool]:
+    """Every normal-form word of up to ``bound`` edges (all of them when
+    ``bound`` is None, which must then be finitely many), by name, and
+    whether a longer word was cut off."""
     out_edges: dict[str, list[str]] = {v: [] for v in cat.objects}
     for q in sorted(quiver.edges):
         out_edges[quiver.esrc[q]].append(q)
@@ -75,14 +106,12 @@ def full_collage(
         out_bases[cat.src[c]].append(c)
 
     words: dict[str, Word] = {}
-    by_key: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
 
     def add(w: Word) -> None:
         wid = name(w)
         if wid in words:
             raise IdentifierClash(f"word name collision at {wid}")
         words[wid] = w
-        by_key[(w.bases, w.edges)] = wid
 
     level = [
         Word(bases=(m,), edges=(), src=cat.src[m], tgt=cat.tgt[m]) for m in sorted(cat.morphisms)
@@ -107,27 +136,7 @@ def full_collage(
         for w in nxt:
             add(w)
         level = nxt
-
-    src = {wid: w.src for wid, w in words.items()}
-    tgt = {wid: w.tgt for wid, w in words.items()}
-
-    def glue(g_id: str, f_id: str) -> Optional[str]:
-        f, g = words[f_id], words[g_id]
-        if bound is not None and len(f.edges) + len(g.edges) > bound:
-            return None
-        junction = cat.compose_pair(g.bases[0], f.bases[-1])
-        return by_key[(f.bases[:-1] + (junction,) + g.bases[1:], f.edges + g.edges)]
-
-    category = FinCategory(
-        objects=cat.objects,
-        morphisms=frozenset(words),
-        src=src,
-        tgt=tgt,
-        identity={o: cat.identity[o] for o in cat.objects},
-        compose=compose_table(src, tgt, glue),
-        closed=not truncated,
-    )
-    return words, category
+    return words, truncated
 
 
 def full_extension(

@@ -32,7 +32,6 @@ from fiblex.fincat import (
     FinCategory,
     Quiver,
     SetFunctor,
-    _UnionFind,
     natural_iso_check,
     opposite,
     validate_functor,
@@ -82,6 +81,27 @@ def discrete_quiver(vertices: Iterable[str]) -> Quiver:
 def underlying_quiver(cat: FinCategory) -> Quiver:
     """Forget composition: every morphism (identities included) becomes an edge."""
     return Quiver(cat.objects, cat.morphisms, dict(cat.src), dict(cat.tgt))
+
+
+class _UnionFind:
+    """Disjoint sets by parent pointers, kept here apart from the engine,
+    which finds its classes by reachability."""
+
+    def __init__(self, items: Iterable[str]):
+        self.parent = {x: x for x in items}
+
+    def find(self, x: str) -> str:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:  # path compression
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
 
 
 def blocks(uf: _UnionFind) -> dict[str, str]:

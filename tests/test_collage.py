@@ -10,6 +10,7 @@ from collage_oracle import (
     collage_is_finite_per_edge,
     full_collage,
     full_extension,
+    full_words,
     normalize_word,
 )
 from genlib import (
@@ -88,12 +89,14 @@ def test_an_edge_off_the_vertices_is_rejected():
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_one_component_pass_agrees_with_a_search_per_edge(seed):
+def test_finiteness_agrees_with_a_search_per_edge_and_with_long_words(seed):
     # Bases: acyclic free categories (and discrete ones), the idempotent
     # category, and the isomorphism a ⇄ b, whose base arrows close a cycle
     # on their own. Quiver edges are drawn freely: loops, parallel edges
     # and edges against the base arrows. Now and then an edge leaves the
     # vertices, or a vertex is dropped, and both sides must refuse alike.
+    # Apart from the search, the collage is infinite exactly when it has a
+    # word of one edge more than the quiver has, by the pigeonhole principle.
     rng = random.Random(seed)
     pick = rng.random()
     if pick < 0.15:
@@ -114,6 +117,10 @@ def test_one_component_pass_agrees_with_a_search_per_edge(seed):
             collage_is_finite(cat, quiver)
         return
     assert collage_is_finite(cat, quiver) == expected
+    n = len(edges)
+    if n <= 3:  # the words grow exponentially with the bound
+        words, _ = full_words(cat, quiver, n + 1, lambda w: repr((w.bases, w.edges)))
+        assert expected == all(len(w.edges) <= n for w in words.values())
 
 
 # --- fp_collage -----------------------------------------------------------------

@@ -110,6 +110,14 @@ def test_opposite_is_cached_as_an_involution():
         assert opposite(opposite_from_tables(op)) == op
 
 
+def test_opposite_shares_the_endpoint_tables_of_its_category():
+    # built opposites share their tables, as collage-built ones do
+    for cat in (discrete_category(["a", "b"]), arrow_category()):
+        op = opposite(cat)
+        assert op.src is cat.tgt and op.tgt is cat.src and op.identity is cat.identity
+        assert opposite(op) is cat
+
+
 def test_cached_indexes_are_derived_and_invisible():
     cat = chain_category()
     fresh = FinCategory(cat.objects, cat.morphisms, cat.src, cat.tgt, cat.identity, cat.compose)

@@ -591,6 +591,46 @@ def test_cli_structural_error_exits_two(tmp_path):
     assert result.exit_code == 2
 
 
+def _alice_bob_text(edit):
+    doc = json.loads((SCENARIOS / "alice-bob.json").read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+# (document, exit codes of run, validate, export-dot and explain)
+EXIT_CODE_CASES = {
+    "passing": (_alice_bob_text(lambda doc: None), (0, 0, 0, 0)),
+    "failing-assertion": (_alice_bob_text(lambda doc: doc["assertions"].append(
+        {"assert": "fibre-size", "speaker": "bob", "object": "cat", "equals": 99})), (1, 0, 0, 0)),
+    "malformed-json": ("{bad", (2, 2, 2, 2)),
+    "unknown-assertion-kind": (_alice_bob_text(
+        lambda doc: doc["assertions"][0].update({"assert": "fibre-sise"})), (2, 2, 2, 2)),
+    "paraphrasis-without-teacher": (_alice_bob_text(
+        lambda doc: doc["events"][0].pop("teacher")), (2, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODE_CASES))
+def test_cli_exit_codes_are_pass_assertion_and_structural(case, tmp_path):
+    # 0 pass, 1 a failed assertion (only `run` evaluates them), 2 a file or
+    # structural error, which every command reports as `error: …` on stderr
+    text, codes = EXIT_CODE_CASES[case]
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    commands = [
+        ["run", str(path)],
+        ["validate", str(path)],
+        ["export-dot", str(path), "--speaker", "bob"],
+        ["explain", str(path), "--speaker", "alice", "--explanation", "cat-as-cursed-black-feline"],
+    ]
+    for args, code in zip(commands, codes):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == code, (args[0], result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if code == 2:
+            assert result.stderr.startswith("error: "), (args[0], result.stderr)
+
+
 def test_cli_export_dot_and_explain():
     runner = CliRunner()
     result = runner.invoke(

@@ -20,7 +20,6 @@ from fiblex.fincat import (
     CatFunctor,
     FinCategory,
     SetFunctor,
-    _UnionFind,
     discrete_category,
     opposite,
     quiver_from_edges,
@@ -740,16 +739,17 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
 def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeypatch):
     # A plain and a merged example over W, whose down-set is W, X and Y,
     # are run, then run again with a disconnected chain z0 → … → z5 added
-    # to the language: the entries of the rebuilt graphs, the union-find
-    # members and the objects the report inspects must not move, and every
-    # chain graph must be the learner's own.
+    # to the language: the entries of the rebuilt graphs, the members the
+    # class walk reaches and the objects the report inspects must not move,
+    # and every chain graph must be the learner's own.
     members, inspected = [], []
-    union_find_init = _UnionFind.__init__
+    reach = speaker_module._reach
     report = speaker_module._report
 
-    def counted_union_find(self, items):
-        union_find_init(self, items)
-        members.append(len(self.parent))
+    def counted_reach(arcs, start):
+        out = reach(arcs, start)
+        members.append(len(out))
+        return out
 
     def recorded_report(learner, out, changed, *args, **kwargs):
         inspected.append(sorted(changed))
@@ -788,7 +788,7 @@ def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeyp
             counts[kind] = (rebuilt, list(members), list(inspected))
         return counts
 
-    monkeypatch.setattr(_UnionFind, "__init__", counted_union_find)
+    monkeypatch.setattr(speaker_module, "_reach", counted_reach)
     monkeypatch.setattr(speaker_module, "_report", recorded_report)
     small = learn(0)
     assert small["plain"][0] > 0 and small["merged"][0] > 0
