@@ -12,24 +12,29 @@ themselves. Composition is concatenation followed by folding the two
 base morphisms that meet at the junction. The free category on a quiver
 is the collage of the discrete category on its vertices.
 
-The collage is built from the delta, as in semi-naive evaluation: the
-base's tables are copied as they stand, only the words with at least one
-edge are enumerated, and only the pairs in which at least one side is
-such a new word are glued. Its opposite is built alongside, from the
-base's opposite table (copied from the cached opposite when there is
-one) and the glued pairs reversed, so the grown category and its
-opposite are each other's cached opposites. An extended functor likewise
-keeps the base's values and actions and computes only the new words'
-actions. Finiteness is decided by one walk per edge, from its target
-back towards its source. Apart from the C-level copies of the base's
-tables, the cost of adjoining grows with the new words and the base
-morphisms that meet them, not with the size of the base.
+The collage is built from the delta, as in semi-naive evaluation. Only
+the words with at least one edge are enumerated, as plain tuples and
+level by level, and they are named, checked for clashes and given their
+endpoints at once. The composition table is glued on its first read:
+the base's table is copied, and only the pairs in which at least one
+side is a new word are glued. Its opposite is glued in the same pass,
+from the base's opposite table (copied from the cached opposite when
+there is one) and the glued pairs reversed, and the grown category and
+its opposite are each other's cached opposites. A collage that is only
+walked, such as an explanation's free shape whose diagram is checked and
+limited along its edges, never glues. An extended functor keeps the
+base's values and actions and computes only the new words' actions.
+Finiteness needs no walk of its own: a collage is infinite exactly when
+some word uses an edge twice, which the enumeration sees. Apart from the
+C-level copies of the base's tables, the cost of adjoining grows with
+the new words and the base morphisms that meet them, not with the size
+of the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Optional
 
 from .errors import (
@@ -47,10 +52,12 @@ from .fincat import (
     _derived,
     _opposite_compose,
     _pair_opposites,
-    _reach,
     discrete_category,
     tuple_name,
 )
+
+# a word with edges as its base morphisms and its edges, ``len(bases) == len(edges) + 1``
+Spelling = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,19 @@ def word_id(cat: FinCategory, word: Word) -> str:
     (the normal form pins them down), so the generator word of an edge
     is named by the edge itself.
     """
-    if not word.edges:
-        return word.bases[0]
-    shown = [i for kind, i in word.parts() if kind == "edge" or not cat.is_identity(i)]
-    if len(shown) == 1:
-        return shown[0]
-    return tuple_name(shown)
+    return _word_id(cat, word.bases, word.edges)
+
+
+def _word_id(cat: FinCategory, bases: tuple[str, ...], edges: tuple[str, ...]) -> str:
+    """``word_id`` of the word with these base morphisms and edges."""
+    if not edges:
+        return bases[0]
+    shown = [] if cat.is_identity(bases[0]) else [bases[0]]
+    for q, c in zip(edges, bases[1:]):
+        shown.append(q)
+        if not cat.is_identity(c):
+            shown.append(c)
+    return shown[0] if len(shown) == 1 else tuple_name(shown)
 
 
 @dataclass(frozen=True)
@@ -97,18 +111,24 @@ class CollageCategory:
     """A finite category together with the collage data it was built from.
 
     ``category`` contains every normal-form word as a morphism.
-    ``new_words`` maps the morphisms that use at least one quiver edge to
-    their words, and ``words`` maps every morphism to its word; its 0-edge
-    words, one per base morphism, are built on first read. A non-closed
-    collage was truncated at an edge-count bound and refuses out-of-bound
-    composition.
+    ``spellings`` maps the morphisms that use at least one quiver edge to
+    their base morphisms and edges. ``new_words`` maps the same morphisms
+    to their words and ``words`` every morphism, its 0-edge words one per
+    base morphism; both are built on first read. A non-closed collage was
+    truncated at an edge-count bound and refuses out-of-bound composition.
     """
 
     base: FinCategory
     quiver: Quiver
-    new_words: dict[str, Word]
+    spellings: dict[str, Spelling]
     category: FinCategory
     closed: bool
+
+    @cached_property
+    def new_words(self) -> dict[str, Word]:
+        src, tgt = self.base.src, self.base.tgt
+        return {m: Word(bases=bases, edges=edges, src=src[bases[0]], tgt=tgt[bases[-1]])
+                for m, (bases, edges) in self.spellings.items()}
 
     @cached_property
     def words(self) -> dict[str, Word]:
@@ -120,7 +140,7 @@ class CollageCategory:
 
     def edge_words(self) -> list[str]:
         """Morphisms that use at least one quiver edge, sorted."""
-        return sorted(self.new_words)
+        return sorted(self.spellings)
 
 
 def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
@@ -128,28 +148,18 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
 
     Words can grow without bound exactly when some quiver edge can reach
     back to its own source through other quiver edges and non-identity
-    base morphisms (a loop edge included), so there is one walk per edge,
-    from its target along base arrows and edges, over only the part of
-    the graph that the walk reaches. A quiver whose vertices differ from
-    the objects, or with an edge between non-vertices, raises
+    base morphisms (a loop edge included). Such an edge appears twice in
+    some word, and no word of a finite collage uses an edge twice, so the
+    answer is whether the words can be enumerated until none is left
+    without one that would repeat an edge. A quiver whose vertices differ
+    from the objects, or with an edge between non-vertices, raises
     ``VertexMismatch``.
     """
-    if quiver.vertices != cat.objects:
-        raise VertexMismatch("quiver must share the category's objects")
-    for e in sorted(quiver.edges):
-        if quiver.esrc[e] not in cat.objects or quiver.etgt[e] not in cat.objects:
-            raise VertexMismatch(
-                f"quiver edge {e} runs from {quiver.esrc[e]} to {quiver.etgt[e]}, "
-                "which are not both vertices"
-            )
-    out_edges = _edges_by_src(quiver)
-
-    def arcs(v: str) -> list[str]:
-        # identities and other endomorphisms are loops, which reach nothing new
-        return ([cat.tgt[m] for m in cat.by_src.get(v, ())]
-                + [quiver.etgt[e] for e in out_edges.get(v, ())])
-
-    return not any(quiver.esrc[e] in _reach(arcs, quiver.etgt[e]) for e in quiver.edges)
+    try:
+        _spell(cat, quiver, None)
+    except UnboundedHomSet:
+        return False
+    return True
 
 
 def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) -> CollageCategory:
@@ -164,128 +174,157 @@ def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) ->
     by ``word_id``. A base that is itself truncated raises
     ``BoundExceeded`` at its first missing composite.
     """
-    return _adjoin(cat, quiver, bound, lambda word: word_id(cat, word))
+    return _adjoin(cat, quiver, bound, lambda bases, edges: _word_id(cat, bases, edges))
 
 
-def free_category_with_paths(
-    q: Quiver, bound: Optional[int] = None
-) -> tuple[FinCategory, dict[str, tuple[str, ...]]]:
-    """Free category on a quiver, plus the edge sequence behind each morphism.
+def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
+    """The free category on a quiver, the collage of the discrete category
+    on its vertices with the quiver.
 
-    This is the collage of the discrete category on the vertices with the
-    quiver. The empty path at ``v`` is named ``id_v`` and the path
-    ``(e1, e2)`` is named ``e2∘e1``. A cyclic quiver has infinitely many
-    paths, so a ``bound`` on path length is then required and the result
-    is flagged non-closed whenever paths were actually cut off.
+    The empty path at ``v`` is named ``id_v`` and the path ``(e1, e2)``
+    ``e2∘e1``; the category's ``paths`` give the edge sequence behind each
+    morphism. A cyclic quiver has infinitely many paths, so a ``bound`` on
+    path length is then required and the result is flagged non-closed
+    whenever paths were actually cut off.
     """
-    collage = _adjoin(discrete_category(q.vertices), q, bound, _path_name)
-    return collage.category, {m: word.edges for m, word in collage.words.items()}
+    base = discrete_category(q.vertices)
+    collage = _adjoin(base, q, bound, _path_name)
+    paths = {i: () for i in base.identity.values()}
+    for m, (_, edges) in collage.spellings.items():
+        paths[m] = edges
+    object.__setattr__(collage.category, "_paths", paths)
+    return collage.category
 
 
-def _path_name(word: Word) -> str:
-    return "∘".join(reversed(word.edges)) if word.edges else word.bases[0]
+def _path_name(bases: tuple[str, ...], edges: tuple[str, ...]) -> str:
+    return "∘".join(reversed(edges))
 
 
-def _edges_by_src(quiver: Quiver) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for q in sorted(quiver.edges):
-        out.setdefault(quiver.esrc[q], []).append(q)
-    return out
+def _spell(cat: FinCategory, quiver: Quiver, bound: Optional[int]) -> tuple[list[Spelling], bool]:
+    """The words of the collage that use an edge, fewest edges first, and
+    whether some were cut off at ``bound`` edges.
+
+    Each level extends the last by an edge and a base morphism. Without a
+    bound, a word that would use an edge twice raises ``UnboundedHomSet``:
+    that edge runs round a cycle. Otherwise every word uses each edge at
+    most once, so the enumeration ends. A quiver whose vertices differ
+    from the objects, or with an edge between non-vertices, first raises
+    ``VertexMismatch``."""
+    if quiver.vertices != cat.objects:
+        raise VertexMismatch("quiver must share the category's objects")
+    esrc, etgt = quiver.esrc, quiver.etgt
+    edges = sorted(quiver.edges)
+    out_edges: dict[str, list[str]] = {}
+    for e in edges:
+        if esrc[e] not in cat.objects or etgt[e] not in cat.objects:
+            raise VertexMismatch(
+                f"quiver edge {e} runs from {esrc[e]} to {etgt[e]}, which are not both vertices"
+            )
+        out_edges.setdefault(esrc[e], []).append(e)
+    out_bases, base_tgt = cat.by_src, cat.tgt
+    level = [
+        ((c0, c1), (q,))
+        for q in edges
+        for c0 in cat.by_tgt.get(esrc[q], ())
+        for c1 in out_bases.get(etgt[q], ())
+    ]
+    words: list[Spelling] = []
+    edge_count = 0
+    while level:
+        edge_count += 1
+        if bound is not None and edge_count > bound:
+            return words, True
+        words += level
+        nxt = []
+        for bases, used in level:
+            for q in out_edges.get(base_tgt[bases[-1]], ()):
+                if bound is None and q in used:
+                    raise UnboundedHomSet(
+                        "collage has unboundedly long words; an edge bound is required"
+                    )
+                longer = used + (q,)
+                nxt += [(bases + (c,), longer) for c in out_bases.get(etgt[q], ())]
+        level = nxt
+    return words, False
 
 
 def _adjoin(
-    cat: FinCategory, quiver: Quiver, bound: Optional[int], name: Callable[[Word], str]
+    cat: FinCategory,
+    quiver: Quiver,
+    bound: Optional[int],
+    name: Callable[[tuple[str, ...], tuple[str, ...]], str],
 ) -> CollageCategory:
     """The collage of ``cat`` and ``quiver`` with each word named by
-    ``name``; a word named like a base morphism or like another word
-    raises IdentifierClash.
+    ``name(bases, edges)``; a word named like a base morphism or like
+    another word raises IdentifierClash.
 
     The 0-edge words are the base morphisms under their own names, so
-    ``src``, ``tgt`` and ``compose`` start as copies of the base tables.
-    Words with edges are enumerated level by level, each level extending
-    the last by an edge and a base morphism; a pair is glued only when at
-    least one side is such a word. The collage's opposite is built with
-    it, each glued pair written reversed into a copy of the base's
-    opposite table, and the two are cached as each other's opposites;
-    both share the endpoint tables, swapped."""
-    finite = collage_is_finite(cat, quiver)
-    if not finite and bound is None:
-        raise UnboundedHomSet("collage has unboundedly long words; an edge bound is required")
-
-    out_edges = _edges_by_src(quiver)
-    out_bases, into_bases = cat.by_src, cat.by_tgt
-    words: dict[str, Word] = {}
-    by_key: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
-    nxt = [
-        Word(bases=(c0, c1), edges=(q,), src=cat.src[c0], tgt=cat.tgt[c1])
-        for q in sorted(quiver.edges)
-        for c0 in into_bases.get(quiver.esrc[q], ())
-        for c1 in out_bases.get(quiver.etgt[q], ())
-    ]
-    edge_count = 0
-    truncated = False
-    while nxt:
-        edge_count += 1
-        if bound is not None and edge_count > bound:
-            truncated = True
-            break
-        for w in nxt:
-            wid = name(w)
-            if wid in words or wid in cat.morphisms:
-                raise IdentifierClash(f"word name collision at {wid}")
-            words[wid] = w
-            by_key[(w.bases, w.edges)] = wid
-        nxt = [
-            Word(bases=w.bases + (c,), edges=w.edges + (q,), src=w.src, tgt=cat.tgt[c])
-            for w in nxt
-            for q in out_edges.get(w.tgt, ())
-            for c in out_bases.get(quiver.etgt[q], ())
-        ]
+    ``src`` and ``tgt`` start as copies of the base tables and only the
+    words with edges are added. The collage and its opposite share the
+    endpoint tables, swapped, and are cached as each other's opposites;
+    their composition tables are glued together by ``_glue`` on the first
+    read of either."""
+    spelled, truncated = _spell(cat, quiver, bound)
+    spellings: dict[str, Spelling] = {}
+    for bases, edges in spelled:
+        wid = name(bases, edges)
+        if wid in spellings or wid in cat.morphisms:
+            raise IdentifierClash(f"word name collision at {wid}")
+        spellings[wid] = (bases, edges)
     if not cat.closed:
         for g, f in cat.composable_pairs():
             cat.compose_pair(g, f)  # raises at the first composite the base lacks
 
     src, tgt = dict(cat.src), dict(cat.tgt)
-    new_out: dict[str, list[str]] = {}
-    for wid, w in words.items():
-        src[wid] = w.src
-        tgt[wid] = w.tgt
-        new_out.setdefault(w.src, []).append(wid)
+    base_src, base_tgt = cat.src, cat.tgt
+    for wid, (bases, _) in spellings.items():
+        src[wid] = base_src[bases[0]]
+        tgt[wid] = base_tgt[bases[-1]]
+    closed = not truncated
+    morphisms = cat.morphisms.union(spellings)
+    category = _derived(FinCategory, objects=cat.objects, morphisms=morphisms, src=src, tgt=tgt,
+                        identity=cat.identity, closed=closed)
+    op = _derived(FinCategory, objects=cat.objects, morphisms=morphisms, src=tgt, tgt=src,
+                  identity=cat.identity, closed=closed)
+    _pair_opposites(category, op, partial(_glue, cat, spellings, bound))
+    return _derived(CollageCategory, base=cat, quiver=quiver, spellings=spellings,
+                    category=category, closed=closed)
 
+
+def _glue(
+    cat: FinCategory, spellings: dict[str, Spelling], bound: Optional[int]
+) -> tuple[dict[tuple[str, str], str], dict[tuple[str, str], str]]:
+    """The composition tables of a collage of ``cat`` and of its opposite.
+
+    Both start as copies of the base's tables; a pair is glued, into both,
+    only when at least one side is a word with edges, and left out when
+    the two together have more than ``bound`` edges."""
+    out_bases, into_bases = cat.by_src, cat.by_tgt
+    by_key = {spelling: wid for wid, spelling in spellings.items()}
+    new_out: dict[str, list[str]] = {}
+    for wid, (bases, _) in spellings.items():
+        new_out.setdefault(cat.src[bases[0]], []).append(wid)
     compose, compose_op = dict(cat.compose), _opposite_compose(cat)
 
     def glue(g_id: str, f_id: str) -> None:
-        f, g = words.get(f_id), words.get(g_id)
-        f_bases, f_edges = (f.bases, f.edges) if f else ((f_id,), ())
-        g_bases, g_edges = (g.bases, g.edges) if g else ((g_id,), ())
+        f_bases, f_edges = spellings.get(f_id) or ((f_id,), ())
+        g_bases, g_edges = spellings.get(g_id) or ((g_id,), ())
         if bound is not None and len(f_edges) + len(g_edges) > bound:
             return  # outside the truncation
         junction = cat.compose_pair(g_bases[0], f_bases[-1])
         gf = by_key[(f_bases[:-1] + (junction,) + g_bases[1:], f_edges + g_edges)]
         compose[(g_id, f_id)] = compose_op[(f_id, g_id)] = gf
 
-    for f_id, f in words.items():
-        for g_id in out_bases.get(f.tgt, ()):
+    for f_id, (bases, _) in spellings.items():
+        t = cat.tgt[bases[-1]]
+        for g_id in out_bases.get(t, ()):
             glue(g_id, f_id)
-        for g_id in new_out.get(f.tgt, ()):
+        for g_id in new_out.get(t, ()):
             glue(g_id, f_id)
-    for g_id, g in words.items():
-        for f_id in into_bases.get(g.src, ()):
+    for g_id, (bases, _) in spellings.items():
+        for f_id in into_bases.get(cat.src[bases[0]], ()):
             glue(g_id, f_id)
-
-    closed = not truncated
-    morphisms = cat.morphisms.union(words)
-    category = _derived(FinCategory, objects=cat.objects, morphisms=morphisms, src=src, tgt=tgt,
-                        identity=cat.identity, compose=compose, closed=closed)
-    _pair_opposites(category, _derived(
-        FinCategory, objects=cat.objects, morphisms=morphisms, src=tgt, tgt=src,
-        identity=cat.identity, compose=compose_op, closed=closed))
-    return CollageCategory(base=cat, quiver=quiver, new_words=words, category=category,
-                           closed=closed)
-
-
-def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
-    return _adjoin(discrete_category(q.vertices), q, bound, _path_name).category
+    return compose, compose_op
 
 
 def extend_set_functor(

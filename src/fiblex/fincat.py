@@ -8,9 +8,11 @@ the tables inside them are shared freely: a grown category starts from
 copies of its parent's tables, and a grown functor keeps its parent's
 value table and action graphs. A category also caches what it derives
 from its tables, on first read and per instance: its morphisms by source
-and by target, and its opposite. The dataclasses are frozen but the
-dicts inside them are not, so tables must never be mutated once they are
-handed over.
+and by target, and its opposite. A category that a collage built (see
+``fiblex.collage``) also glues its composition table, and its
+opposite's, on the first read of either; every reader, ``==`` included,
+sees the whole table. The dataclasses are frozen but the dicts inside
+them are not, so tables must never be mutated once they are handed over.
 """
 
 from __future__ import annotations
@@ -43,7 +45,11 @@ class FinCategory:
     ``by_src``, ``by_tgt`` and ``opposite(cat)`` are derived from the
     tables on first read and cached with the instance; they take no part
     in equality, hashing or ``repr``. A hash reads only the object and
-    morphism sets and ``closed``, which equal categories share.
+    morphism sets and ``closed``, which equal categories share. A
+    category built by a collage may hold its ``compose`` table unglued
+    until the first read (``_pair_opposites``), and one built by
+    ``free_category`` knows the edge sequence behind each morphism
+    (``paths``).
     """
 
     objects: frozenset[str]
@@ -64,6 +70,12 @@ class FinCategory:
 
     def __hash__(self) -> int:
         return hash((self.objects, self.morphisms, self.closed))
+
+    @property
+    def paths(self) -> Optional[dict[str, tuple[str, ...]]]:
+        """The edge sequence behind each morphism, identities as ``()``, when
+        ``free_category`` built the category; None for any other category."""
+        return self.__dict__.get("_paths")
 
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src.get(m)) == m and self.src[m] == self.tgt[m]
@@ -110,6 +122,28 @@ class FinCategory:
         for f in sorted(self.morphisms):
             for g in self.by_src.get(self.tgt[f], ()):
                 yield g, f
+
+
+class _GluedOnRead:
+    """``FinCategory.compose`` where the instance holds no table yet: the
+    table its pending glue (see ``_pair_opposites``) sets on first read.
+    A table in the instance dict is found before this descriptor, so a
+    category that holds its table reads it at full speed."""
+
+    def __get__(self, cat, owner=None):
+        if cat is None:
+            return self
+        pending = cat.__dict__.get("_glue")
+        if pending is None:
+            raise AttributeError("compose")
+        first, second, glue = pending
+        for c, table in zip((first, second), glue()):
+            object.__setattr__(c, "compose", table)
+            del c.__dict__["_glue"]
+        return cat.__dict__["compose"]
+
+
+FinCategory.compose = _GluedOnRead()  # set after the dataclass, so that no field default is seen
 
 
 @dataclass(frozen=True)
@@ -249,18 +283,15 @@ def compose_table(
 
 
 def discrete_category(objects: Iterable[str]) -> FinCategory:
-    """The category with the given objects and only identity morphisms."""
-    objs = sorted(set(objects))
-    identity = {o: f"id_{o}" for o in objs}
-    src = {identity[o]: o for o in objs}
-    return FinCategory(
-        objects=frozenset(objs),
-        morphisms=frozenset(identity.values()),
-        src=src,
-        tgt=dict(src),
-        identity=identity,
-        compose=compose_table(src, src, lambda g, f: g),
-    )
+    """The category with the given objects and only identity morphisms,
+    built with its indexes by source and by target."""
+    objs = frozenset(objects)
+    identity = {o: f"id_{o}" for o in sorted(objs)}
+    src = {i: o for o, i in identity.items()}
+    by_end = {o: [i] for o, i in identity.items()}
+    return _derived(FinCategory, objects=objs, morphisms=frozenset(src), src=src, tgt=src,
+                    identity=identity, compose={(i, i): i for i in src}, closed=True,
+                    by_src=by_end, by_tgt=by_end)
 
 
 def terminal_category(obj: str = "pt") -> FinCategory:
@@ -276,7 +307,8 @@ def quiver_from_edges(vertices: Iterable[str], edges: Iterable[tuple[str, str, s
             raise IdentifierClash(f"edge id {e} is given twice")
         esrc[e] = s
         etgt[e] = t
-    return Quiver(frozenset(vertices), frozenset(esrc), esrc, etgt)
+    return _derived(Quiver, vertices=frozenset(vertices), edges=frozenset(esrc), esrc=esrc,
+                    etgt=etgt)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +458,22 @@ def _opposite_compose(cat: FinCategory) -> dict[tuple[str, str], str]:
     return {(g, f): x for (f, g), x in cat.compose.items()}
 
 
-def _pair_opposites(cat: FinCategory, op: FinCategory) -> None:
+def _pair_opposites(
+    cat: FinCategory,
+    op: FinCategory,
+    glue: Optional[Callable[[], tuple[dict, dict]]] = None,
+) -> None:
     """Cache ``op`` as the opposite of ``cat`` and ``cat`` as that of ``op``;
-    the two must have reversed tables."""
+    the two must have reversed tables. With ``glue`` the two are built
+    without composition tables: the first read of either's ``compose``
+    calls ``glue()`` once for the tables of ``cat`` and of ``op``, and
+    sets both."""
     object.__setattr__(op, "_opposite", cat)
     object.__setattr__(cat, "_opposite", op)
+    if glue is not None:
+        pending = (cat, op, glue)
+        object.__setattr__(cat, "_glue", pending)
+        object.__setattr__(op, "_glue", pending)
 
 
 def opposite_functor(fun: CatFunctor) -> CatFunctor:
@@ -579,22 +622,31 @@ def _join_root(
             if not own:
                 return [], {"kind": "arrow", "root": root, "morphism": m}
 
+    if not cols:  # the first root of a block: its rows are the block's
+        cols += reached
+        return own, None
     shared = [o for o in cols if o in at]
     fresh = [at[o] for o in reached if o not in shared]
-    index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    own_key, extra_of = _picker([at[o] for o in shared]), _picker(fresh)
+    index: dict = {}
     for row in own:
-        key = tuple(row[at[o]] for o in shared)
-        index.setdefault(key, []).append(tuple(row[k] for k in fresh))
-    key_at = [cols.index(o) for o in shared]
-    joined = [
-        row + extra
-        for row in rows
-        for extra in index.get(tuple(row[k] for k in key_at), ())
-    ]
+        index.setdefault(own_key(row), []).append(extra_of(row))
+    key = _picker([cols.index(o) for o in shared])
+    joined = [row + extra for row in rows for extra in index.get(key(row), ())]
     cols += [reached[k] for k in fresh]
     if not joined:
         return [], {"kind": "join", "root": root, "shared": shared}
     return joined, None
+
+
+def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The function that picks the entries at ``positions`` of a row, as a tuple."""
+    if len(positions) == 1:
+        at = positions[0]
+        return lambda row: (row[at],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
 
 
 def natural_iso_check(

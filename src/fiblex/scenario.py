@@ -50,6 +50,19 @@ EXIT_STRUCTURAL = 2
 _ASSERTION_KINDS = frozenset({"fibre-size", "morphism-count", "new-morphisms", "outcome",
                               "explanation", "unchanged", "speakers-iso"})
 
+# The keys each kind of declaration requires, by what is declared and its
+# kind. An explanation is tautological or given by a diagram; a shape has
+# the kinds of a category declaration.
+_REQUIRED_KEYS = {
+    ("explanation", "tautological"): ("speaker", "target"),
+    ("explanation", "diagram"): ("language", "shape", "target", "diagram"),
+    ("shape", "discrete"): ("objects",),
+    ("shape", "terminal"): (),
+    ("shape", "free"): ("vertices", "edges"),
+    ("shape", "pregroup"): ("basics", "phrases"),
+    ("shape", "explicit"): ("objects",),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -178,8 +191,27 @@ def load_scenario(doc: dict) -> Scenario:
     return scenario
 
 
+def _missing_key(decl: dict, what: str, kind: str) -> Optional[str]:
+    """The first key that ``_REQUIRED_KEYS`` asks of this declaration and
+    that it lacks; an unknown kind asks for none."""
+    return next((k for k in _REQUIRED_KEYS.get((what, kind), ()) if k not in decl), None)
+
+
 def _check_references(scenario: Scenario) -> None:
     known = set(scenario.speakers)
+    for name, decl in scenario.explanations.items():
+        kind = "tautological" if decl.get("kind") == "tautological" else "diagram"
+        key = _missing_key(decl, "explanation", kind)
+        if key is not None:
+            raise ScenarioError(f"explanation {name}: missing key {key!r}")
+        if kind == "tautological":
+            if decl["speaker"] not in known:
+                raise ScenarioError(f"explanation {name}: undeclared speaker {decl['speaker']!r}")
+            continue
+        shape_kind = decl["shape"].get("kind", "explicit")
+        key = _missing_key(decl["shape"], "shape", shape_kind)
+        if key is not None:
+            raise ScenarioError(f"explanation {name}: {shape_kind} shape is missing key {key!r}")
     for event in scenario.events:
         eid = event["id"]
         for key in ("learner", "teacher", "speaker"):

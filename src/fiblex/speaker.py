@@ -224,6 +224,75 @@ def _acts_on_its_fibres(speaker: Speaker, diagram: CatFunctor) -> bool:
     )
 
 
+def _limit_along_edges(speaker: Speaker, explanation: Explanation) -> Optional[LimitCone]:
+    """The limit of the explanation's composite meaning, taken over the
+    generating edges of a free shape, or None when that does not apply.
+
+    On a shape that ``free_category`` built, closed like the language, a
+    diagram is a functor exactly when it maps each object and morphism
+    into the language, keeps endpoints and identities, and sends each path
+    to the composite of its edges' images (Mac Lane, II.7). Such a diagram
+    has no problems, and a cone over it is a cone over its edges alone, so
+    the limit needs neither the shape's composition table nor its paths.
+    None means that the shape is not such a shape, or the diagram no
+    functor on it: the caller takes the whole shape.
+    """
+    shape, diagram, lang = explanation.shape, explanation.diagram, speaker.language
+    paths = shape.paths
+    if (paths is None or not (shape.closed and lang.closed) or diagram.dom is not shape
+            or diagram.cod is not lang or not _preserves_paths(diagram, paths)):
+        return None
+    return set_limit(_along_edges(speaker, diagram, paths))
+
+
+def _preserves_paths(diagram: CatFunctor, paths: Mapping[str, tuple[str, ...]]) -> bool:
+    """Whether a diagram on a free shape with these ``paths`` is a functor
+    into its closed codomain: the checks of ``validate_functor``, with one
+    fold of the edges' images per morphism, from the identity at its
+    source, for its checks per identity and per compose entry."""
+    dom, cod, omap, mmap = diagram.dom, diagram.cod, diagram.omap, diagram.mmap
+    if any(omap.get(o) not in cod.objects for o in dom.objects):
+        return False
+    morphisms, compose, identity = cod.morphisms, cod.compose, cod.identity
+    for m, path in paths.items():
+        fm, s = mmap.get(m), omap[dom.src[m]]
+        if fm not in morphisms or cod.src[fm] != s or cod.tgt[fm] != omap[dom.tgt[m]]:
+            return False
+        image = identity[s]
+        for e in path:
+            image = compose.get((mmap.get(e), image))
+        if image != fm:
+            return False
+    return True
+
+
+def _along_edges(speaker: Speaker, diagram: CatFunctor,
+                 paths: Mapping[str, tuple[str, ...]]) -> SetFunctor:
+    """The composite meaning of a functorial diagram on a free shape,
+    restricted to the opposite of its generating edges: the opposite free
+    category truncated at one edge, whose composites are those with an
+    identity."""
+    shape, meaning = diagram.dom, speaker.meaning
+    identity = shape.identity
+    src = {i: o for o, i in identity.items()}
+    tgt = dict(src)
+    compose = {(i, i): i for i in src}
+    for m, path in paths.items():
+        if len(path) == 1:  # an edge, reversed
+            s = src[m] = shape.tgt[m]
+            t = tgt[m] = shape.src[m]
+            compose[m, identity[s]] = compose[identity[t], m] = m
+    base = _derived(FinCategory, objects=shape.objects, morphisms=frozenset(src), src=src,
+                    tgt=tgt, identity=identity, compose=compose,
+                    closed=len(src) == len(paths))
+    return _derived(
+        SetFunctor,
+        base=base,
+        value={a: meaning.value[diagram.omap[a]] for a in shape.objects},
+        action={m: meaning.action[diagram.mmap[m]] for m in src},
+    )
+
+
 def validate_explanation(speaker: Speaker, explanation: Explanation) -> ExplanationCheck:
     """Compute the limit of the explanation and compare it to the fibre.
 
@@ -237,17 +306,21 @@ def validate_explanation(speaker: Speaker, explanation: Explanation) -> Explanat
     acts on the whole fibre it is read from. When it does not (an object or
     arrow sent outside the language, or an arrow whose action is defined on
     another fibre), no limit is computed: the check is invalid, lists the
-    problems and carries an empty cone.
+    problems and carries an empty cone. A functorial diagram on a free
+    shape is checked and limited along its edges (``_limit_along_edges``).
     """
     if explanation.target not in speaker.language.objects:
         raise DiagramOutsideLanguage(f"target {explanation.target} is not a language object")
-    problems = validate_functor(explanation.diagram)
-    if problems and not _acts_on_its_fibres(speaker, explanation.diagram):
-        empty = LimitCone(order=tuple(sorted(explanation.shape.objects)), apex=frozenset())
-        return ExplanationCheck(
-            valid=False, exact=False, vacuous=False, limit=empty, problems=tuple(problems)
-        )
-    cone = set_limit(composite_meaning(speaker, explanation))
+    problems: list[str] = []
+    cone = _limit_along_edges(speaker, explanation)
+    if cone is None:
+        problems = validate_functor(explanation.diagram)
+        if problems and not _acts_on_its_fibres(speaker, explanation.diagram):
+            empty = LimitCone(order=tuple(sorted(explanation.shape.objects)), apex=frozenset())
+            return ExplanationCheck(
+                valid=False, exact=False, vacuous=False, limit=empty, problems=tuple(problems)
+            )
+        cone = set_limit(composite_meaning(speaker, explanation))
     fibre = speaker.fibre(explanation.target)
     vacuous = not cone.apex
 
@@ -566,7 +639,9 @@ def acquire_by_paraphrasis(
     if not teacher_check.valid or teacher_check.vacuous:
         raise FiblexError("the explanation is not valid and non-vacuous for the teacher")
 
-    cone = set_limit(composite_meaning(learner, explanation))
+    cone = _limit_along_edges(learner, explanation)
+    if cone is None:
+        cone = set_limit(composite_meaning(learner, explanation))
     if not cone.apex:
         # every action touching the (still empty) fibre stays forced
         report = _report(learner, learner, (), event_id, "paraphrasis", word, "no-sense")

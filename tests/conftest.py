@@ -11,9 +11,11 @@ derived explanation's shape, and every category that
 ``scenario._category_from_decl`` returns. The base is compared with an
 opposite built from the language's tables (``opposite_from_tables``),
 since the library caches each category's opposite and would compare it
-with itself.
+with itself. Each checking wrapper keeps the function it wraps as
+``__wrapped__``, for a test that counts the engine's own work.
 """
 
+import functools
 import sys
 
 import pytest
@@ -26,6 +28,7 @@ from genlib import opposite_from_tables
 
 
 def _checked_derived(derive):
+    @functools.wraps(derive)
     def derived(cls, **fields):
         if cls is Speaker:
             name, language, meaning = fields["name"], fields["language"], fields["meaning"]
@@ -40,6 +43,7 @@ def _checked_derived(derive):
 
 
 def _checked_declaration(decode):
+    @functools.wraps(decode)
     def decoded(decl):
         cat = decode(decl)
         assert validate_category(cat) == [], f"declared category: {decl}"

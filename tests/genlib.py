@@ -10,7 +10,7 @@ functors built to respect them.
 
 import random
 
-from fiblex.collage import free_category_with_paths
+from fiblex.collage import free_category
 from fiblex.fincat import (
     FinCategory,
     SetFunctor,
@@ -60,9 +60,9 @@ def random_base(
                 i, j = j, i  # edges go up the vertex order: acyclic
             edges.append((f"e{k}", vertices[i], vertices[j]))
             k += 1
-        cat, paths = free_category_with_paths(quiver_from_edges(vertices, edges))
+        cat = free_category(quiver_from_edges(vertices, edges))
         if max_morphisms is None or len(cat.morphisms) <= max_morphisms:
-            return cat, paths
+            return cat, cat.paths
 
 
 def free_category_by_paths(q, bound: int | None = None):
@@ -120,9 +120,9 @@ def free_category_by_paths(q, bound: int | None = None):
 def functor_on_free(quiver, value, edge_action):
     """The Set-valued functor on the free category of ``quiver`` with the
     given fibres and edge actions; composites act along their paths."""
-    cat, paths = free_category_with_paths(quiver)
+    cat = free_category(quiver)
     action = {}
-    for m, path in paths.items():
+    for m, path in cat.paths.items():
         graph = {x: x for x in value[cat.src[m]]}
         for e in path:
             graph = {x: edge_action[e][y] for x, y in graph.items()}
@@ -230,6 +230,63 @@ def random_functor_between(rng: random.Random, dom: FinCategory, cod: FinCategor
                 changed = True
     from fiblex.fincat import CatFunctor
 
+    return CatFunctor(dom, cod, omap, mmap)
+
+
+def random_free_shape(rng: random.Random) -> FinCategory:
+    """An explanation shape: the free category on a random quiver of 1-4
+    vertices and 0-4 edges, half of them strung on a chain first. Mostly
+    acyclic; now and then the edges are drawn freely, loops included, and
+    the paths are cut at two edges."""
+    n = rng.randint(1, 4)
+    vertices = [f"a{i}" for i in range(n)]
+    cyclic = rng.random() < 0.15
+    edges = []
+    if rng.random() < 0.5:
+        edges = [(f"c{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)]
+    for k in range(rng.randint(0, 4 - len(edges))):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if not cyclic:
+            if i == j:
+                continue
+            i, j = min(i, j), max(i, j)
+        edges.append((f"s{k}", vertices[i], vertices[j]))
+    return free_category(quiver_from_edges(vertices, edges), bound=2 if cyclic else None)
+
+
+def doubled(shape: FinCategory) -> FinCategory:
+    """The free category on the quiver of a free shape with every edge
+    ``e`` doubled by a parallel ``e'``, into which the shape embeds name
+    for name; every path of two or more edges then has parallels."""
+    edges = [(e, shape.src[e], shape.tgt[e]) for e, path in shape.paths.items() if len(path) == 1]
+    return free_category(quiver_from_edges(shape.objects, edges + [
+        (f"{e}'", s, t) for e, s, t in edges]))
+
+
+def perturbed_diagram(rng: random.Random, diagram):
+    """The diagram with one of its maps changed at random: a morphism sent
+    to another morphism with the same endpoints (a composite of two or more
+    edges of a free shape, when one has a choice of images), to any
+    morphism or to nothing, or an object sent elsewhere. The result may
+    still be a functor."""
+    from fiblex.fincat import CatFunctor
+
+    dom, cod = diagram.dom, diagram.cod
+    omap, mmap = dict(diagram.omap), dict(diagram.mmap)
+    how = rng.choice(["parallel", "parallel", "parallel", "any", "unmapped", "object"])
+    m = rng.choice(sorted(dom.morphisms))
+    if how == "parallel":
+        homs = {a: cod.hom(omap[dom.src[a]], omap[dom.tgt[a]]) for a in sorted(dom.morphisms)}
+        choices = [a for a, hom in homs.items() if len(hom) > 1]
+        composites = [a for a in choices if len((dom.paths or {}).get(a, ())) > 1]
+        m = rng.choice(composites or choices or sorted(homs))
+        mmap[m] = rng.choice([f for f in homs[m] if f != mmap[m]] or homs[m])
+    elif how == "any":
+        mmap[m] = rng.choice(sorted(cod.morphisms))
+    elif how == "unmapped":
+        del mmap[m]
+    else:
+        omap[rng.choice(sorted(dom.objects))] = rng.choice(sorted(cod.objects) + ["nowhere"])
     return CatFunctor(dom, cod, omap, mmap)
 
 

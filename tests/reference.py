@@ -13,6 +13,8 @@ The constructions here are the ones the paper defines those results by:
 - the order on basic types as a fixpoint of transitive steps, and
   pregroup reduction search with replayable derivations, over
   contractions and induced steps, and sentence checks built on it;
+- an explanation's check and limit over every morphism of its shape,
+  which the engine takes along the generating edges of a free shape;
 - small helpers on categories and speakers that only the tests use.
 
 The tests compare the engine with them. Nothing in ``fiblex`` imports
@@ -30,13 +32,16 @@ from fiblex.fibration import Fibration, grothendieck, pair_object_id
 from fiblex.fincat import (
     CatFunctor,
     FinCategory,
+    LimitCone,
     Quiver,
     SetFunctor,
     natural_iso_check,
     opposite,
+    set_limit,
     validate_functor,
 )
 from fiblex.pregroup import Lexicon, PgType, Simple, TypeOrder, contractions
+from fiblex.speaker import Explanation, ExplanationCheck, Speaker, composite_meaning
 
 
 # ---------------------------------------------------------------------------
@@ -496,3 +501,55 @@ def sentence_check(lex: Lexicon, words: Sequence[str]) -> SentenceCheck:
         if derivation is not None:
             return SentenceCheck(ok=True, assignment=choice, derivation=derivation)
     return SentenceCheck(ok=False, assignment=None, derivation=None)
+
+
+# ---------------------------------------------------------------------------
+# explanations over every morphism of the shape
+
+
+def limit_over_every_path(
+    speaker: Speaker, explanation: Explanation
+) -> tuple[list[str], Optional[LimitCone]]:
+    """The diagram's problems, one check per compose entry of the shape,
+    and the limit of the composite meaning over every morphism of the
+    shape, free or not; no limit when a diagram with problems sends an
+    object or arrow outside the language, or an arrow whose action is
+    defined on another fibre."""
+    diagram, lang = explanation.diagram, speaker.language
+    problems = validate_functor(diagram)
+    if problems:
+        shape = diagram.dom
+        if any(diagram.omap.get(a) not in lang.objects for a in shape.objects):
+            return problems, None
+        for m in shape.morphisms:
+            image = diagram.mmap.get(m)
+            if image not in lang.morphisms or not (
+                speaker.fibre(diagram.omap[shape.tgt[m]]) <= speaker.meaning.action[image].keys()
+            ):
+                return problems, None
+    return problems, set_limit(composite_meaning(speaker, explanation))
+
+
+def validate_explanation_over_every_path(
+    speaker: Speaker, explanation: Explanation
+) -> ExplanationCheck:
+    """``validate_explanation`` with the limit of ``limit_over_every_path``."""
+    if explanation.target not in speaker.language.objects:
+        raise FiblexError(f"target {explanation.target} is not a language object")
+    problems, cone = limit_over_every_path(speaker, explanation)
+    if cone is None:
+        empty = LimitCone(order=tuple(sorted(explanation.shape.objects)), apex=frozenset())
+        return ExplanationCheck(False, False, False, empty, tuple(problems))
+    fibre = speaker.fibre(explanation.target)
+    emb = explanation.embedding
+    if emb is not None:
+        if set(emb) != set(cone.apex):
+            problems.append("embedding domain differs from the computed apex")
+        if len(set(emb.values())) != len(emb):
+            problems.append("embedding is not injective")
+        if not set(emb.values()) <= set(fibre):
+            problems.append("embedding leaves the target fibre")
+        exact = not problems and set(emb.values()) == set(fibre)
+    else:
+        exact = not problems and len(cone.apex) == len(fibre)
+    return ExplanationCheck(not problems, exact, not cone.apex, cone, tuple(problems))

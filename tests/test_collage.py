@@ -29,7 +29,6 @@ from fiblex.collage import (
     extend_set_functor,
     fp_collage,
     free_category,
-    free_category_with_paths,
     word_id,
 )
 from fiblex.fincat import (
@@ -427,11 +426,11 @@ def test_delta_collage_and_extension_match_the_full_enumeration(seed):
     def path_name(w):
         return "∘".join(reversed(w.edges)) if w.edges else w.bases[0]
 
-    free, err = _outcome(lambda: free_category_with_paths(quiver, bound))
+    free, err = _outcome(lambda: free_category(quiver, bound))
     discrete = discrete_category(quiver.vertices)
     full, oracle_err = _outcome(lambda: full_collage(discrete, quiver, bound, path_name))
     assert err == oracle_err
     if err is None:
-        _same_category(free[0], full[1])
-        _same_category(opposite(free[0]), opposite_from_tables(full[1]))
-        assert free[1] == {m: w.edges for m, w in full[0].items()}
+        _same_category(free, full[1])
+        _same_category(opposite(free), opposite_from_tables(full[1]))
+        assert free.paths == {m: w.edges for m, w in full[0].items()}

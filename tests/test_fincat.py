@@ -12,7 +12,7 @@ from reference import (
     identity_functor,
     underlying_quiver,
 )
-from fiblex.collage import free_category, free_category_with_paths
+from fiblex.collage import free_category
 from fiblex.errors import BoundExceeded, IdentifierClash, UnboundedHomSet
 from fiblex.fincat import (
     CatFunctor,
@@ -206,7 +206,8 @@ def test_free_category_edge_named_like_a_collage_word():
     q = quiver_from_edges(
         ["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c"), ("(f,g)", "a", "c")]
     )
-    cat, paths = free_category_with_paths(q)
+    cat = free_category(q)
+    paths = cat.paths
     assert len(cat.morphisms) == 7  # 3 identities + f, g, (f,g), g∘f
     assert paths["(f,g)"] == ("(f,g)",)
     assert paths["g∘f"] == ("f", "g")
@@ -219,8 +220,8 @@ def test_free_category_morphism_count_identity():
         ["A", "B", "C", "D"],
         [("f", "A", "B"), ("g", "B", "C"), ("h", "B", "D"), ("k", "A", "C")],
     )
-    cat, paths = free_category_with_paths(q)
-    long_paths = [p for p in paths.values() if len(p) >= 1]
+    cat = free_category(q)
+    long_paths = [p for p in cat.paths.values() if len(p) >= 1]
     assert len(cat.morphisms) == len(cat.objects) + len(long_paths)
 
 
@@ -557,8 +558,8 @@ def test_free_category_is_always_valid(q):
 @settings(max_examples=60, deadline=None)
 @given(acyclic_quivers())
 def test_free_category_counts_paths(q):
-    cat, paths = free_category_with_paths(q)
-    assert len(cat.morphisms) == len(q.vertices) + sum(1 for p in paths.values() if p)
+    cat = free_category(q)
+    assert len(cat.morphisms) == len(q.vertices) + sum(1 for p in cat.paths.values() if p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -571,13 +572,13 @@ def test_components_match_opposite(q):
 @settings(max_examples=60, deadline=None)
 @given(acyclic_quivers())
 def test_free_category_matches_path_oracle(q):
-    cat, paths = free_category_with_paths(q)
+    cat = free_category(q)
     oracle, oracle_paths = free_category_by_paths(q)
     assert cat.morphisms == oracle.morphisms
     assert cat.src == oracle.src and cat.tgt == oracle.tgt
     assert cat.identity == oracle.identity
     assert cat.compose == oracle.compose
-    assert paths == oracle_paths
+    assert cat.paths == oracle_paths
     assert cat.objects == oracle.objects and cat.closed and oracle.closed
 
 

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiblex.cli import main
+import fiblex.collage as collage_mod
 import fiblex.fincat as fincat
-from fiblex.errors import FiblexError, IdentifierClash, ScenarioError
+import fiblex.speaker as speaker_mod
+from fiblex.errors import FiblexError, IdentifierClash, ScenarioError, UnboundedHomSet
 from fiblex.fincat import validate_category
 import fiblex.scenario as scenario_mod
+from reference import validate_explanation_over_every_path
 from fiblex.jsonio import canonical_dumps
 from fiblex.scenario import (
     export_dot,
@@ -681,3 +684,227 @@ def test_cli_explain_shows_why_a_limit_is_empty(tmp_path):
     assert result.exit_code == 0, result.output
     assert "empty_witness" not in result.output
     assert "vacuous" in result.output
+
+
+# --- malformed explanations ---------------------------------------------------------
+
+
+def evil_cat_with(edit):
+    doc = json.loads((SCENARIOS / "evil-cat.json").read_text())
+    edit(doc["explanations"]["black-evil-feline"])
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda e: e.pop("shape"), "missing key 'shape'", id="shape"),
+    pytest.param(lambda e: e.pop("target"), "missing key 'target'", id="target"),
+    pytest.param(lambda e: e.pop("diagram"), "missing key 'diagram'", id="diagram"),
+    pytest.param(lambda e: e.pop("language"), "missing key 'language'", id="language"),
+    pytest.param(lambda e: e["shape"].pop("objects"), "discrete shape is missing key 'objects'",
+                 id="discrete-objects"),
+    pytest.param(lambda e: e.update(shape={"kind": "free", "vertices": ["a1"]}),
+                 "free shape is missing key 'edges'", id="free-edges"),
+    pytest.param(lambda e: e.update(shape={"kind": "free", "edges": []}),
+                 "free shape is missing key 'vertices'", id="free-vertices"),
+    pytest.param(lambda e: e.update(shape={"kind": "pregroup", "basics": ["n"]}),
+                 "pregroup shape is missing key 'phrases'", id="pregroup-phrases"),
+    pytest.param(lambda e: e.update(shape={"morphisms": []}),
+                 "explicit shape is missing key 'objects'", id="explicit-objects"),
+    pytest.param(lambda e: (e.update(kind="tautological", speaker="p"), e.pop("target")),
+                 "missing key 'target'", id="tautological-target"),
+    pytest.param(lambda e: e.update(kind="tautological"), "missing key 'speaker'",
+                 id="tautological-speaker"),
+    pytest.param(lambda e: e.update(kind="tautological", speaker="nobody"),
+                 "undeclared speaker 'nobody'", id="tautological-undeclared-speaker"),
+])
+def test_an_explanation_missing_a_key_is_refused_at_load(edit, message, tmp_path):
+    doc = evil_cat_with(edit)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == f"explanation black-evil-feline: {message}"
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    for command in (["run", str(path)], ["validate", str(path)]):
+        result = CliRunner().invoke(main, command)
+        assert result.exit_code == 2, result.output
+        assert f"error: explanation black-evil-feline: {message}" in result.output
+
+
+# --- explanations over free shapes -------------------------------------------------
+
+# a free language with two paths from feline to animal, f then g and k
+FREE_LANGUAGE = {"kind": "free", "vertices": ["cat", "feline", "mammal", "animal", "black"],
+                 "edges": [{"id": "f", "src": "feline", "tgt": "mammal"},
+                           {"id": "g", "src": "mammal", "tgt": "animal"},
+                           {"id": "k", "src": "feline", "tgt": "animal"},
+                           {"id": "b", "src": "black", "tgt": "animal"},
+                           {"id": "d", "src": "black", "tgt": "feline"}]}
+FIBRES = {"feline": ["tom", "felix"], "mammal": ["m1", "m2", "m3"], "animal": ["a1", "a2"],
+          "black": ["k1", "k2"]}
+# actions are contravariant: each runs from the fibre over its morphism's target
+ACTIONS = {"f": {"m1": "tom", "m2": "felix", "m3": "tom"}, "g": {"a1": "m1", "a2": "m2"},
+           "g∘f": {"a1": "tom", "a2": "felix"}, "k": {"a1": "felix", "a2": "tom"},
+           "b": {"a1": "k1", "a2": "k1"}, "d": {"tom": "k1", "felix": "k2"},
+           "f∘d": {"m1": "k1", "m2": "k2", "m3": "k1"}, "g∘f∘d": {"a1": "k1", "a2": "k2"},
+           "k∘d": {"a1": "k2", "a2": "k1"}}
+SHAPES = {
+    # p → q → r onto feline → mammal → animal, the path t∘s onto g∘f
+    "chain": ({"kind": "free", "vertices": ["p", "q", "r"],
+               "edges": [{"id": "s", "src": "p", "tgt": "q"}, {"id": "t", "src": "q", "tgt": "r"}]},
+              {"p": "feline", "q": "mammal", "r": "animal"},
+              {"s": "f", "t": "g", "t∘s": "g∘f"}),
+    # x ← c → y onto animal ← black → feline
+    "span": ({"kind": "free", "vertices": ["c", "x", "y"],
+              "edges": [{"id": "u", "src": "c", "tgt": "x"}, {"id": "v", "src": "c", "tgt": "y"}]},
+             {"c": "black", "x": "animal", "y": "feline"},
+             {"u": "b", "v": "d"}),
+    # the chain with t∘s sent to k, the other path from feline to animal
+    "not-a-functor": ({"kind": "free", "vertices": ["p", "q", "r"],
+                       "edges": [{"id": "s", "src": "p", "tgt": "q"},
+                                 {"id": "t", "src": "q", "tgt": "r"}]},
+                      {"p": "feline", "q": "mammal", "r": "animal"},
+                      {"s": "f", "t": "g", "t∘s": "k"}),
+    # a loop on feline, its paths cut at two edges
+    "bounded-loop": ({"kind": "free", "vertices": ["p"], "bound": 2,
+                      "edges": [{"id": "l", "src": "p", "tgt": "p"}]},
+                     {"p": "feline"},
+                     {"l": "id_feline", "l∘l": "id_feline"}),
+    # a → b → d and a → c → d onto feline → mammal → animal and feline → animal
+    # → animal: the two paths from feline to animal act differently on
+    # every element over animal, so the limit is empty
+    "diamond": ({"kind": "free", "vertices": ["a", "b", "c", "d"],
+                 "edges": [{"id": "u", "src": "a", "tgt": "b"}, {"id": "v", "src": "a", "tgt": "c"},
+                           {"id": "w", "src": "b", "tgt": "d"}, {"id": "x", "src": "c", "tgt": "d"}]},
+                {"a": "feline", "b": "mammal", "c": "animal", "d": "animal"},
+                {"u": "f", "v": "k", "w": "g", "x": "id_animal", "w∘u": "g∘f", "x∘v": "k"}),
+}
+
+
+def free_shape_doc(names, event="paraphrasis"):
+    """Alice knows a cat; one learner per explanation in ``names`` learns
+    it from her by paraphrasis, or checks it (``validate-explanation``)."""
+    speakers = {"alice": {"language": "lang", "fibres": {**FIBRES, "cat": ["c1", "c2"]},
+                          "actions": ACTIONS}}
+    explanations, events = {}, []
+    for name in names:
+        shape, diagram, morphisms = SHAPES[name]
+        explanations[name] = {"language": "lang", "target": "cat", "shape": shape,
+                              "diagram": diagram, "diagram_morphisms": morphisms}
+        if event == "paraphrasis":
+            speakers[f"bob-{name}"] = {"language": "lang", "fibres": FIBRES, "actions": ACTIONS}
+            events.append({"event": "paraphrasis", "learner": f"bob-{name}", "teacher": "alice",
+                           "word": "cat", "explanation": name})
+        else:
+            events.append({"event": "validate-explanation", "speaker": "alice",
+                           "explanation": name})
+    return {"name": "free-shapes", "categories": {"lang": FREE_LANGUAGE}, "speakers": speakers,
+            "explanations": explanations, "events": events}
+
+
+def run_both_ways(doc, monkeypatch):
+    """The store and canonical reports of a run, and of a run that checks
+    every explanation with the oracle and takes every limit over the whole
+    shape, as before free shapes were limited along their edges."""
+    out = []
+    for oracle in (False, True):
+        with monkeypatch.context() as patch:
+            if oracle:
+                for module in (scenario_mod, speaker_mod):
+                    patch.setattr(module, "validate_explanation",
+                                  validate_explanation_over_every_path)
+                patch.setattr(speaker_mod, "_limit_along_edges", lambda speaker, expl: None)
+            scenario = load_scenario(json.loads(json.dumps(doc)))
+            store, reports = run_events(scenario)
+            out.append((store, canonical_dumps(reports)))
+    return out
+
+
+def test_paraphrasis_over_free_shapes_learns_as_over_every_path(monkeypatch):
+    doc = free_shape_doc(["chain", "span"])
+    checks = count_calls(monkeypatch, fincat.validate_functor)
+    (store, reports), (oracle_store, oracle_reports) = run_both_ways(doc, monkeypatch)
+    assert reports == oracle_reports
+    assert store == oracle_store
+    for event, name, apex in ((0, "chain", ["(felix,m2,a2)", "(tom,m1,a1)"]),
+                              (1, "span", ["(k1,a1,tom)", "(k1,a2,tom)"])):
+        assert sorted(store[f"bob-{name}"].fibre("cat")) == [f"ev{event}:{t}" for t in apex]
+    # the engine checked both free shapes along their edges, for teacher and learner
+    assert checks == []
+
+
+@pytest.mark.parametrize("name", ["not-a-functor", "bounded-loop", "diamond", "chain", "span"])
+def test_a_free_shape_explanation_reports_as_over_every_path(name, monkeypatch):
+    doc = free_shape_doc([name], event="validate-explanation")
+    (_, reports), (_, oracle_reports) = run_both_ways(doc, monkeypatch)
+    assert reports == oracle_reports
+
+
+def test_a_diagram_that_is_no_functor_and_a_bounded_shape_take_the_whole_shape(monkeypatch):
+    checks = count_calls(monkeypatch, fincat.validate_functor)
+    limits = count_calls(monkeypatch, fincat.set_limit)
+    scenario = load_scenario(free_shape_doc(["not-a-functor", "bounded-loop", "chain"],
+                                            event="validate-explanation"))
+    _, reports = run_events(scenario)
+    assert [len(args[0].dom.morphisms) for args in checks] == [6, 3]
+    # over every morphism of the shape, and over the edges of the chain
+    assert [len(args[0].base.morphisms) for args in limits] == [6, 3, 5]
+    problems = [e["report"]["problems"] for e in reports]
+    assert problems == [["composition of (t, s) is not preserved"], [], []]
+
+
+def test_an_empty_limit_over_a_free_shape_is_witnessed_by_an_edge():
+    # Along the edges the walk from d meets a again through v; over every
+    # morphism of the shape it met a through the path x∘v first, which
+    # is what `fiblex explain` named before the limit was taken along the
+    # edges.
+    scenario = load_scenario(free_shape_doc(["diamond"], event="validate-explanation"))
+    report = scenario_mod.explain_report(scenario, "alice", "diamond")
+    assert (report["valid"], report["vacuous"], report["apex"]) == (True, True, [])
+    assert report["empty_witness"] == {"kind": "arrow", "root": "d", "morphism": "v"}
+
+
+def test_a_cyclic_shape_without_a_bound_is_refused_where_it_is_resolved(tmp_path):
+    doc = free_shape_doc(["bounded-loop"], event="validate-explanation")
+    del doc["explanations"]["bounded-loop"]["shape"]["bound"]
+    unbounded = "collage has unboundedly long words; an edge bound is required"
+    scenario = load_scenario(doc)
+    with pytest.raises(UnboundedHomSet, match=unbounded):
+        run_events(scenario)
+    assert validate_scenario(scenario)["checks"] == [
+        {"explanation": "bounded-loop", "problems": [unbounded]}]
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["checks"][0]["problems"] == [unbounded]
+
+
+def count_glue_passes(monkeypatch):
+    """Count the composition tables a collage glues, with the suite's
+    checks of declared categories and derived explanation shapes, which
+    read (and so glue) every shape's table, taken off."""
+    for name in ("_category_from_decl", "_derived"):
+        monkeypatch.setattr(scenario_mod, name, getattr(scenario_mod, name).__wrapped__)
+    return count_calls(monkeypatch, collage_mod._glue)
+
+
+def test_an_explain_limits_pass_glues_no_shape_and_checks_diagrams_along_edges(monkeypatch):
+    doc = bench_generate.generate("explain-limits", 1)[0]
+    glued = count_glue_passes(monkeypatch)
+    checks = count_calls(monkeypatch, fincat.validate_functor)
+    scenario = load_scenario(doc)
+    assert len(glued) == len(doc["categories"])  # each free language once, at load
+    glued.clear()
+    code, _ = run_scenario(scenario)
+    assert code == 0
+    assert (glued, checks) == ([], [])
+
+    # one diagram that is no functor: its shape is glued and checked once
+    name, explanation = next(iter(doc["explanations"].items()))
+    assert sum(e.get("explanation") == name for e in doc["events"]) == 1
+    edge = explanation["shape"]["edges"][0]["id"]
+    explanation["diagram_morphisms"][edge] = "nowhere"
+    scenario = load_scenario(doc)
+    glued.clear()
+    run_scenario(scenario)
+    assert (len(glued), len(checks)) == (1, 1)

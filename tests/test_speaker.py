@@ -1,9 +1,20 @@
+import random
 import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import restriction_along_embedding
+from genlib import (
+    doubled,
+    perturbed_diagram,
+    random_base,
+    random_free_shape,
+    random_functor_between,
+    random_presheaf,
+)
+from reference import restriction_along_embedding, validate_explanation_over_every_path
 import fiblex.speaker as speaker_module
 from fiblex.collage import free_category
 from fiblex.errors import (
@@ -795,3 +806,46 @@ def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeyp
     assert small["plain"][1] == [] and small["merged"][1]
     assert small["plain"][2] == small["merged"][2] == [["W", "X", "Y"]]
     assert learn(6) == small
+
+
+# --- explanations over free shapes ----------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_free_shape_is_checked_and_limited_as_over_every_path(seed):
+    # Random free shapes (some cyclic and cut at two edges, some rebuilt
+    # from their tables so that they are not known to be free), functorial
+    # diagrams into random languages, some of them perturbed, and random
+    # speakers: the check along the edges agrees with the check and limit
+    # over every morphism of the shape. A third of the acyclic shapes embed
+    # into their doubles, where a perturbed path has parallels to go to.
+    rng = random.Random(seed)
+    shape = random_free_shape(rng)
+    if shape.closed and rng.random() < 0.3:
+        lang = doubled(shape)
+        paths = lang.paths
+        diagram = CatFunctor(shape, lang, {o: o for o in shape.objects},
+                             {m: m for m in shape.morphisms})
+    else:
+        lang, paths = random_base(rng, max_edges=7, max_morphisms=40)
+        diagram = random_functor_between(rng, shape, lang)
+    speaker = Speaker("s", lang, random_presheaf(rng, lang, paths))
+    if rng.random() < 0.1:
+        shape = FinCategory(shape.objects, shape.morphisms, shape.src, shape.tgt,
+                            shape.identity, shape.compose, shape.closed)
+        diagram = CatFunctor(shape, lang, diagram.omap, diagram.mmap)
+    if rng.random() < 0.5:
+        diagram = perturbed_diagram(rng, diagram)
+    target = rng.choice(sorted(lang.objects))
+    explanation = Explanation(shape, diagram, target)
+    oracle = validate_explanation_over_every_path(speaker, explanation)
+    if oracle.limit.apex and rng.random() < 0.5:
+        fibre = sorted(speaker.fibre(target))
+        embedding = dict(zip(oracle.limit.sorted_apex(), fibre))
+        explanation = Explanation(shape, diagram, target, embedding)
+        oracle = validate_explanation_over_every_path(speaker, explanation)
+    check = validate_explanation(speaker, explanation)
+    assert (check.valid, check.exact, check.vacuous, check.problems) == (
+        oracle.valid, oracle.exact, oracle.vacuous, oracle.problems)
+    assert (check.limit.order, check.limit.apex) == (oracle.limit.order, oracle.limit.apex)
