@@ -398,35 +398,54 @@ def validate_functor(fun: CatFunctor) -> list[str]:
 
 
 def validate_setfunctor(fun: SetFunctor) -> list[str]:
-    """Check that the actions are total functions and functorial."""
-    report: list[str] = []
-    base = fun.base
-    for o in sorted(base.objects):
-        if o not in fun.value:
-            report.append(f"object {o} has no value set")
-    for m in sorted(base.morphisms):
-        act = fun.action.get(m)
+    """Check that the actions are total functions and functorial.
+
+    Problems come in sorted order: objects without a value set; per
+    morphism, a missing action, or one not total on its source set and
+    one leaving its target set; identities not acting as identities, by
+    object; composites whose action disagrees, by composable pair, at the
+    least disagreeing element. The walk sorts nothing, and only the
+    problems found are sorted after it. Identities and compose entries
+    are read only out of objects with a non-empty value set, through the
+    base's index by source. The base must be a category.
+    """
+    base, value, action = fun.base, fun.value, fun.action
+    # each problem after its sort key: the check, what it names, its place
+    found: list[tuple] = [(0, o, 0, f"object {o} has no value set")
+                          for o in base.objects.difference(value)]
+    empty: frozenset[str] = frozenset()
+    src, tgt = base.src, base.tgt
+    for m in base.morphisms:
+        act = action.get(m)
         if act is None:
-            report.append(f"morphism {m} has no action")
+            found.append((1, m, 0, f"morphism {m} has no action"))
             continue
-        dom_set = fun.value.get(base.src[m], frozenset())
-        cod_set = fun.value.get(base.tgt[m], frozenset())
-        if set(act) != set(dom_set):
-            report.append(f"action of {m} is not total on the source value set")
-        if not set(act.values()) <= set(cod_set):
-            report.append(f"action of {m} leaves the target value set")
-    for o in sorted(base.objects):
+        if act.keys() != value.get(src[m], empty):
+            found.append((1, m, 1, f"action of {m} is not total on the source value set"))
+        if not value.get(tgt[m], empty).issuperset(act.values()):
+            found.append((1, m, 2, f"action of {m} leaves the target value set"))
+    compose, by_src = base.compose, base.by_src
+    no_graph: dict[str, str] = {}
+    for o, fibre in value.items():
+        if not fibre or o not in base.objects:
+            continue
         i = base.identity[o]
-        act = fun.action.get(i, {})
-        if any(act.get(x) != x for x in fun.value.get(o, frozenset())):
-            report.append(f"action of identity {i} is not the identity function")
-    for (g, f), gf in sorted(base.compose.items()):
-        ag, af, agf = fun.action.get(g, {}), fun.action.get(f, {}), fun.action.get(gf, {})
-        for x in sorted(fun.value.get(base.src[f], frozenset())):
-            if agf.get(x) != ag.get(af.get(x)):
-                report.append(f"action of composite {gf} disagrees with the composite action at {x}")
-                break
-    return report
+        ident = action.get(i, no_graph)
+        if any(ident.get(x) != x for x in fibre):
+            found.append((2, o, 0, f"action of identity {i} is not the identity function"))
+        for f in by_src.get(o, ()):
+            af = action.get(f, no_graph)
+            for g in by_src.get(tgt[f], ()):
+                gf = compose.get((g, f))
+                if gf is None:  # beyond the bound of a truncated base
+                    continue
+                ag, agf = action.get(g, no_graph), action.get(gf, no_graph)
+                bad = [x for x in fibre if agf.get(x) != ag.get(af.get(x))]
+                if bad:
+                    found.append((3, (g, f), 0, f"action of composite {gf} disagrees with the "
+                                                f"composite action at {min(bad)}"))
+    found.sort()
+    return [problem for *_, problem in found]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ the same file twice yields byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .collage import free_category
@@ -62,6 +63,15 @@ _REQUIRED_KEYS = {
     ("shape", "pregroup"): ("basics", "phrases"),
     ("shape", "explicit"): ("objects",),
 }
+
+# The JSON type of each entry of a speaker's tables, how to read its
+# elements, which are strings, and its name in errors: a fibre lists the
+# elements over an object, an action maps elements to elements.
+_SPEAKER_TABLES = {
+    "fibres": (list, iter, "a list of strings"),
+    "actions": (dict, dict.values, "an object of strings"),
+}
+_STRINGS = frozenset({str})
 
 
 @dataclass(frozen=True)
@@ -114,30 +124,50 @@ def _category_from_decl(decl: dict) -> FinCategory:
 
 def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: dict) -> Speaker:
     """The speaker with the declared fibres and non-identity actions over
-    a language whose axioms the caller has checked; the meaning is
-    checked here. A ``fibres`` key that names no object, or an
-    ``actions`` key that names no morphism, raises ``ScenarioError``."""
-    stray = sorted(set(fibres).difference(language.objects))
+    a language whose axioms the caller has checked, assembled once; the
+    meaning is checked here. A ``fibres`` key that names no object, or an
+    ``actions`` key that names no morphism, raises ``ScenarioError``, and
+    a non-identity morphism without an action raises ``FiblexError``,
+    each naming the least such key or morphism."""
+    stray = set(fibres).difference(language.objects)
     if stray:
-        raise ScenarioError(f"fibres key {stray[0]!r} names no object")
-    stray = sorted(set(actions).difference(language.morphisms))
+        raise ScenarioError(f"fibres key {min(stray)!r} names no object")
+    stray = set(actions).difference(language.morphisms)
     if stray:
-        raise ScenarioError(f"actions key {stray[0]!r} names no morphism")
-    base = opposite(language)
+        raise ScenarioError(f"actions key {min(stray)!r} names no morphism")
     value = {o: frozenset(fibres.get(o, ())) for o in language.objects}
-    action: dict[str, dict[str, str]] = {}
-    for m in language.morphisms:
-        if base.is_identity(m):
-            action[m] = {x: x for x in value[base.src[m]]}
-        else:
-            if m not in actions:
-                raise FiblexError(f"no action table for {m}")
-            action[m] = dict(actions[m])
-    meaning = SetFunctor(base=base, value=value, action=action)
+    action = {m: dict(graph) for m, graph in actions.items()}
+    for o, i in language.identity.items():
+        action[i] = {x: x for x in value[o]}
+    missing = language.morphisms.difference(action)
+    if missing:
+        raise FiblexError(f"no action table for {min(missing)}")
+    meaning = _derived(SetFunctor, base=opposite(language), value=value, action=action)
     problems = validate_setfunctor(meaning)
     if problems:
         raise FiblexError(f"invalid meaning: {problems[0]}")
     return _derived(Speaker, name=name, language=language, meaning=meaning)
+
+
+def _ill_typed_speaker(decl) -> Optional[str]:
+    """Where a speaker declaration leaves the JSON types of
+    ``_SPEAKER_TABLES``, or None. The happy path is two C-level passes
+    over each table, the second over its non-empty entries."""
+    if type(decl) is not dict:
+        return "declaration is not an object"
+    for key, (kind, elements, what) in _SPEAKER_TABLES.items():
+        table = decl.get(key, {})
+        if type(table) is not dict:
+            return f"key {key!r} is not an object"
+        entries = table.values()
+        if {kind}.issuperset(map(type, entries)) and _STRINGS.issuperset(
+            map(type, chain.from_iterable(map(elements, filter(None, entries))))
+        ):
+            continue
+        bad = min(k for k, v in table.items()
+                  if type(v) is not kind or not _STRINGS.issuperset(map(type, elements(v))))
+        return f"{key} key {bad!r} is not {what}"
+    return None
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -151,10 +181,16 @@ def load_scenario(doc: dict) -> Scenario:
             raise ScenarioError(f"category {name}: {err}") from err
 
     # speakers share their declared language
+    declared = doc.get("speakers", {})
+    if type(declared) is not dict:
+        raise ScenarioError("key 'speakers' is not an object")
     speakers: dict[str, Speaker] = {}
-    for name, decl in doc.get("speakers", {}).items():
+    for name, decl in declared.items():
+        problem = _ill_typed_speaker(decl)
+        if problem is not None:
+            raise ScenarioError(f"speaker {name}: {problem}")
         lang_name = decl.get("language")
-        if lang_name not in categories:
+        if type(lang_name) is not str or lang_name not in categories:
             raise ScenarioError(f"speaker {name}: undeclared language {lang_name!r}")
         try:
             speakers[name] = _declared_speaker(

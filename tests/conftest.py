@@ -11,8 +11,10 @@ derived explanation's shape, and every category that
 ``scenario._category_from_decl`` returns. The base is compared with an
 opposite built from the language's tables (``opposite_from_tables``),
 since the library caches each category's opposite and would compare it
-with itself. Each checking wrapper keeps the function it wraps as
-``__wrapped__``, for a test that counts the engine's own work.
+with itself; the meaning is checked by the oracle in ``reference``, so
+that the engine's own meaning check never referees itself. Each checking
+wrapper keeps the function it wraps as ``__wrapped__``, for a test that
+counts the engine's own work.
 """
 
 import functools
@@ -22,9 +24,10 @@ import pytest
 
 import fiblex.scenario as scenario_module
 import fiblex.speaker as speaker_module
-from fiblex.fincat import validate_category, validate_setfunctor
+from fiblex.fincat import validate_category
 from fiblex.speaker import Explanation, Speaker
 from genlib import opposite_from_tables
+from reference import validate_setfunctor
 
 
 def _checked_derived(derive):

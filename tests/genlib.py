@@ -290,6 +290,49 @@ def perturbed_diagram(rng: random.Random, diagram):
     return CatFunctor(dom, cod, omap, mmap)
 
 
+def random_truncated_base(rng: random.Random):
+    """A free category on a random quiver of 1-3 vertices whose edges are
+    drawn freely, loops included, with its paths cut at 1-3 edges, plus
+    the edge path of each morphism. The result is not closed whenever a
+    cycle reaches past the bound."""
+    n = rng.randint(1, 3)
+    vertices = [f"L{i}" for i in range(n)]
+    edges = [(f"e{k}", rng.choice(vertices), rng.choice(vertices))
+             for k in range(rng.randint(1, 3))]
+    cat = free_category(quiver_from_edges(vertices, edges), bound=rng.randint(1, 3))
+    return cat, cat.paths
+
+
+def broken_meaning(rng: random.Random, fun: SetFunctor) -> SetFunctor:
+    """``fun`` with 1-3 random breaks: an element sent to another element
+    of the target set or to a foreign one, an element or a whole action
+    dropped, an object's value set dropped, or an extra element put into
+    a value set. The result may still be a meaning."""
+    value = dict(fun.value)
+    action = {m: dict(graph) for m, graph in fun.action.items()}
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(["image", "foreign", "drop-element", "drop-action", "drop-value",
+                          "extra-element"])
+        filled = [m for m in sorted(action) if action[m]]
+        if how in ("image", "foreign", "drop-element") and filled:
+            m = rng.choice(filled)
+            x = rng.choice(sorted(action[m]))
+            if how == "drop-element":
+                del action[m][x]
+            elif how == "foreign":
+                action[m][x] = "foreign"
+            else:
+                action[m][x] = rng.choice(sorted(value.get(fun.base.tgt[m], ())) or ["foreign"])
+        elif how == "drop-action" and action:
+            del action[rng.choice(sorted(action))]
+        elif how == "drop-value" and value:
+            del value[rng.choice(sorted(value))]
+        elif value:
+            o = rng.choice(sorted(value))
+            value[o] = value[o] | {f"{o}+"}
+    return SetFunctor(base=fun.base, value=value, action=action)
+
+
 def random_speaker_data(rng: random.Random, fresh_object: bool = False):
     """Language, paths, and a presheaf; optionally guarantees an object
     with an empty fibre and no incident non-identity arrows."""

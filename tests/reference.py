@@ -15,6 +15,8 @@ The constructions here are the ones the paper defines those results by:
   contractions and induced steps, and sentence checks built on it;
 - an explanation's check and limit over every morphism of its shape,
   which the engine takes along the generating edges of a free shape;
+- the meaning check by a sorted walk of every object, morphism and
+  compose entry, which the engine makes over the non-empty fibres only;
 - small helpers on categories and speakers that only the tests use.
 
 The tests compare the engine with them. Nothing in ``fiblex`` imports
@@ -129,6 +131,39 @@ def connected_components(cat: FinCategory) -> dict[str, str]:
     for m in cat.morphisms:
         uf.union(cat.src[m], cat.tgt[m])
     return blocks(uf)
+
+
+def validate_setfunctor(fun: SetFunctor) -> list[str]:
+    """Check that the actions are total functions and functorial, walking
+    every table in sorted order."""
+    report: list[str] = []
+    base = fun.base
+    for o in sorted(base.objects):
+        if o not in fun.value:
+            report.append(f"object {o} has no value set")
+    for m in sorted(base.morphisms):
+        act = fun.action.get(m)
+        if act is None:
+            report.append(f"morphism {m} has no action")
+            continue
+        dom_set = fun.value.get(base.src[m], frozenset())
+        cod_set = fun.value.get(base.tgt[m], frozenset())
+        if set(act) != set(dom_set):
+            report.append(f"action of {m} is not total on the source value set")
+        if not set(act.values()) <= set(cod_set):
+            report.append(f"action of {m} leaves the target value set")
+    for o in sorted(base.objects):
+        i = base.identity[o]
+        act = fun.action.get(i, {})
+        if any(act.get(x) != x for x in fun.value.get(o, frozenset())):
+            report.append(f"action of identity {i} is not the identity function")
+    for (g, f), gf in sorted(base.compose.items()):
+        ag, af, agf = fun.action.get(g, {}), fun.action.get(f, {}), fun.action.get(gf, {})
+        for x in sorted(fun.value.get(base.src[f], frozenset())):
+            if agf.get(x) != ag.get(af.get(x)):
+                report.append(f"action of composite {gf} disagrees with the composite action at {x}")
+                break
+    return report
 
 
 # ---------------------------------------------------------------------------

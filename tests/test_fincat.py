@@ -1,10 +1,22 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genlib import free_category_by_paths, functor_on_free, opposite_from_tables
+import reference
+from genlib import (
+    broken_meaning,
+    free_category_by_paths,
+    functor_on_free,
+    idempotent_functor,
+    iso_functor,
+    opposite_from_tables,
+    random_presheaf,
+    random_speaker_data,
+    random_truncated_base,
+)
 from reference import (
     component_presheaf,
     connected_components,
@@ -590,3 +602,70 @@ def test_tuple_name_roundtrip_without_separators(tup):
 def test_parse_tuple_name_rejects_unparenthesized():
     assert parse_tuple_name("a,b") is None
     assert parse_tuple_name("(a") is None
+
+
+# --- validate_setfunctor -----------------------------------------------------
+
+
+def random_meaning(rng):
+    """A meaning on a free base, a truncated one (not closed), one given by
+    explicit tables or one with relations (an idempotent or an
+    isomorphism); about half of them broken."""
+    kind = rng.choice(["free", "truncated", "explicit", "idempotent", "iso"])
+    if kind == "idempotent":
+        fun = idempotent_functor(rng)
+    elif kind == "iso":
+        fun = iso_functor(rng)
+    elif kind == "truncated":
+        fun = random_presheaf(rng, *random_truncated_base(rng))
+    else:
+        base, paths, fun = random_speaker_data(rng)
+        if kind == "explicit":
+            tables = FinCategory(base.objects, base.morphisms, base.src, base.tgt, base.identity,
+                                 base.compose, base.closed)
+            fun = random_presheaf(rng, tables, paths)
+    return broken_meaning(rng, fun) if rng.random() < 0.5 else fun
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_meaning_check_lists_the_oracles_problems_in_its_order(seed):
+    fun = random_meaning(random.Random(seed))
+    assert validate_setfunctor(fun) == reference.validate_setfunctor(fun)
+
+
+ARROW_VALUE = {"A": frozenset({"a1", "a2"}), "B": frozenset({"b"})}
+ARROW_ACTION = {"id_A": {"a1": "a1", "a2": "a2"}, "id_B": {"b": "b"}, "f": {"a1": "b", "a2": "b"}}
+CHAIN_VALUE = {"A": frozenset({"a1", "a2"}), "B": frozenset({"b1", "b2"}),
+               "C": frozenset({"c1", "c2"})}
+CHAIN_ACTION = {"id_A": {"a1": "a1", "a2": "a2"}, "id_B": {"b1": "b1", "b2": "b2"},
+                "id_C": {"c1": "c1", "c2": "c2"}, "f": {"a1": "b1", "a2": "b2"},
+                "g": {"b1": "c1", "b2": "c2"}, "g∘f": {"a1": "c2", "a2": "c1"}}
+
+
+@pytest.mark.parametrize("base, value, action, problems", [
+    pytest.param(arrow_category, {"A": ARROW_VALUE["A"]}, ARROW_ACTION,
+                 ["object B has no value set", "action of f leaves the target value set",
+                  "action of id_B is not total on the source value set",
+                  "action of id_B leaves the target value set"], id="no-value-set"),
+    pytest.param(arrow_category, ARROW_VALUE, {**ARROW_ACTION, "f": None},
+                 ["morphism f has no action"], id="no-action"),
+    pytest.param(arrow_category, ARROW_VALUE, {**ARROW_ACTION, "f": {"a1": "b"}},
+                 ["action of f is not total on the source value set"], id="not-total"),
+    pytest.param(arrow_category, ARROW_VALUE, {**ARROW_ACTION, "f": {"a1": "b", "a2": "z"}},
+                 ["action of f leaves the target value set",
+                  "action of composite f disagrees with the composite action at a2"],
+                 id="leaves-target"),
+    pytest.param(arrow_category, ARROW_VALUE,
+                 {**ARROW_ACTION, "id_A": {"a1": "a2", "a2": "a1"}},
+                 ["action of identity id_A is not the identity function",
+                  "action of composite id_A disagrees with the composite action at a1"],
+                 id="identity"),
+    pytest.param(chain_category, CHAIN_VALUE, CHAIN_ACTION,
+                 ["action of composite g∘f disagrees with the composite action at a1"],
+                 id="composite"),
+])
+def test_each_meaning_problem_is_named(base, value, action, problems):
+    fun = SetFunctor(base(), value, {m: g for m, g in action.items() if g is not None})
+    assert validate_setfunctor(fun) == problems
+    assert reference.validate_setfunctor(fun) == problems

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,10 +16,12 @@ import fiblex.collage as collage_mod
 import fiblex.fincat as fincat
 import fiblex.speaker as speaker_mod
 from fiblex.errors import FiblexError, IdentifierClash, ScenarioError, UnboundedHomSet
-from fiblex.fincat import validate_category
+from fiblex.fincat import SetFunctor, validate_category
 import fiblex.scenario as scenario_mod
+import reference
 from reference import validate_explanation_over_every_path
 from fiblex.jsonio import canonical_dumps
+from padding_probe import WORDS, padded_speakers
 from fiblex.scenario import (
     export_dot,
     load_scenario,
@@ -159,6 +163,78 @@ def test_declared_speaker_keys_must_name_the_language(key, entry, message):
     assert str(err.value) == message
 
 
+def bob(doc):
+    return doc["speakers"]["bob"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d.update(speakers=[{"language": "lang"}]),
+                 "key 'speakers' is not an object", id="speakers-list"),
+    pytest.param(lambda d: d["speakers"].update(bob=["lang"]),
+                 "speaker bob: declaration is not an object", id="speaker-list"),
+    pytest.param(lambda d: bob(d).update(language=["lang"]),
+                 "speaker bob: undeclared language ['lang']", id="language-list"),
+    pytest.param(lambda d: bob(d).update(fibres=[["A", "a1"]]),
+                 "speaker bob: key 'fibres' is not an object", id="fibres-list"),
+    pytest.param(lambda d: bob(d).update(actions="f"),
+                 "speaker bob: key 'actions' is not an object", id="actions-string"),
+    pytest.param(lambda d: bob(d)["fibres"].update(B=3),
+                 "speaker bob: fibres key 'B' is not a list of strings", id="fibre-number"),
+    pytest.param(lambda d: bob(d)["fibres"].update(B="b"),
+                 "speaker bob: fibres key 'B' is not a list of strings", id="fibre-string"),
+    pytest.param(lambda d: bob(d)["fibres"].update(B=[["b"]]),
+                 "speaker bob: fibres key 'B' is not a list of strings", id="fibre-of-lists"),
+    pytest.param(lambda d: bob(d).update(fibres={"C": {"c": "c"}, "A": ["a1"], "B": None}),
+                 "speaker bob: fibres key 'B' is not a list of strings", id="least-fibre-key"),
+    pytest.param(lambda d: bob(d)["actions"].update(g="b"),
+                 "speaker bob: actions key 'g' is not an object of strings", id="action-string"),
+    pytest.param(lambda d: bob(d)["actions"].update(g=[["c", "b"]]),
+                 "speaker bob: actions key 'g' is not an object of strings", id="action-pairs"),
+    pytest.param(lambda d: bob(d)["actions"].update(g={"c": ["b"]}),
+                 "speaker bob: actions key 'g' is not an object of strings", id="image-list"),
+    pytest.param(lambda d: bob(d).update(actions={"h": {"c": 1}, "f": {"b": "a1"}, "g": None}),
+                 "speaker bob: actions key 'g' is not an object of strings", id="least-action-key"),
+])
+def test_a_speaker_of_the_wrong_json_type_is_refused(edit, message, tmp_path):
+    doc = one_speaker_doc(THREE_ARROWS, dict(FUNCTORIAL))
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == message
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    for command in (["run", str(path)], ["validate", str(path)]):
+        result = CliRunner().invoke(main, command)
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, json.loads((SCENARIOS / "schema.json").read_text()))
+
+
+def test_a_missing_action_names_the_least_morphism_under_any_string_hashing(tmp_path):
+    # f, g and g∘f have no action; which one a set of names yields first
+    # depends on the interpreter's string hashing
+    language = {"kind": "free", "vertices": ["a", "b", "c"],
+                "edges": [{"id": "f", "src": "a", "tgt": "b"}, {"id": "g", "src": "b", "tgt": "c"},
+                          {"id": "h", "src": "a", "tgt": "c"}]}
+    doc = {"name": "gaps", "categories": {"lang": language},
+           "speakers": {"p": {"language": "lang", "actions": {"h": {}}}}}
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == "speaker p: no action table for f"
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(scenario_mod.__file__).resolve().parent.parent)
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "fiblex.cli", "validate", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.strip() == "error: speaker p: no action table for f", seed
+
+
 OFF_THE_VERTICES = "quiver edge f runs from cat to felin, which are not both vertices"
 
 
@@ -244,6 +320,74 @@ def test_a_benchmark_pass_checks_no_category(workload, monkeypatch):
     code, _ = run_scenario(load_scenario(doc))
     assert code == 0
     assert categories == []
+
+
+def test_valid_meaning_checks_sort_nothing_but_the_shared_index_once(monkeypatch):
+    doc = bench_generate.generate("learn-paraphrasis", 1)[0]
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    check = fincat.validate_setfunctor
+    per_check = []
+
+    def counted_check(fun):
+        before = len(sorts)
+        problems = check(fun)
+        per_check.append((len(sorts) - before, problems))
+        return problems
+
+    monkeypatch.setattr(fincat, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(scenario_mod, "validate_setfunctor", counted_check)
+    load_scenario(doc)
+    assert len(per_check) == len(doc["speakers"]) == 21
+    assert all(problems == [] for _, problems in per_check)
+    # the one sort is the shared opposite language's index by source,
+    # built on its first read and cached with it
+    assert [n for n, _ in per_check] == [1] + [0] * 20
+
+
+class CountedTable(dict):
+    """A composition table that counts the entries read from it."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+
+def compose_entries_read(k):
+    """The compose entries the meaning check reads for bob on the padding
+    probe's language with ``k`` padding objects, all of them left empty."""
+    _, padded_bob = padded_speakers(k)
+    lang, meaning = padded_bob.language, padded_bob.meaning
+    value = {o: fibre if o in WORDS else frozenset() for o, fibre in meaning.value.items()}
+    action = {m: graph if lang.tgt[m] in WORDS else {} for m, graph in meaning.action.items()}
+    fun = SetFunctor(meaning.base, value, action)
+    table = CountedTable(fun.base.compose)
+    object.__setattr__(fun.base, "compose", table)
+    assert fincat.validate_setfunctor(fun) == reference.validate_setfunctor(fun) == []
+    table.reads = 0
+    assert fincat.validate_setfunctor(fun) == []
+    return table.reads, len(table)
+
+
+def test_a_meaning_check_reads_no_compose_entry_of_empty_fibres():
+    reads, entries = compose_entries_read(0)
+    padded_reads, padded_entries = compose_entries_read(400)
+    assert padded_entries > entries + 400
+    assert reads == padded_reads == 2  # id∘id over feline and over black
 
 
 @pytest.mark.parametrize("language, message", [
