@@ -112,10 +112,10 @@ class CollageCategory:
 
     ``category`` contains every normal-form word as a morphism.
     ``spellings`` maps the morphisms that use at least one quiver edge to
-    their base morphisms and edges. ``new_words`` maps the same morphisms
-    to their words and ``words`` every morphism, its 0-edge words one per
-    base morphism; both are built on first read. A non-closed collage was
-    truncated at an edge-count bound and refuses out-of-bound composition.
+    their base morphisms and edges. ``words`` maps every morphism to its
+    word, the 0-edge words one per base morphism, and is built on first
+    read. A non-closed collage was truncated at an edge-count bound and
+    refuses out-of-bound composition.
     """
 
     base: FinCategory
@@ -125,17 +125,12 @@ class CollageCategory:
     closed: bool
 
     @cached_property
-    def new_words(self) -> dict[str, Word]:
-        src, tgt = self.base.src, self.base.tgt
-        return {m: Word(bases=bases, edges=edges, src=src[bases[0]], tgt=tgt[bases[-1]])
-                for m, (bases, edges) in self.spellings.items()}
-
-    @cached_property
     def words(self) -> dict[str, Word]:
-        base = self.base
-        out = {m: Word(bases=(m,), edges=(), src=base.src[m], tgt=base.tgt[m])
-               for m in sorted(base.morphisms)}
-        out.update(self.new_words)
+        src, tgt = self.base.src, self.base.tgt
+        out = {m: Word(bases=(m,), edges=(), src=src[m], tgt=tgt[m])
+               for m in sorted(self.base.morphisms)}
+        out.update((m, Word(bases=bases, edges=edges, src=src[bases[0]], tgt=tgt[bases[-1]]))
+                   for m, (bases, edges) in self.spellings.items())
         return out
 
     def edge_words(self) -> list[str]:
@@ -298,32 +293,36 @@ def _glue(
 
     Both start as copies of the base's tables; a pair is glued, into both,
     only when at least one side is a word with edges, and left out when
-    the two together have more than ``bound`` edges."""
-    out_bases, into_bases = cat.by_src, cat.by_tgt
+    the two together have more than ``bound`` edges. The pairs are glued
+    in three flat loops (a word after a base morphism, a word after a
+    word, a base morphism after a word), each word's spelling is split
+    once, outside the inner loop, and the base morphism at the junction
+    is read straight from the base's table, which ``_adjoin`` has checked
+    has every junction."""
+    base_compose, src, tgt = cat.compose, cat.src, cat.tgt
+    into_bases, out_bases = cat.by_tgt, cat.by_src
+    compose, compose_op = dict(base_compose), _opposite_compose(cat)
     by_key = {spelling: wid for wid, spelling in spellings.items()}
-    new_out: dict[str, list[str]] = {}
-    for wid, (bases, _) in spellings.items():
-        new_out.setdefault(cat.src[bases[0]], []).append(wid)
-    compose, compose_op = dict(cat.compose), _opposite_compose(cat)
+    # each word out of an object: its name, first base morphism, the rest and its edges
+    new_out: dict[str, list[tuple[str, str, tuple[str, ...], tuple[str, ...]]]] = {}
+    for g, (bases, edges) in spellings.items():
+        new_out.setdefault(src[bases[0]], []).append((g, bases[0], bases[1:], edges))
 
-    def glue(g_id: str, f_id: str) -> None:
-        f_bases, f_edges = spellings.get(f_id) or ((f_id,), ())
-        g_bases, g_edges = spellings.get(g_id) or ((g_id,), ())
-        if bound is not None and len(f_edges) + len(g_edges) > bound:
-            return  # outside the truncation
-        junction = cat.compose_pair(g_bases[0], f_bases[-1])
-        gf = by_key[(f_bases[:-1] + (junction,) + g_bases[1:], f_edges + g_edges)]
-        compose[(g_id, f_id)] = compose_op[(f_id, g_id)] = gf
-
-    for f_id, (bases, _) in spellings.items():
-        t = cat.tgt[bases[-1]]
-        for g_id in out_bases.get(t, ()):
-            glue(g_id, f_id)
-        for g_id in new_out.get(t, ()):
-            glue(g_id, f_id)
-    for g_id, (bases, _) in spellings.items():
-        for f_id in into_bases.get(cat.src[bases[0]], ()):
-            glue(g_id, f_id)
+    for o, words in new_out.items():  # a word after a base morphism
+        for f in into_bases.get(o, ()):
+            for g, first, rest, edges in words:
+                compose[g, f] = compose_op[f, g] = by_key[(base_compose[first, f],) + rest, edges]
+    for f, (bases, edges) in spellings.items():  # a word after a word
+        head, last = bases[:-1], bases[-1]
+        for g, first, rest, g_edges in new_out.get(tgt[last], ()):
+            if bound is not None and len(edges) + len(g_edges) > bound:
+                continue  # outside the truncation
+            gf = by_key[head + (base_compose[first, last],) + rest, edges + g_edges]
+            compose[g, f] = compose_op[f, g] = gf
+    for f, (bases, edges) in spellings.items():  # a base morphism after a word
+        head, last = bases[:-1], bases[-1]
+        for g in out_bases.get(tgt[last], ()):
+            compose[g, f] = compose_op[f, g] = by_key[head + (base_compose[g, last],), edges]
     return compose, compose_op
 
 
@@ -347,9 +346,9 @@ def extend_set_functor(
         raise MissingEdgeAction(f"no action for edges: {', '.join(missing)}")
 
     action = dict(fun.action)
-    for wid, word in collage.new_words.items():
-        graph = fun.action[word.bases[0]]
-        for q, c in zip(word.edges, word.bases[1:]):
+    for wid, (bases, edges) in collage.spellings.items():
+        graph = fun.action[bases[0]]
+        for q, c in zip(edges, bases[1:]):
             along, then = edge_actions[q], fun.action[c]
             graph = {x: then[along[y]] for x, y in graph.items()}
         action[wid] = graph

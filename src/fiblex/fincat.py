@@ -8,11 +8,12 @@ the tables inside them are shared freely: a grown category starts from
 copies of its parent's tables, and a grown functor keeps its parent's
 value table and action graphs. A category also caches what it derives
 from its tables, on first read and per instance: its morphisms by source
-and by target, and its opposite. A category that a collage built (see
-``fiblex.collage``) also glues its composition table, and its
-opposite's, on the first read of either; every reader, ``==`` included,
-sees the whole table. The dataclasses are frozen but the dicts inside
-them are not, so tables must never be mutated once they are handed over.
+and by target, shared with its opposite, and its opposite. A category
+that a collage built (see ``fiblex.collage``) also glues its composition
+table, and its opposite's, on the first read of either; every reader,
+``==`` included, sees the whole table. The dataclasses are frozen but
+the dicts inside them are not, so tables must never be mutated once they
+are handed over.
 """
 
 from __future__ import annotations
@@ -90,18 +91,12 @@ class FinCategory:
     @cached_property
     def by_src(self) -> dict[str, list[str]]:
         """The morphisms out of each object that has any, sorted."""
-        out: dict[str, list[str]] = {}
-        for m in sorted(self.morphisms):
-            out.setdefault(self.src[m], []).append(m)
-        return out
+        return _index(self, self.src, "by_tgt")
 
     @cached_property
     def by_tgt(self) -> dict[str, list[str]]:
         """The morphisms into each object that has any, sorted."""
-        out: dict[str, list[str]] = {}
-        for m in sorted(self.morphisms):
-            out.setdefault(self.tgt[m], []).append(m)
-        return out
+        return _index(self, self.tgt, "by_src")
 
     def hom(self, x: str, y: str) -> list[str]:
         return sorted(m for m in self.morphisms if self.src[m] == x and self.tgt[m] == y)
@@ -144,6 +139,22 @@ class _GluedOnRead:
 
 
 FinCategory.compose = _GluedOnRead()  # set after the dataclass, so that no field default is seen
+
+
+def _index(cat: FinCategory, end: Mapping[str, str], mirror: str) -> dict[str, list[str]]:
+    """The morphisms of ``cat`` by ``end`` (its source or target table),
+    sorted. The same index is the cached opposite's ``mirror``, so it is
+    taken from there when the opposite has it, and handed to it otherwise;
+    an opposite paired later finds it here."""
+    op = cat.__dict__.get("_opposite")
+    if op is not None and mirror in op.__dict__:
+        return op.__dict__[mirror]
+    out: dict[str, list[str]] = {}
+    for m in sorted(cat.morphisms):
+        out.setdefault(end[m], []).append(m)
+    if op is not None:
+        op.__dict__[mirror] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -408,6 +419,16 @@ def validate_setfunctor(fun: SetFunctor) -> list[str]:
     problems found are sorted after it. Identities and compose entries
     are read only out of objects with a non-empty value set, through the
     base's index by source. The base must be a category.
+
+    When the base is the opposite of a language that ``free_category``
+    built (so its cached opposite has ``paths``) and the checks before
+    the compose entries found nothing, the meaning is functorial exactly
+    when each composite ``p∘e`` of an edge ``e`` and a non-identity
+    morphism ``p`` acts as ``e``'s action after ``p``'s (by induction on
+    path length), so only those composites are read, through the
+    language's ``compose``; one over an empty value set, or one that a
+    truncated language lacks, is skipped. Only when one disagrees are the
+    compose entries walked, for the problem list.
     """
     base, value, action = fun.base, fun.value, fun.action
     # each problem after its sort key: the check, what it names, its place
@@ -424,15 +445,19 @@ def validate_setfunctor(fun: SetFunctor) -> list[str]:
             found.append((1, m, 1, f"action of {m} is not total on the source value set"))
         if not value.get(tgt[m], empty).issuperset(act.values()):
             found.append((1, m, 2, f"action of {m} leaves the target value set"))
-    compose, by_src = base.compose, base.by_src
     no_graph: dict[str, str] = {}
-    for o, fibre in value.items():
-        if not fibre or o not in base.objects:
-            continue
+    filled = [(o, fibre) for o, fibre in value.items() if fibre and o in base.objects]
+    for o, fibre in filled:
         i = base.identity[o]
         ident = action.get(i, no_graph)
         if any(ident.get(x) != x for x in fibre):
             found.append((2, o, 0, f"action of identity {i} is not the identity function"))
+    language = base.__dict__.get("_opposite")
+    if not found and language is not None and language.paths is not None:
+        if _acts_along_paths(fun, language):
+            return []
+    compose, by_src = base.compose, base.by_src
+    for o, fibre in filled:
         for f in by_src.get(o, ()):
             af = action.get(f, no_graph)
             for g in by_src.get(tgt[f], ()):
@@ -446,6 +471,28 @@ def validate_setfunctor(fun: SetFunctor) -> list[str]:
                                                 f"composite action at {min(bad)}"))
     found.sort()
     return [problem for *_, problem in found]
+
+
+def _acts_along_paths(fun: SetFunctor, language: FinCategory) -> bool:
+    """Whether a meaning on the opposite of a free language, with total
+    actions and identities, acts on each composite ``p∘e`` of an edge
+    ``e`` and a non-identity ``p`` as ``e``'s action after ``p``'s, over a
+    non-empty value set and where the language has the composite."""
+    value, action, paths = fun.value, fun.action, language.paths
+    compose, out_of, tgt = language.compose, language.by_src, language.tgt
+    for e, path in paths.items():
+        if len(path) != 1:
+            continue
+        act_e = action[e]
+        for p in out_of.get(tgt[e], ()):
+            if not paths[p] or not value[tgt[p]]:
+                continue
+            pe = compose.get((p, e))
+            if pe is None:  # beyond the bound of a truncated language
+                continue
+            if action[pe] != {x: act_e[y] for x, y in action[p].items()}:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

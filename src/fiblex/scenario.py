@@ -73,6 +73,15 @@ _SPEAKER_TABLES = {
 }
 _STRINGS = frozenset({str})
 
+# The JSON type of each top-level table of a document, and its name in errors.
+_TABLES = {
+    "categories": (dict, "an object"),
+    "speakers": (dict, "an object"),
+    "explanations": (dict, "an object"),
+    "events": (list, "a list"),
+    "assertions": (list, "a list"),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -174,18 +183,17 @@ def load_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict) or "name" not in doc:
         raise ScenarioError("scenario file needs a top-level name")
     categories: dict[str, FinCategory] = {}
-    for name, decl in doc.get("categories", {}).items():
+    for name, decl in _table(doc, "categories").items():
+        if type(decl) is not dict:
+            raise ScenarioError(f"category {name}: declaration is not an object")
         try:
             categories[name] = _category_from_decl(decl)
         except FiblexError as err:
             raise ScenarioError(f"category {name}: {err}") from err
 
     # speakers share their declared language
-    declared = doc.get("speakers", {})
-    if type(declared) is not dict:
-        raise ScenarioError("key 'speakers' is not an object")
     speakers: dict[str, Speaker] = {}
-    for name, decl in declared.items():
+    for name, decl in _table(doc, "speakers").items():
         problem = _ill_typed_speaker(decl)
         if problem is not None:
             raise ScenarioError(f"speaker {name}: {problem}")
@@ -199,9 +207,11 @@ def load_scenario(doc: dict) -> Scenario:
         except FiblexError as err:
             raise ScenarioError(f"speaker {name}: {err}") from err
 
-    explanations = dict(doc.get("explanations", {}))
-    events = list(doc.get("events", []))
+    explanations = dict(_table(doc, "explanations"))
+    events = list(_table(doc, "events"))
     for i, event in enumerate(events):
+        if type(event) is not dict:
+            raise ScenarioError(f"event ev{i}: declaration is not an object")
         event.setdefault("id", f"ev{i}")
         if event.get("event") not in {
             "example",
@@ -214,7 +224,7 @@ def load_scenario(doc: dict) -> Scenario:
     if len(set(ids)) != len(ids):
         raise ScenarioError("event ids are not unique")
 
-    assertions = list(doc.get("assertions", []))
+    assertions = list(_table(doc, "assertions"))
     scenario = Scenario(
         name=doc["name"],
         categories=categories,
@@ -225,6 +235,16 @@ def load_scenario(doc: dict) -> Scenario:
     )
     _check_references(scenario)
     return scenario
+
+
+def _table(doc: dict, key: str):
+    """The document's top-level table ``key``, empty when absent; one of
+    another JSON type than ``_TABLES`` gives raises ``ScenarioError``."""
+    kind, what = _TABLES[key]
+    table = doc.get(key, kind())
+    if type(table) is not kind:
+        raise ScenarioError(f"key {key!r} is not {what}")
+    return table
 
 
 def _missing_key(decl: dict, what: str, kind: str) -> Optional[str]:
@@ -259,6 +279,7 @@ def _check_references(scenario: Scenario) -> None:
             name = event.get("explanation")
             if name not in scenario.explanations:
                 raise ScenarioError(f"event {eid}: undeclared explanation {name!r}")
+    event_ids = {e["id"] for e in scenario.events}
     for i, check in enumerate(scenario.assertions):
         kind = check.get("assert")
         if kind not in _ASSERTION_KINDS:
@@ -266,7 +287,7 @@ def _check_references(scenario: Scenario) -> None:
         for key in ("speaker", "left", "right"):
             if key in check and check[key] not in known:
                 raise ScenarioError(f"assertion references undeclared speaker {check[key]!r}")
-        if "event" in check and check["event"] not in {e["id"] for e in scenario.events}:
+        if "event" in check and check["event"] not in event_ids:
             raise ScenarioError(f"assertion references unknown event {check['event']!r}")
 
 
@@ -435,6 +456,7 @@ def run_scenario(
         }
     results = []
     first_failure = None
+    event_ids = {e["id"] for e in scenario.events}
     for i, check in enumerate(scenario.assertions):
         name = _assertion_name(check, i)
         try:

@@ -11,6 +11,11 @@ with its own walk; ``full_words`` lets the tests decide it without a
 search, by the pigeonhole principle: with ``n`` edges, a word of ``n + 1``
 edges uses some edge twice, and so runs round a cycle.
 
+``glue_pair_by_pair`` is the composition-table glue that
+``fiblex.collage`` used before it glued in three flat loops: one call per
+pair, each rebuilding both spellings and composing the junction with
+``compose_pair``; the two must write the same tables.
+
 ``normalize_word`` folds a raw alternating sequence of base morphisms and
 edges into normal form, and ``canonical_functor`` is the embedding of the
 base into its collage; the tests check the collage laws with them.
@@ -27,7 +32,14 @@ from fiblex.errors import (
     UnboundedHomSet,
     VertexMismatch,
 )
-from fiblex.fincat import CatFunctor, FinCategory, Quiver, SetFunctor, compose_table
+from fiblex.fincat import (
+    CatFunctor,
+    FinCategory,
+    Quiver,
+    SetFunctor,
+    _opposite_compose,
+    compose_table,
+)
 
 
 def collage_is_finite_per_edge(cat: FinCategory, quiver: Quiver) -> bool:
@@ -90,6 +102,41 @@ def full_collage(
         closed=not truncated,
     )
     return words, category
+
+
+def glue_pair_by_pair(
+    cat: FinCategory, spellings: dict, bound: Optional[int]
+) -> tuple[dict[tuple[str, str], str], dict[tuple[str, str], str]]:
+    """The composition tables of a collage of ``cat`` with the words
+    ``spellings`` and of its opposite, glued one pair at a time: copies
+    of the base's tables, plus every pair in which one side is a word
+    with edges, unless the two together have more than ``bound`` edges."""
+    out_bases, into_bases = cat.by_src, cat.by_tgt
+    by_key = {spelling: wid for wid, spelling in spellings.items()}
+    new_out: dict[str, list[str]] = {}
+    for wid, (bases, _) in spellings.items():
+        new_out.setdefault(cat.src[bases[0]], []).append(wid)
+    compose, compose_op = dict(cat.compose), _opposite_compose(cat)
+
+    def glue(g_id: str, f_id: str) -> None:
+        f_bases, f_edges = spellings.get(f_id) or ((f_id,), ())
+        g_bases, g_edges = spellings.get(g_id) or ((g_id,), ())
+        if bound is not None and len(f_edges) + len(g_edges) > bound:
+            return  # outside the truncation
+        junction = cat.compose_pair(g_bases[0], f_bases[-1])
+        gf = by_key[(f_bases[:-1] + (junction,) + g_bases[1:], f_edges + g_edges)]
+        compose[(g_id, f_id)] = compose_op[(f_id, g_id)] = gf
+
+    for f_id, (bases, _) in spellings.items():
+        t = cat.tgt[bases[-1]]
+        for g_id in out_bases.get(t, ()):
+            glue(g_id, f_id)
+        for g_id in new_out.get(t, ()):
+            glue(g_id, f_id)
+    for g_id, (bases, _) in spellings.items():
+        for f_id in into_bases.get(cat.src[bases[0]], ()):
+            glue(g_id, f_id)
+    return compose, compose_op
 
 
 def full_words(

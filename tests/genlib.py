@@ -333,6 +333,23 @@ def broken_meaning(rng: random.Random, fun: SetFunctor) -> SetFunctor:
     return SetFunctor(base=fun.base, value=value, action=action)
 
 
+def broken_at_a_composite(rng: random.Random, fun: SetFunctor, paths: dict) -> SetFunctor:
+    """``fun``, a meaning on the opposite of a free language with the edge
+    path of each morphism in ``paths``, with one element of one path of
+    two or more edges sent to another element of its target set. Every
+    action stays total and every identity the identity, so only a check
+    of the composites can see the break; ``fun`` itself when no such
+    path has a choice of image."""
+    choices = [(m, x) for m, path in sorted(paths.items()) if len(path) >= 2
+               for x in sorted(fun.action[m]) if len(fun.value[fun.base.tgt[m]]) > 1]
+    if not choices:
+        return fun
+    m, x = rng.choice(choices)
+    others = sorted(fun.value[fun.base.tgt[m]] - {fun.action[m][x]})
+    action = {**fun.action, m: {**fun.action[m], x: rng.choice(others)}}
+    return SetFunctor(base=fun.base, value=fun.value, action=action)
+
+
 def random_speaker_data(rng: random.Random, fresh_object: bool = False):
     """Language, paths, and a presheaf; optionally guarantees an object
     with an empty fibre and no incident non-identity arrows."""

@@ -11,6 +11,7 @@ from collage_oracle import (
     full_collage,
     full_extension,
     full_words,
+    glue_pair_by_pair,
     normalize_word,
 )
 from genlib import (
@@ -23,6 +24,7 @@ from genlib import (
 )
 from reference import discrete_quiver
 from fiblex.errors import BoundExceeded, MissingEdgeAction, UnboundedHomSet, VertexMismatch
+import fiblex.collage as collage_mod
 from fiblex.collage import (
     Word,
     collage_is_finite,
@@ -434,3 +436,20 @@ def test_delta_collage_and_extension_match_the_full_enumeration(seed):
         _same_category(free, full[1])
         _same_category(opposite(free), opposite_from_tables(full[1]))
         assert free.paths == {m: w.edges for m, w in full[0].items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_the_glue_writes_the_tables_of_the_pair_by_pair_glue(seed):
+    # random closed bases and quivers, the collage truncated at a random
+    # bound or not; a truncated base always lacks a junction, and is
+    # refused before any glue (test_collage_over_a_truncated_base_raises_bound_exceeded)
+    rng = random.Random(seed)
+    base = _random_closed_base(rng).base
+    bound = rng.choice([None, 0, 1, 2, 3])
+    col, _ = _outcome(lambda: fp_collage(base, _random_quiver(rng, base), bound=bound))
+    if col is None:
+        return
+    compose, compose_op = collage_mod._glue(base, col.spellings, bound)
+    assert (compose, compose_op) == glue_pair_by_pair(base, col.spellings, bound)
+    assert col.category.compose == compose and opposite(col.category).compose == compose_op

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 import reference
 from genlib import (
+    broken_at_a_composite,
     broken_meaning,
     free_category_by_paths,
     functor_on_free,
     idempotent_functor,
     iso_functor,
     opposite_from_tables,
+    random_base,
     random_presheaf,
     random_speaker_data,
     random_truncated_base,
@@ -128,6 +130,22 @@ def test_opposite_shares_the_endpoint_tables_of_its_category():
         op = opposite(cat)
         assert op.src is cat.tgt and op.tgt is cat.src and op.identity is cat.identity
         assert opposite(op) is cat
+
+
+def test_a_category_and_its_opposite_share_their_indexes():
+    # an index read before the opposite is built is found by the opposite;
+    # one read after is handed to the opposite as it is built
+    for cat in (arrow_category(), chain_category()):
+        by_src = cat.by_src
+        op = opposite(cat)
+        assert op.by_tgt is by_src
+        assert op.by_src is cat.by_tgt
+    for cat in (arrow_category(), chain_category()):
+        op = opposite(cat)
+        assert cat.by_src is op.by_tgt
+        assert op.by_src is cat.by_tgt
+        assert op.by_src == {o: sorted(m for m in cat.morphisms if cat.tgt[m] == o)
+                             for o in cat.objects}
 
 
 def test_cached_indexes_are_derived_and_invisible():
@@ -610,8 +628,13 @@ def test_parse_tuple_name_rejects_unparenthesized():
 def random_meaning(rng):
     """A meaning on a free base, a truncated one (not closed), one given by
     explicit tables or one with relations (an idempotent or an
-    isomorphism); about half of them broken."""
-    kind = rng.choice(["free", "truncated", "explicit", "idempotent", "iso"])
+    isomorphism); about half of them broken. A sixth kind is a meaning on
+    a free or truncated base broken only at a composite, which only the
+    check of composites (the fold along paths) can see."""
+    kind = rng.choice(["free", "truncated", "explicit", "idempotent", "iso", "composite"])
+    if kind == "composite":
+        base, paths = random_base(rng) if rng.random() < 0.5 else random_truncated_base(rng)
+        return broken_at_a_composite(rng, random_presheaf(rng, base, paths), paths)
     if kind == "idempotent":
         fun = idempotent_functor(rng)
     elif kind == "iso":

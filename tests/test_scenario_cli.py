@@ -212,6 +212,37 @@ def test_a_speaker_of_the_wrong_json_type_is_refused(edit, message, tmp_path):
         jsonschema.validate(doc, json.loads((SCENARIOS / "schema.json").read_text()))
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d.update(categories=[]), "key 'categories' is not an object",
+                 id="categories-list"),
+    pytest.param(lambda d: d["categories"].update(lang=["a"]),
+                 "category lang: declaration is not an object", id="category-list"),
+    pytest.param(lambda d: d.update(events={"a": 1}), "key 'events' is not a list",
+                 id="events-object"),
+    pytest.param(lambda d: d.update(events=[1]), "event ev0: declaration is not an object",
+                 id="event-number"),
+    pytest.param(lambda d: d.update(explanations=[]), "key 'explanations' is not an object",
+                 id="explanations-list"),
+    pytest.param(lambda d: d.update(assertions={}), "key 'assertions' is not a list",
+                 id="assertions-object"),
+])
+def test_a_table_of_the_wrong_json_type_is_refused(edit, message, tmp_path):
+    doc = one_speaker_doc(THREE_ARROWS, dict(FUNCTORIAL))
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == message
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    for command in (["run", str(path)], ["validate", str(path)]):
+        result = CliRunner().invoke(main, command)
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, json.loads((SCENARIOS / "schema.json").read_text()))
+
+
 def test_a_missing_action_names_the_least_morphism_under_any_string_hashing(tmp_path):
     # f, g and g∘f have no action; which one a set of names yields first
     # depends on the interpreter's string hashing
@@ -350,44 +381,110 @@ def test_valid_meaning_checks_sort_nothing_but_the_shared_index_once(monkeypatch
 
 
 class CountedTable(dict):
-    """A composition table that counts the entries read from it."""
+    """A composition table that records the keys of the entries read from it."""
 
-    reads = 0
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = []
 
     def get(self, key, default=None):
-        self.reads += 1
+        self.read.append(key)
         return super().get(key, default)
 
     def __getitem__(self, key):
-        self.reads += 1
+        self.read.append(key)
         return super().__getitem__(key)
 
     def items(self):
-        self.reads += len(self)
+        self.read.extend(self.keys())
         return super().items()
 
 
-def compose_entries_read(k):
+def counted_tables(base):
+    """Counting copies of the composition tables of ``base`` and of its
+    cached opposite (the language), put in their place: reading the
+    first glues both when they are pending."""
+    tables = []
+    for cat in (base, fincat.opposite(base)):
+        table = CountedTable(cat.compose)
+        object.__setattr__(cat, "compose", table)
+        tables.append(table)
+    return tables
+
+
+def compose_entries_read(k, broken):
     """The compose entries the meaning check reads for bob on the padding
-    probe's language with ``k`` padding objects, all of them left empty."""
+    probe's language with ``k`` padding objects, all of them left empty,
+    out of the base's table and out of the language's, and the size of
+    the base's table. A ``broken`` meaning swaps bob's two felines under
+    feline's identity."""
     _, padded_bob = padded_speakers(k)
     lang, meaning = padded_bob.language, padded_bob.meaning
     value = {o: fibre if o in WORDS else frozenset() for o, fibre in meaning.value.items()}
     action = {m: graph if lang.tgt[m] in WORDS else {} for m, graph in meaning.action.items()}
+    if broken:
+        action[lang.identity["feline"]] = {"tiger": "lynx", "lynx": "tiger"}
     fun = SetFunctor(meaning.base, value, action)
-    table = CountedTable(fun.base.compose)
-    object.__setattr__(fun.base, "compose", table)
-    assert fincat.validate_setfunctor(fun) == reference.validate_setfunctor(fun) == []
-    table.reads = 0
-    assert fincat.validate_setfunctor(fun) == []
-    return table.reads, len(table)
+    tables = counted_tables(fun.base)
+    problems = reference.validate_setfunctor(fun)
+    assert fincat.validate_setfunctor(fun) == problems and bool(problems) == broken
+    for table in tables:
+        table.read.clear()
+    assert fincat.validate_setfunctor(fun) == problems
+    return [len(table.read) for table in tables], len(tables[0])
 
 
 def test_a_meaning_check_reads_no_compose_entry_of_empty_fibres():
-    reads, entries = compose_entries_read(0)
-    padded_reads, padded_entries = compose_entries_read(400)
+    # A valid meaning on a free language is checked along its paths, and
+    # the padding probe's words have none: nothing is read at any K. A
+    # meaning with a problem has its compose entries walked, and only
+    # id∘id over feline and over black is read, at any K.
+    reads, entries = compose_entries_read(0, broken=False)
+    padded_reads, padded_entries = compose_entries_read(400, broken=False)
     assert padded_entries > entries + 400
-    assert reads == padded_reads == 2  # id∘id over feline and over black
+    assert reads == padded_reads == [0, 0]
+    reads, _ = compose_entries_read(0, broken=True)
+    padded_reads, _ = compose_entries_read(400, broken=True)
+    assert reads == padded_reads == [2, 0]
+
+
+@pytest.mark.parametrize("workload", ["explain-limits", "learn-example"])
+def test_a_valid_meaning_on_a_free_language_reads_one_composite_per_path(workload, monkeypatch):
+    # Seed 1. Per declared speaker, the check reads nothing of its base's
+    # table and, of its language's table, one composite per path of two
+    # or more edges whose target has a non-empty fibre, and no entry with
+    # an identity. explain-limits' speakers fill every fibre (36 such
+    # paths over `chain`, 15 over `dag`); learn-example's learners leave
+    # some empty.
+    doc = bench_generate.generate(workload, 1)[0]
+    check = fincat.validate_setfunctor
+    reads = []  # per declared speaker, in declaration order
+
+    def counted_check(fun):
+        base_table, language_table = counted_tables(fun.base)
+        problems = check(fun)
+        assert problems == []
+        language = fincat.opposite(fun.base)
+        paths = language.paths
+        expected = sorted((m, paths[m][0]) for m in paths
+                          if len(paths[m]) >= 2 and fun.value[language.tgt[m]])
+        read = list(language_table.read)
+        assert base_table.read == []
+        assert sorted((dict.get(language_table, pe), pe[1]) for pe in read) == expected
+        assert not any(paths[p] == () or paths[e] == () for p, e in read)
+        reads.append(len(read))
+        return problems
+
+    monkeypatch.setattr(scenario_mod, "validate_setfunctor", counted_check)
+    scenario = load_scenario(doc)
+    assert len(reads) == len(doc["speakers"])
+    per_language = {doc["speakers"][name]["language"]: n for name, n in zip(doc["speakers"], reads)}
+    if workload == "explain-limits":
+        assert per_language == {"chain": 36, "dag": 15}
+    else:
+        assert sorted(set(reads)) == [20, 32]
+    code, _ = run_scenario(scenario)
+    assert code == 0
 
 
 @pytest.mark.parametrize("language, message", [

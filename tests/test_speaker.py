@@ -688,27 +688,29 @@ def test_paraphrasis_refuses_apex_tuples_with_one_name():
 
 
 def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(monkeypatch):
-    # Composites glued, words built and opposites computed during one
-    # paraphrasis are counted, then counted again with a disconnected chain
-    # z0 → … → z5 (and its fifteen composites) added to the language: the
-    # counts must not move. No opposite is computed at all: the grown
-    # language is built together with its opposite, the meaning's base.
-    # Every fibre but the learned word's is the learner's own.
+    # Composition entries glued, words spelled and opposites computed
+    # during one paraphrasis are counted, then counted again with a
+    # disconnected chain z0 → … → z5 (and its fifteen composites) added to
+    # the language: the counts must not move. No opposite is computed at
+    # all: the grown language is built together with its opposite, the
+    # meaning's base. Every fibre but the learned word's is the learner's
+    # own.
     import fiblex.collage as collage_module
     import fiblex.fincat as fincat_module
 
-    counts = {"compose_pair": 0, "words": 0, "opposites": 0}
-    compose_pair = FinCategory.compose_pair
-    word_post_init = collage_module.Word.__post_init__
+    counts = {"glued": 0, "words": 0, "opposites": 0}
+    glue, spell = collage_module._glue, collage_module._spell
     opposite_of = fincat_module.opposite
 
-    def counted_compose_pair(self, g, f):
-        counts["compose_pair"] += 1
-        return compose_pair(self, g, f)
+    def counted_glue(cat, spellings, bound):
+        compose, compose_op = glue(cat, spellings, bound)
+        counts["glued"] += len(compose) - len(cat.compose)  # the entries it writes
+        return compose, compose_op
 
-    def counted_word(self):
-        counts["words"] += 1
-        word_post_init(self)
+    def counted_spell(cat, quiver, bound):
+        words, truncated = spell(cat, quiver, bound)
+        counts["words"] += len(words)
+        return words, truncated
 
     def counted_opposite(cat):
         counts["opposites"] += "_opposite" not in cat.__dict__  # a miss of the cache
@@ -729,7 +731,7 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
         learner = make_speaker("bob", lang, fibres, actions)
         expl = discrete_explanation(lang, "cat", {"a1": "feline", "a2": "Y"})
         opposite(expl.shape)  # the explanation's own, computed when it is first checked
-        counts.update(compose_pair=0, words=0, opposites=0)
+        counts.update(glued=0, words=0, opposites=0)
         out, report = acquire_by_paraphrasis(teacher, learner, "cat", expl, event_id="e")
         assert report.outcome == "learned" and len(out.fibre("cat")) == 2
         assert opposite(out.language) is out.meaning.base
@@ -737,13 +739,13 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
         assert all(new[o] is old[o] for o in lang.objects if o != "cat")
         return dict(counts)
 
-    monkeypatch.setattr(FinCategory, "compose_pair", counted_compose_pair)
-    monkeypatch.setattr(collage_module.Word, "__post_init__", counted_word)
+    monkeypatch.setattr(collage_module, "_glue", counted_glue)
+    monkeypatch.setattr(collage_module, "_spell", counted_spell)
     for name, module in list(sys.modules.items()):
         if name.startswith("fiblex") and getattr(module, "opposite", None) is opposite_of:
             monkeypatch.setattr(module, "opposite", counted_opposite)
     small = learn(0)
-    assert small["compose_pair"] > 0 and small["words"] > 0 and small["opposites"] == 0
+    assert small["glued"] > 0 and small["words"] > 0 and small["opposites"] == 0
     assert learn(6) == small
 
 
