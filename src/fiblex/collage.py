@@ -150,6 +150,7 @@ def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
     from the objects, or with an edge between non-vertices, raises
     ``VertexMismatch``.
     """
+    _check_vertices(cat, quiver)
     try:
         _spell(cat, quiver, None)
     except UnboundedHomSet:
@@ -184,7 +185,10 @@ def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
     """
     base = discrete_category(q.vertices)
     collage = _adjoin(base, q, bound, _path_name)
-    paths = {i: () for i in base.identity.values()}
+    # the base is this collage's own, so its paths become the free
+    # category's, and no second table is left to the collector
+    paths = base.paths
+    object.__delattr__(base, "_paths")
     for m, (_, edges) in collage.spellings.items():
         paths[m] = edges
     object.__setattr__(collage.category, "_paths", paths)
@@ -195,6 +199,19 @@ def _path_name(bases: tuple[str, ...], edges: tuple[str, ...]) -> str:
     return "∘".join(reversed(edges))
 
 
+def _check_vertices(cat: FinCategory, quiver: Quiver) -> None:
+    """Raise ``VertexMismatch`` unless the quiver's vertices are the objects
+    and every edge runs between two of them; the least offender is named."""
+    if quiver.vertices != cat.objects:
+        raise VertexMismatch("quiver must share the category's objects")
+    esrc, etgt, objects = quiver.esrc, quiver.etgt, cat.objects
+    off = [e for e in quiver.edges if esrc[e] not in objects or etgt[e] not in objects]
+    if off:
+        e = min(off)
+        raise VertexMismatch(f"quiver edge {e} runs from {esrc[e]} to {etgt[e]}, "
+                             "which are not both vertices")
+
+
 def _spell(cat: FinCategory, quiver: Quiver, bound: Optional[int]) -> tuple[list[Spelling], bool]:
     """The words of the collage that use an edge, fewest edges first, and
     whether some were cut off at ``bound`` edges.
@@ -202,19 +219,12 @@ def _spell(cat: FinCategory, quiver: Quiver, bound: Optional[int]) -> tuple[list
     Each level extends the last by an edge and a base morphism. Without a
     bound, a word that would use an edge twice raises ``UnboundedHomSet``:
     that edge runs round a cycle. Otherwise every word uses each edge at
-    most once, so the enumeration ends. A quiver whose vertices differ
-    from the objects, or with an edge between non-vertices, first raises
-    ``VertexMismatch``."""
-    if quiver.vertices != cat.objects:
-        raise VertexMismatch("quiver must share the category's objects")
+    most once, so the enumeration ends. The quiver must pass
+    ``_check_vertices``."""
     esrc, etgt = quiver.esrc, quiver.etgt
     edges = sorted(quiver.edges)
     out_edges: dict[str, list[str]] = {}
     for e in edges:
-        if esrc[e] not in cat.objects or etgt[e] not in cat.objects:
-            raise VertexMismatch(
-                f"quiver edge {e} runs from {esrc[e]} to {etgt[e]}, which are not both vertices"
-            )
         out_edges.setdefault(esrc[e], []).append(e)
     out_bases, base_tgt = cat.by_src, cat.tgt
     level = [
@@ -251,7 +261,9 @@ def _adjoin(
 ) -> CollageCategory:
     """The collage of ``cat`` and ``quiver`` with each word named by
     ``name(bases, edges)``; a word named like a base morphism or like
-    another word raises IdentifierClash.
+    another word raises IdentifierClash. Before any word is spelled, a
+    quiver off the objects raises ``VertexMismatch``, then a truncated
+    base, which always lacks some junction's composite, ``BoundExceeded``.
 
     The 0-edge words are the base morphisms under their own names, so
     ``src`` and ``tgt`` start as copies of the base tables and only the
@@ -259,6 +271,10 @@ def _adjoin(
     endpoint tables, swapped, and are cached as each other's opposites;
     their composition tables are glued together by ``_glue`` on the first
     read of either."""
+    _check_vertices(cat, quiver)
+    if not cat.closed:
+        for g, f in cat.composable_pairs():
+            cat.compose_pair(g, f)  # raises at the first composite the base lacks
     spelled, truncated = _spell(cat, quiver, bound)
     spellings: dict[str, Spelling] = {}
     for bases, edges in spelled:
@@ -266,9 +282,6 @@ def _adjoin(
         if wid in spellings or wid in cat.morphisms:
             raise IdentifierClash(f"word name collision at {wid}")
         spellings[wid] = (bases, edges)
-    if not cat.closed:
-        for g, f in cat.composable_pairs():
-            cat.compose_pair(g, f)  # raises at the first composite the base lacks
 
     src, tgt = dict(cat.src), dict(cat.tgt)
     base_src, base_tgt = cat.src, cat.tgt

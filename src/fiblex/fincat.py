@@ -49,8 +49,8 @@ class FinCategory:
     morphism sets and ``closed``, which equal categories share. A
     category built by a collage may hold its ``compose`` table unglued
     until the first read (``_pair_opposites``), and one built by
-    ``free_category`` knows the edge sequence behind each morphism
-    (``paths``).
+    ``free_category`` or ``discrete_category`` knows the edge sequence
+    behind each morphism (``paths``).
     """
 
     objects: frozenset[str]
@@ -75,8 +75,11 @@ class FinCategory:
     @property
     def paths(self) -> Optional[dict[str, tuple[str, ...]]]:
         """The edge sequence behind each morphism, identities as ``()``, when
-        ``free_category`` built the category; None for any other category."""
-        return self.__dict__.get("_paths")
+        ``free_category`` or ``discrete_category`` (the free category on no
+        edges) built the category; None for any other category. Read with
+        ``getattr``: reading ``__dict__`` would build a dict that lives as
+        long as the category."""
+        return getattr(self, "_paths", None)
 
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src.get(m)) == m and self.src[m] == self.tgt[m]
@@ -212,8 +215,9 @@ class LimitCone:
 
     Apex elements are tuples with one component per base object, in the
     fixed order ``order`` (sorted object identifiers), so that limit
-    elements have reproducible canonical names. ``legs[o]``, built on
-    first read, is the projection onto the ``o`` component as a graph.
+    elements have reproducible canonical names. The cone's leg onto the
+    ``i``-th object of ``order`` is the projection of each tuple onto its
+    ``i``-th component: a column of the apex.
 
     ``witness`` says why an apex computed by ``set_limit`` is empty, as
     the first place where its pass emptied: ``{"kind": "empty-fibre",
@@ -230,10 +234,6 @@ class LimitCone:
 
     def __post_init__(self):
         object.__setattr__(self, "apex", frozenset(self.apex))
-
-    @cached_property
-    def legs(self) -> dict[str, dict[tuple[str, ...], str]]:
-        return {o: {tup: tup[i] for tup in self.apex} for i, o in enumerate(self.order)}
 
     def sorted_apex(self) -> list[tuple[str, ...]]:
         return sorted(self.apex)
@@ -294,15 +294,15 @@ def compose_table(
 
 
 def discrete_category(objects: Iterable[str]) -> FinCategory:
-    """The category with the given objects and only identity morphisms,
-    built with its indexes by source and by target."""
+    """The category with the given objects and only identity morphisms, built
+    with its indexes and its ``paths``: it is free on the quiver with no edges."""
     objs = frozenset(objects)
     identity = {o: f"id_{o}" for o in sorted(objs)}
     src = {i: o for o, i in identity.items()}
     by_end = {o: [i] for o, i in identity.items()}
     return _derived(FinCategory, objects=objs, morphisms=frozenset(src), src=src, tgt=src,
                     identity=identity, compose={(i, i): i for i in src}, closed=True,
-                    by_src=by_end, by_tgt=by_end)
+                    by_src=by_end, by_tgt=by_end, _paths=dict.fromkeys(src, ()))
 
 
 def terminal_category(obj: str = "pt") -> FinCategory:

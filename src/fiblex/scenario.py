@@ -52,16 +52,17 @@ _ASSERTION_KINDS = frozenset({"fibre-size", "morphism-count", "new-morphisms", "
                               "explanation", "unchanged", "speakers-iso"})
 
 # The keys each kind of declaration requires, by what is declared and its
-# kind. An explanation is tautological or given by a diagram; a shape has
-# the kinds of a category declaration.
+# kind. An explanation is tautological or given by a diagram; its shape
+# is declared as a category is, and each edge of a free one is an object.
 _REQUIRED_KEYS = {
     ("explanation", "tautological"): ("speaker", "target"),
     ("explanation", "diagram"): ("language", "shape", "target", "diagram"),
-    ("shape", "discrete"): ("objects",),
-    ("shape", "terminal"): (),
-    ("shape", "free"): ("vertices", "edges"),
-    ("shape", "pregroup"): ("basics", "phrases"),
-    ("shape", "explicit"): ("objects",),
+    ("category", "discrete"): ("objects",),
+    ("category", "terminal"): (),
+    ("category", "free"): ("vertices", "edges"),
+    ("category", "pregroup"): ("basics", "phrases"),
+    ("category", "explicit"): ("objects",),
+    ("edge", "free"): ("id", "src", "tgt"),
 }
 
 # The JSON type of each entry of a speaker's tables, how to read its
@@ -186,6 +187,8 @@ def load_scenario(doc: dict) -> Scenario:
     for name, decl in _table(doc, "categories").items():
         if type(decl) is not dict:
             raise ScenarioError(f"category {name}: declaration is not an object")
+        if (problem := _incomplete_category(decl, "category")) is not None:
+            raise ScenarioError(f"category {name}: {problem}")
         try:
             categories[name] = _category_from_decl(decl)
         except FiblexError as err:
@@ -212,7 +215,8 @@ def load_scenario(doc: dict) -> Scenario:
     for i, event in enumerate(events):
         if type(event) is not dict:
             raise ScenarioError(f"event ev{i}: declaration is not an object")
-        event.setdefault("id", f"ev{i}")
+        if type(event.setdefault("id", f"ev{i}")) is not str:
+            raise ScenarioError(f"event ev{i}: key 'id' is not a string")
         if event.get("event") not in {
             "example",
             "merged-example",
@@ -253,9 +257,28 @@ def _missing_key(decl: dict, what: str, kind: str) -> Optional[str]:
     return next((k for k in _REQUIRED_KEYS.get((what, kind), ()) if k not in decl), None)
 
 
+def _incomplete_category(decl: dict, what: str) -> Optional[str]:
+    """What a category declaration, named ``what`` (a category or a shape),
+    lacks of ``_REQUIRED_KEYS``, itself or in a free edge, or None."""
+    kind = decl.get("kind", "explicit")
+    if (key := _missing_key(decl, "category", kind)) is not None:
+        return f"{kind} {what} is missing key {key!r}"
+    edges = decl["edges"] if kind == "free" else []
+    if type(edges) is not list:
+        return f"free {what}: key 'edges' is not a list"
+    for j, edge in enumerate(edges):
+        if type(edge) is not dict:
+            return f"free {what} edge {j} is not an object"
+        if (key := _missing_key(edge, "edge", kind)) is not None:
+            return f"free {what} edge {j} is missing key {key!r}"
+    return None
+
+
 def _check_references(scenario: Scenario) -> None:
     known = set(scenario.speakers)
     for name, decl in scenario.explanations.items():
+        if type(decl) is not dict:
+            raise ScenarioError(f"explanation {name}: declaration is not an object")
         kind = "tautological" if decl.get("kind") == "tautological" else "diagram"
         key = _missing_key(decl, "explanation", kind)
         if key is not None:
@@ -264,10 +287,10 @@ def _check_references(scenario: Scenario) -> None:
             if decl["speaker"] not in known:
                 raise ScenarioError(f"explanation {name}: undeclared speaker {decl['speaker']!r}")
             continue
-        shape_kind = decl["shape"].get("kind", "explicit")
-        key = _missing_key(decl["shape"], "shape", shape_kind)
-        if key is not None:
-            raise ScenarioError(f"explanation {name}: {shape_kind} shape is missing key {key!r}")
+        if type(decl["shape"]) is not dict:
+            raise ScenarioError(f"explanation {name}: key 'shape' is not an object")
+        if (problem := _incomplete_category(decl["shape"], "shape")) is not None:
+            raise ScenarioError(f"explanation {name}: {problem}")
     for event in scenario.events:
         eid = event["id"]
         for key in ("learner", "teacher", "speaker"):
@@ -281,6 +304,8 @@ def _check_references(scenario: Scenario) -> None:
                 raise ScenarioError(f"event {eid}: undeclared explanation {name!r}")
     event_ids = {e["id"] for e in scenario.events}
     for i, check in enumerate(scenario.assertions):
+        if type(check) is not dict:
+            raise ScenarioError(f"assertion assert{i}: declaration is not an object")
         kind = check.get("assert")
         if kind not in _ASSERTION_KINDS:
             raise ScenarioError(f"assertion {_assertion_name(check, i)}: unknown kind {kind!r}")

@@ -14,7 +14,10 @@ on first read). Words are acquired in three ways:
   pushout;
 * by paraphrasis: the learner computes the limit of an uttered
   explanation, installs it as the fibre over the word, and the language
-  itself grows one morphism per cone leg (freely, via a collage).
+  itself grows one morphism per cone leg (freely, via a collage), whose
+  action is a column of the apex. A diagram on a shape that
+  ``free_category`` or ``discrete_category`` (free on no edges) built is
+  checked and limited along the shape's edges.
 
 Every acquisition returns a fresh speaker plus a report of what changed,
 and never mutates its inputs.
@@ -162,9 +165,9 @@ class AcquisitionReport:
             "kind": self.kind,
             "word": self.word,
             "outcome": self.outcome,
-            "fibres_before": dict(sorted(self.fibres_before.items())),
-            "fibres_after": dict(sorted(self.fibres_after.items())),
-            "new_elements": {k: list(v) for k, v in sorted(self.new_elements.items())},
+            "fibres_before": self.fibres_before,
+            "fibres_after": self.fibres_after,
+            "new_elements": {k: list(v) for k, v in self.new_elements.items()},
             "new_morphisms": list(self.new_morphisms),
             "apex": list(self.apex),
         }
@@ -174,7 +177,7 @@ def _report(learner: Speaker, out: Speaker, changed: Iterable[str], event: str, 
             word: str, outcome: str, new_morphisms=(), apex=()) -> AcquisitionReport:
     """The report of an acquisition that changed the fibres over ``changed``
     only (both speakers have the same objects)."""
-    before = {o: len(fibre) for o, fibre in learner.meaning.value.items()}
+    before = dict(zip(learner.meaning.value, map(len, learner.meaning.value.values())))
     after = dict(before)
     new_elements = {}
     for o in sorted(changed):
@@ -228,7 +231,8 @@ def _limit_along_edges(speaker: Speaker, explanation: Explanation) -> Optional[L
     """The limit of the explanation's composite meaning, taken over the
     generating edges of a free shape, or None when that does not apply.
 
-    On a shape that ``free_category`` built, closed like the language, a
+    On a shape that ``free_category`` or ``discrete_category`` built (a
+    discrete shape is free on no edges), closed like the language, a
     diagram is a functor exactly when it maps each object and morphism
     into the language, keeps endpoints and identities, and sends each path
     to the composite of its edges' images (Mac Lane, II.7). Such a diagram
@@ -584,8 +588,6 @@ def _check_overridden_composites(lang: FinCategory, word: str, action: Mapping[s
     ``lang``, acts on each new element by every composite ``g∘f`` with
     ``g`` into the learned word as ``f`` after ``g`` does. Other composites
     act only on fibres the acquisition left alone."""
-    if not unforced:
-        return
     for g in lang.by_tgt[word]:
         for f in lang.by_tgt[lang.src[g]]:
             gf = lang.compose.get((g, f))
@@ -664,15 +666,15 @@ def acquire_by_paraphrasis(
         )
 
     apex = cone.sorted_apex()
-    names = [tuple_name(tup) for tup in apex]  # each tuple is named once per event
-    named: dict[str, tuple[str, ...]] = {}
-    for key, tup in zip(names, apex):
-        other = named.setdefault(key, tup)
-        if other != tup:
-            raise IdentifierClash(f"apex tuples {other} and {tup} share the name {key}")
-    fresh = {tup: f"{event_id}:{name}" for name, tup in named.items()}
-    as_fresh = {name: fresh[tup] for name, tup in named.items()}
-    shape_objects = sorted(explanation.shape.objects)
+    names = list(map(tuple_name, apex))  # each tuple is named once per event
+    elements = [f"{event_id}:{name}" for name in names]
+    as_fresh = dict(zip(names, elements))
+    if len(as_fresh) < len(apex):  # some name is shared: find the first pair that shares one
+        named: dict[str, tuple[str, ...]] = {}
+        for key, tup in zip(names, apex):
+            if named.setdefault(key, tup) != tup:
+                raise IdentifierClash(f"apex tuples {named[key]} and {tup} share the name {key}")
+    shape_objects = cone.order  # the shape's objects, sorted
     edge_of = _edge_names(word, shape_objects, explanation.diagram.omap, lang.morphisms)
 
     meaning_base = learner.meaning.base  # opposite(lang)
@@ -682,17 +684,17 @@ def acquire_by_paraphrasis(
     )
 
     value = dict(learner.meaning.value)
-    value[word] = frozenset(fresh.values())
+    value[word] = frozenset(elements)
     action = dict(learner.meaning.action)
-    action[meaning_base.identity[word]] = {n: n for n in fresh.values()}
+    action[meaning_base.identity[word]] = dict(zip(elements, elements))
     for m in unforced:
-        unknown = sorted(set(overrides[m]).difference(named))
+        unknown = sorted(set(overrides[m]).difference(as_fresh))
         if unknown:
             raise UnforcedActionAtL(
                 f"override for {m} names no apex element: {', '.join(unknown)}", (m,)
             )
         graph = {}
-        for key, tup in zip(names, apex):
+        for key, x in zip(names, elements):
             if key not in overrides[m]:
                 raise UnforcedActionAtL(
                     f"override for {m} is missing the apex element {key}", (m,)
@@ -709,14 +711,15 @@ def acquire_by_paraphrasis(
                     f"override for {m} sends {key} outside the fibre over {lang.src[m]}: "
                     f"{target_value}", (m,)
                 )
-            graph[fresh[tup]] = target_value
+            graph[x] = target_value
         action[m] = graph
-    _check_overridden_composites(lang, word, action, fresh, set(unforced))
+    if unforced:
+        _check_overridden_composites(lang, word, action, dict(zip(apex, elements)), set(unforced))
     extended = _derived(SetFunctor, base=meaning_base, value=value, action=action)
 
     collage = fp_collage(meaning_base, quiver, bound=bound)
-    edge_actions = {
-        edge_of[a]: {fresh[tup]: cone.legs[a][tup] for tup in apex} for a in shape_objects
+    edge_actions = {  # the leg onto each shape object is a column of the apex
+        edge_of[a]: dict(zip(elements, column)) for a, column in zip(shape_objects, zip(*apex))
     }
     new_meaning = extend_set_functor(extended, collage, edge_actions)
     new_language = opposite(collage.category)  # built with the collage, from the delta

@@ -77,8 +77,16 @@ def collage_is_finite_per_edge(cat: FinCategory, quiver: Quiver) -> bool:
 def full_collage(
     cat: FinCategory, quiver: Quiver, bound: Optional[int], name: Callable[[Word], str]
 ) -> tuple[dict[str, Word], FinCategory]:
-    """Every word of the collage, by name, and the collage category."""
-    if not collage_is_finite_per_edge(cat, quiver) and bound is None:
+    """Every word of the collage, by name, and the collage category.
+
+    A quiver off the category's objects is refused first, then a truncated
+    base (at its first missing composite), then an infinite collage
+    without a bound."""
+    finite = collage_is_finite_per_edge(cat, quiver)
+    if not cat.closed:
+        for g, f in cat.composable_pairs():
+            cat.compose_pair(g, f)
+    if not finite and bound is None:
         raise UnboundedHomSet("collage has unboundedly long words; an edge bound is required")
     words, truncated = full_words(cat, quiver, bound, name)
     by_key = {(w.bases, w.edges): wid for wid, w in words.items()}

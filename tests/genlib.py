@@ -18,6 +18,7 @@ from fiblex.fincat import (
     discrete_category,
     opposite,
     quiver_from_edges,
+    terminal_category,
 )
 
 
@@ -233,6 +234,12 @@ def random_functor_between(rng: random.Random, dom: FinCategory, cod: FinCategor
     return CatFunctor(dom, cod, omap, mmap)
 
 
+def legs(cone) -> dict:
+    """The legs of a limit cone: onto each object of its ``order``, the
+    projection of every apex tuple onto that object's component, as a graph."""
+    return {o: {tup: tup[i] for tup in cone.apex} for i, o in enumerate(cone.order)}
+
+
 def random_free_shape(rng: random.Random) -> FinCategory:
     """An explanation shape: the free category on a random quiver of 1-4
     vertices and 0-4 edges, half of them strung on a chain first. Mostly
@@ -252,6 +259,14 @@ def random_free_shape(rng: random.Random) -> FinCategory:
             i, j = min(i, j), max(i, j)
         edges.append((f"s{k}", vertices[i], vertices[j]))
     return free_category(quiver_from_edges(vertices, edges), bound=2 if cyclic else None)
+
+
+def random_discrete_shape(rng: random.Random) -> FinCategory:
+    """An explanation shape with no edges: the terminal category, or the
+    discrete category on 2-4 objects."""
+    if rng.random() < 0.3:
+        return terminal_category("pt")
+    return discrete_category(f"a{i}" for i in range(rng.randint(2, 4)))
 
 
 def doubled(shape: FinCategory) -> FinCategory:

@@ -326,6 +326,28 @@ def test_collage_over_a_truncated_base_raises_bound_exceeded():
             fp_collage(base, quiver, bound=bound)
 
 
+def test_a_truncated_base_is_refused_before_any_word_is_spelled(monkeypatch):
+    # the loop q makes the collage infinite, so without a bound the
+    # enumeration would meet UnboundedHomSet; the truncated base is
+    # refused first, and no word is spelled
+    base = free_category(quiver_from_edges(["v"], [("e", "v", "v")]), bound=2)
+    loop = quiver_from_edges(["v"], [("q", "v", "v")])
+    spelled = []
+    spell = collage_mod._spell
+    monkeypatch.setattr(collage_mod, "_spell", lambda *a: spelled.append(a) or spell(*a))
+    for build in (lambda: fp_collage(base, loop),
+                  lambda: full_collage(base, loop, None, lambda w: word_id(base, w))):
+        with pytest.raises(BoundExceeded):
+            build()
+    # a quiver off the base's objects is still refused before the base
+    off = quiver_from_edges(["v"], [("q", "v", "w")])
+    for build in (lambda: fp_collage(base, off),
+                  lambda: full_collage(base, off, None, lambda w: word_id(base, w))):
+        with pytest.raises(VertexMismatch):
+            build()
+    assert spelled == []
+
+
 def _random_closed_base(rng):
     """A closed base category with a Set-valued functor on it: a free
     category, its opposite, or a category with an idempotent or with an

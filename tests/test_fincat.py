@@ -13,6 +13,7 @@ from genlib import (
     functor_on_free,
     idempotent_functor,
     iso_functor,
+    legs,
     opposite_from_tables,
     random_base,
     random_presheaf,
@@ -360,7 +361,7 @@ def test_limit_cospan_filtering():
     cone = set_limit(fun)
     assert cone.order == ("a", "b", "c")
     assert cone.apex == frozenset({("x1", "y1", "z1")})
-    assert cone.legs["c"][("x1", "y1", "z1")] == "z1"
+    assert legs(cone)["c"][("x1", "y1", "z1")] == "z1"
     assert validate_setfunctor(fun) == []
 
 
@@ -395,7 +396,7 @@ def test_limit_of_long_free_chain_follows_its_root():
     cone = set_limit(fun)
     assert cone.apex == frozenset(expected)
     assert cone.order == tuple(objs)
-    assert cone.legs["o07"] == {t: t[7] for t in expected}
+    assert legs(cone)["o07"] == {t: t[7] for t in expected}
 
 
 def test_limit_of_wide_span_counts_preimages_over_the_centre():
@@ -445,7 +446,7 @@ def test_limit_over_an_idempotent_keeps_its_fixed_points():
     assert validate_category(cat) == [] and validate_setfunctor(fun) == []
     cone = set_limit(fun)
     assert cone.apex == {("x", "u"), ("x", "v"), ("z", "u"), ("z", "v")}
-    assert cone.legs["p"][("z", "u")] == "u"
+    assert legs(cone)["p"][("z", "u")] == "u"
 
 
 def test_empty_limit_witness_names_an_empty_root_fibre():
@@ -457,7 +458,7 @@ def test_empty_limit_witness_names_an_empty_root_fibre():
     )
     cone = set_limit(fun)
     assert cone.apex == frozenset()
-    assert cone.legs == {"a": {}, "b": {}, "c": {}}
+    assert legs(cone) == {"a": {}, "b": {}, "c": {}}
     assert cone.witness == {"kind": "empty-fibre", "object": "b"}
 
 

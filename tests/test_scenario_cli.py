@@ -951,6 +951,11 @@ def evil_cat_with(edit):
                  "pregroup shape is missing key 'phrases'", id="pregroup-phrases"),
     pytest.param(lambda e: e.update(shape={"morphisms": []}),
                  "explicit shape is missing key 'objects'", id="explicit-objects"),
+    pytest.param(lambda e: e.update(shape={"kind": "free", "vertices": ["a1"],
+                                           "edges": [{"id": "s", "src": "a1"}]}),
+                 "free shape edge 0 is missing key 'tgt'", id="free-edge-tgt"),
+    pytest.param(lambda e: e.update(shape={"kind": "free", "vertices": ["a1"], "edges": ["s"]}),
+                 "free shape edge 0 is not an object", id="free-edge-string"),
     pytest.param(lambda e: (e.update(kind="tautological", speaker="p"), e.pop("target")),
                  "missing key 'target'", id="tautological-target"),
     pytest.param(lambda e: e.update(kind="tautological"), "missing key 'speaker'",
@@ -969,6 +974,54 @@ def test_an_explanation_missing_a_key_is_refused_at_load(edit, message, tmp_path
         result = CliRunner().invoke(main, command)
         assert result.exit_code == 2, result.output
         assert f"error: explanation black-evil-feline: {message}" in result.output
+
+
+def _refused_everywhere(doc, message, tmp_path):
+    """``load_scenario`` and ``fiblex run`` refuse the document with ``message``."""
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value) == message
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d.update(assertions=[1]),
+                 "assertion assert0: declaration is not an object", id="assertion-number"),
+    pytest.param(lambda d: d["events"][0].update(id=["a"]),
+                 "event ev0: key 'id' is not a string", id="event-id-list"),
+    pytest.param(lambda d: d["explanations"].update(x=3),
+                 "explanation x: declaration is not an object", id="explanation-number"),
+    pytest.param(lambda d: d["explanations"]["black-evil-feline"].update(shape=["a1"]),
+                 "explanation black-evil-feline: key 'shape' is not an object", id="shape-list"),
+    pytest.param(lambda d: d["categories"].update(
+                     q={"kind": "free", "vertices": ["a"], "edges": [{"src": "a", "tgt": "a"}]}),
+                 "category q: free category edge 0 is missing key 'id'", id="edge-without-id"),
+])
+def test_a_nested_entry_of_the_wrong_json_type_is_refused(edit, message, tmp_path):
+    doc = evil_cat_with(lambda e: None)
+    edit(doc)
+    _refused_everywhere(doc, message, tmp_path)
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, json.loads((SCENARIOS / "schema.json").read_text()))
+
+
+@pytest.mark.parametrize("decl, message", [
+    pytest.param({"kind": "discrete"}, "discrete category is missing key 'objects'",
+                 id="discrete-objects"),
+    pytest.param({"kind": "pregroup", "basics": ["n"]},
+                 "pregroup category is missing key 'phrases'", id="pregroup-phrases"),
+    pytest.param({"kind": "free", "vertices": ["a"], "edges": {"f": "a"}},
+                 "free category: key 'edges' is not a list", id="free-edges-object"),
+])
+def test_a_category_missing_a_key_is_refused_at_load(decl, message, tmp_path):
+    doc = evil_cat_with(lambda e: None)
+    doc["categories"]["q"] = decl
+    _refused_everywhere(doc, f"category q: {message}", tmp_path)
 
 
 # --- explanations over free shapes -------------------------------------------------
@@ -1149,3 +1202,24 @@ def test_an_explain_limits_pass_glues_no_shape_and_checks_diagrams_along_edges(m
     glued.clear()
     run_scenario(scenario)
     assert (len(glued), len(checks)) == (1, 1)
+
+
+def test_a_learn_paraphrasis_pass_checks_and_limits_its_discrete_shapes_along_edges(monkeypatch):
+    # a discrete shape is free on no edges: neither the teacher's check nor
+    # the learner's limit checks the diagram as a functor or restricts the
+    # meaning along it
+    doc = bench_generate.generate("learn-paraphrasis", 1)[0]
+    assert all(e["shape"]["kind"] == "discrete" for e in doc["explanations"].values())
+    checks = count_calls(monkeypatch, fincat.validate_functor)
+    restrictions = count_calls(monkeypatch, fincat.precompose)
+    code, _ = run_scenario(load_scenario(doc))
+    assert code == 0
+    assert (checks, restrictions) == ([], [])
+
+    # one diagram that is no functor takes the whole shape, and is refused
+    explanation = next(iter(doc["explanations"].values()))
+    obj = sorted(explanation["diagram"])[0]
+    explanation["diagram_morphisms"] = {f"id_{obj}": "nowhere"}
+    code, report = run_scenario(load_scenario(doc))
+    assert code == 2 and "not valid and non-vacuous" in report["error"]
+    assert (len(checks), restrictions) == (1, [])

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from genlib import (
     doubled,
+    legs,
     perturbed_diagram,
     random_base,
+    random_discrete_shape,
     random_free_shape,
     random_functor_between,
     random_presheaf,
@@ -34,6 +36,7 @@ from fiblex.fincat import (
     discrete_category,
     opposite,
     quiver_from_edges,
+    tuple_name,
     validate_setfunctor,
 )
 from fiblex.speaker import (
@@ -217,7 +220,7 @@ def test_explanation_diagram_off_its_fibres_is_invalid_without_a_limit():
     assert any("does not preserve endpoints" in p for p in check.problems)
     assert check.limit.order == ("s", "t")
     assert check.limit.apex == frozenset()
-    assert check.limit.legs == {"s": {}, "t": {}}
+    assert legs(check.limit) == {"s": {}, "t": {}}
 
 
 def test_embedding_violations_are_reported():
@@ -692,7 +695,8 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
     # during one paraphrasis are counted, then counted again with a
     # disconnected chain z0 → … → z5 (and its fifteen composites) added to
     # the language: the counts must not move. No opposite is computed at
-    # all: the grown language is built together with its opposite, the
+    # all: the discrete shape is checked and limited along its (no) edges,
+    # and the grown language is built together with its opposite, the
     # meaning's base. Every fibre but the learned word's is the learner's
     # own.
     import fiblex.collage as collage_module
@@ -730,7 +734,6 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
         teacher = make_speaker("alice", lang, {**fibres, "cat": ["cleo"]}, actions)
         learner = make_speaker("bob", lang, fibres, actions)
         expl = discrete_explanation(lang, "cat", {"a1": "feline", "a2": "Y"})
-        opposite(expl.shape)  # the explanation's own, computed when it is first checked
         counts.update(glued=0, words=0, opposites=0)
         out, report = acquire_by_paraphrasis(teacher, learner, "cat", expl, event_id="e")
         assert report.outcome == "learned" and len(out.fibre("cat")) == 2
@@ -816,14 +819,15 @@ def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeyp
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_a_free_shape_is_checked_and_limited_as_over_every_path(seed):
-    # Random free shapes (some cyclic and cut at two edges, some rebuilt
-    # from their tables so that they are not known to be free), functorial
-    # diagrams into random languages, some of them perturbed, and random
-    # speakers: the check along the edges agrees with the check and limit
-    # over every morphism of the shape. A third of the acyclic shapes embed
-    # into their doubles, where a perturbed path has parallels to go to.
+    # Random free shapes (some cyclic and cut at two edges, some discrete
+    # or terminal, some rebuilt from their tables so that they are not
+    # known to be free), functorial diagrams into random languages, some of
+    # them perturbed, and random speakers: the check along the edges agrees
+    # with the check and limit over every morphism of the shape. A third of
+    # the acyclic shapes embed into their doubles, where a perturbed path
+    # has parallels to go to.
     rng = random.Random(seed)
-    shape = random_free_shape(rng)
+    shape = rng.choice([random_free_shape, random_free_shape, random_discrete_shape])(rng)
     if shape.closed and rng.random() < 0.3:
         lang = doubled(shape)
         paths = lang.paths
@@ -851,3 +855,40 @@ def test_a_free_shape_is_checked_and_limited_as_over_every_path(seed):
     assert (check.valid, check.exact, check.vacuous, check.problems) == (
         oracle.valid, oracle.exact, oracle.vacuous, oracle.problems)
     assert (check.limit.order, check.limit.apex) == (oracle.limit.order, oracle.limit.apex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_paraphrasis_learns_one_element_per_apex_tuple_and_the_projections_as_legs(seed):
+    # Random discrete and free shapes, functorial diagrams into a random
+    # language with a fresh word W, and a learner with nothing over W: the
+    # learned fibre has one element per tuple of the limit over every
+    # path, and the new edge for each shape object acts on it as the
+    # projection onto that object's component of the tuples.
+    rng = random.Random(seed)
+    base, paths = random_base(rng, max_edges=7, max_morphisms=40)
+    edges = [(e, base.src[e], base.tgt[e]) for e, path in paths.items() if len(path) == 1]
+    lang = free_category(quiver_from_edges(base.objects | {"W"}, edges))
+    meaning = random_presheaf(rng, lang, lang.paths)
+    teacher = Speaker("t", lang, meaning)
+    identity_w = lang.identity["W"]
+    learner = Speaker("l", lang, SetFunctor(meaning.base, {**meaning.value, "W": frozenset()},
+                                            {**meaning.action, identity_w: {}}))
+    shape = rng.choice([random_free_shape, random_discrete_shape])(rng)
+    into_base = random_functor_between(rng, shape, base)  # away from W, named as in lang
+    diagram = CatFunctor(shape, lang, into_base.omap, into_base.mmap)
+    explanation = Explanation(shape, diagram, "W")
+    if validate_explanation(teacher, explanation).vacuous:
+        return
+    cone = validate_explanation_over_every_path(learner, explanation).limit
+    out, report = acquire_by_paraphrasis(teacher, learner, "W", explanation, event_id="e")
+    assert len(out.fibre("W")) == len(cone.apex)
+    assert report.outcome == ("learned" if cone.apex else "no-sense")
+    if not cone.apex:
+        return
+    element = {tup: f"e:{tuple_name(tup)}" for tup in cone.apex}
+    assert out.fibre("W") == frozenset(element.values())
+    targets = [diagram.omap[a] for a in cone.order]
+    for i, (a, target) in enumerate(zip(cone.order, targets)):
+        edge = f"W→{target}" + (f"#{a}" if targets.count(target) > 1 else "")
+        assert out.meaning.action[edge] == {element[tup]: tup[i] for tup in cone.apex}
