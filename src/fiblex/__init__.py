@@ -13,7 +13,6 @@ declarative scenario runner, with ``jsonio`` its canonical JSON and
 from .collage import (
     CollageCategory,
     Word,
-    collage_is_finite,
     extend_set_functor,
     fp_collage,
     free_category,
@@ -30,7 +29,6 @@ from .fincat import (
     discrete_category,
     natural_iso_check,
     opposite,
-    precompose,
     quiver_from_edges,
     set_limit,
     terminal_category,
@@ -76,7 +74,6 @@ __all__ = [
     "acquire_by_example",
     "acquire_by_example_merged",
     "acquire_by_paraphrasis",
-    "collage_is_finite",
     "compose_table",
     "discrete_category",
     "extend_set_functor",
@@ -87,7 +84,6 @@ __all__ = [
     "natural_iso_check",
     "opposite",
     "parse_type",
-    "precompose",
     "quiver_from_edges",
     "set_limit",
     "tautological_explanation",

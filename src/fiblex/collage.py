@@ -138,26 +138,6 @@ class CollageCategory:
         return sorted(self.spellings)
 
 
-def collage_is_finite(cat: FinCategory, quiver: Quiver) -> bool:
-    """Whether adjoining the quiver yields finitely many words.
-
-    Words can grow without bound exactly when some quiver edge can reach
-    back to its own source through other quiver edges and non-identity
-    base morphisms (a loop edge included). Such an edge appears twice in
-    some word, and no word of a finite collage uses an edge twice, so the
-    answer is whether the words can be enumerated until none is left
-    without one that would repeat an edge. A quiver whose vertices differ
-    from the objects, or with an edge between non-vertices, raises
-    ``VertexMismatch``.
-    """
-    _check_vertices(cat, quiver)
-    try:
-        _spell(cat, quiver, None)
-    except UnboundedHomSet:
-        return False
-    return True
-
-
 def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) -> CollageCategory:
     """Adjoin the quiver's edges to the category as free morphisms.
 
@@ -199,19 +179,6 @@ def _path_name(bases: tuple[str, ...], edges: tuple[str, ...]) -> str:
     return "∘".join(reversed(edges))
 
 
-def _check_vertices(cat: FinCategory, quiver: Quiver) -> None:
-    """Raise ``VertexMismatch`` unless the quiver's vertices are the objects
-    and every edge runs between two of them; the least offender is named."""
-    if quiver.vertices != cat.objects:
-        raise VertexMismatch("quiver must share the category's objects")
-    esrc, etgt, objects = quiver.esrc, quiver.etgt, cat.objects
-    off = [e for e in quiver.edges if esrc[e] not in objects or etgt[e] not in objects]
-    if off:
-        e = min(off)
-        raise VertexMismatch(f"quiver edge {e} runs from {esrc[e]} to {etgt[e]}, "
-                             "which are not both vertices")
-
-
 def _spell(cat: FinCategory, quiver: Quiver, bound: Optional[int]) -> tuple[list[Spelling], bool]:
     """The words of the collage that use an edge, fewest edges first, and
     whether some were cut off at ``bound`` edges.
@@ -219,8 +186,8 @@ def _spell(cat: FinCategory, quiver: Quiver, bound: Optional[int]) -> tuple[list
     Each level extends the last by an edge and a base morphism. Without a
     bound, a word that would use an edge twice raises ``UnboundedHomSet``:
     that edge runs round a cycle. Otherwise every word uses each edge at
-    most once, so the enumeration ends. The quiver must pass
-    ``_check_vertices``."""
+    most once, so the enumeration ends. The quiver's edges must run
+    between objects of the category."""
     esrc, etgt = quiver.esrc, quiver.etgt
     edges = sorted(quiver.edges)
     out_edges: dict[str, list[str]] = {}
@@ -261,9 +228,12 @@ def _adjoin(
 ) -> CollageCategory:
     """The collage of ``cat`` and ``quiver`` with each word named by
     ``name(bases, edges)``; a word named like a base morphism or like
-    another word raises IdentifierClash. Before any word is spelled, a
-    quiver off the objects raises ``VertexMismatch``, then a truncated
-    base, which always lacks some junction's composite, ``BoundExceeded``.
+    another word raises IdentifierClash, and a word that uses an edge twice,
+    without a bound, ``UnboundedHomSet``: this is where finiteness is
+    decided. Before any word is spelled, a quiver whose vertices are not
+    the objects, or with an edge between non-vertices, raises
+    ``VertexMismatch``, then a truncated base, which always lacks some
+    junction's composite, ``BoundExceeded``.
 
     The 0-edge words are the base morphisms under their own names, so
     ``src`` and ``tgt`` start as copies of the base tables and only the
@@ -271,7 +241,14 @@ def _adjoin(
     endpoint tables, swapped, and are cached as each other's opposites;
     their composition tables are glued together by ``_glue`` on the first
     read of either."""
-    _check_vertices(cat, quiver)
+    if quiver.vertices != cat.objects:
+        raise VertexMismatch("quiver must share the category's objects")
+    esrc, etgt, objects = quiver.esrc, quiver.etgt, cat.objects
+    off = [e for e in quiver.edges if esrc[e] not in objects or etgt[e] not in objects]
+    if off:
+        e = min(off)
+        raise VertexMismatch(f"quiver edge {e} runs from {esrc[e]} to {etgt[e]}, "
+                             "which are not both vertices")
     if not cat.closed:
         for g, f in cat.composable_pairs():
             cat.compose_pair(g, f)  # raises at the first composite the base lacks

@@ -101,9 +101,6 @@ class FinCategory:
         """The morphisms into each object that has any, sorted."""
         return _index(self, self.tgt, "by_src")
 
-    def hom(self, x: str, y: str) -> list[str]:
-        return sorted(m for m in self.morphisms if self.src[m] == x and self.tgt[m] == y)
-
     def compose_pair(self, g: str, f: str) -> str:
         """Composite of ``f`` followed by ``g``."""
         if self.tgt[f] != self.src[g]:
@@ -542,23 +539,8 @@ def _pair_opposites(
         object.__setattr__(op, "_glue", pending)
 
 
-def opposite_functor(fun: CatFunctor) -> CatFunctor:
-    return CatFunctor(opposite(fun.dom), opposite(fun.cod), fun.omap, fun.mmap)
-
-
 # ---------------------------------------------------------------------------
 # Set-valued functor operations
-
-
-def precompose(fun: SetFunctor, along: CatFunctor) -> SetFunctor:
-    """Restrict a Set-valued functor along a functor into its base."""
-    if along.cod != fun.base:
-        raise BaseMismatch("functor codomain differs from the Set-valued functor base")
-    return SetFunctor(
-        base=along.dom,
-        value={d: fun.value[along.omap[d]] for d in along.dom.objects},
-        action={m: fun.action[along.mmap[m]] for m in along.dom.morphisms},
-    )
 
 
 def set_limit(fun: SetFunctor) -> LimitCone:

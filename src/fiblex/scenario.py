@@ -63,6 +63,7 @@ _REQUIRED_KEYS = {
     ("category", "pregroup"): ("basics", "phrases"),
     ("category", "explicit"): ("objects",),
     ("edge", "free"): ("id", "src", "tgt"),
+    ("morphism", "explicit"): ("id", "src", "tgt"),
 }
 
 # The JSON type of each entry of a speaker's tables, how to read its
@@ -259,19 +260,28 @@ def _missing_key(decl: dict, what: str, kind: str) -> Optional[str]:
 
 def _incomplete_category(decl: dict, what: str) -> Optional[str]:
     """What a category declaration, named ``what`` (a category or a shape),
-    lacks of ``_REQUIRED_KEYS``, itself or in a free edge, or None."""
+    lacks of ``_REQUIRED_KEYS``, itself or in an edge or morphism, or None."""
     kind = decl.get("kind", "explicit")
     if (key := _missing_key(decl, "category", kind)) is not None:
         return f"{kind} {what} is missing key {key!r}"
-    edges = decl["edges"] if kind == "free" else []
-    if type(edges) is not list:
-        return f"free {what}: key 'edges' is not a list"
-    for j, edge in enumerate(edges):
-        if type(edge) is not dict:
-            return f"free {what} edge {j} is not an object"
-        if (key := _missing_key(edge, "edge", kind)) is not None:
-            return f"free {what} edge {j} is missing key {key!r}"
+    part = "edge" if kind == "free" else "morphism"
+    parts = decl.get(f"{part}s", []) if (part, kind) in _REQUIRED_KEYS else []
+    if type(parts) is not list:
+        return f"{kind} {what}: key '{part}s' is not a list"
+    for j, entry in enumerate(parts):
+        if type(entry) is not dict:
+            return f"{kind} {what} {part} {j} is not an object"
+        if (key := _missing_key(entry, part, kind)) is not None:
+            return f"{kind} {what} {part} {j} is missing key {key!r}"
     return None
+
+
+def _check_strings(decl: dict, keys: tuple[str, ...], where: str) -> None:
+    """Refuse the first of ``keys`` whose value is not a string, such as a
+    list, which no table of names could look up."""
+    for key in keys:
+        if key in decl and type(decl[key]) is not str:
+            raise ScenarioError(f"{where}: key {key!r} is not a string")
 
 
 def _check_references(scenario: Scenario) -> None:
@@ -284,6 +294,7 @@ def _check_references(scenario: Scenario) -> None:
         if key is not None:
             raise ScenarioError(f"explanation {name}: missing key {key!r}")
         if kind == "tautological":
+            _check_strings(decl, ("speaker",), f"explanation {name}")
             if decl["speaker"] not in known:
                 raise ScenarioError(f"explanation {name}: undeclared speaker {decl['speaker']!r}")
             continue
@@ -293,6 +304,7 @@ def _check_references(scenario: Scenario) -> None:
             raise ScenarioError(f"explanation {name}: {problem}")
     for event in scenario.events:
         eid = event["id"]
+        _check_strings(event, ("learner", "teacher", "speaker", "explanation"), f"event {eid}")
         for key in ("learner", "teacher", "speaker"):
             if key in event and event[key] not in known:
                 raise ScenarioError(f"event {eid}: undeclared speaker {event[key]!r}")
@@ -309,6 +321,8 @@ def _check_references(scenario: Scenario) -> None:
         kind = check.get("assert")
         if kind not in _ASSERTION_KINDS:
             raise ScenarioError(f"assertion {_assertion_name(check, i)}: unknown kind {kind!r}")
+        _check_strings(check, ("speaker", "left", "right", "event"),
+                       f"assertion {_assertion_name(check, i)}")
         for key in ("speaker", "left", "right"):
             if key in check and check[key] not in known:
                 raise ScenarioError(f"assertion references undeclared speaker {check[key]!r}")

@@ -15,9 +15,9 @@ on first read). Words are acquired in three ways:
 * by paraphrasis: the learner computes the limit of an uttered
   explanation, installs it as the fibre over the word, and the language
   itself grows one morphism per cone leg (freely, via a collage), whose
-  action is a column of the apex. A diagram on a shape that
-  ``free_category`` or ``discrete_category`` (free on no edges) built is
-  checked and limited along the shape's edges.
+  action is a column of the apex. A functorial diagram on a shape that
+  ``free_category`` or ``discrete_category`` built is limited over the
+  shape's edges, any other over every non-identity arrow of its shape.
 
 Every acquisition returns a fresh speaker plus a report of what changed,
 and never mutates its inputs.
@@ -58,8 +58,6 @@ from .fincat import (
     _derived,
     _reach,
     opposite,
-    opposite_functor,
-    precompose,
     quiver_from_edges,
     set_limit,
     terminal_category,
@@ -204,19 +202,9 @@ def _report(learner: Speaker, out: Speaker, changed: Iterable[str], event: str, 
 # explanations
 
 
-def composite_meaning(speaker: Speaker, explanation: Explanation) -> SetFunctor:
-    """The explanation's diagram of meanings, as a Set-valued functor on
-    the opposite shape (the orientation limits are taken in)."""
-    if explanation.diagram.dom != explanation.shape:
-        raise DiagramOutsideLanguage("diagram domain is not the declared shape")
-    if explanation.diagram.cod != speaker.language:
-        raise DiagramOutsideLanguage("diagram does not land in the speaker's language")
-    return precompose(speaker.meaning, opposite_functor(explanation.diagram))
-
-
 def _acts_on_its_fibres(speaker: Speaker, diagram: CatFunctor) -> bool:
     """Whether every arrow of the diagram acts on the whole fibre over the
-    image of its target, so that the composite meaning can be evaluated."""
+    image of its target, so that its diagram of meanings can be evaluated."""
     lang, action = speaker.language, speaker.meaning.action
     if any(diagram.omap.get(a) not in lang.objects for a in diagram.dom.objects):
         return False
@@ -227,26 +215,37 @@ def _acts_on_its_fibres(speaker: Speaker, diagram: CatFunctor) -> bool:
     )
 
 
-def _limit_along_edges(speaker: Speaker, explanation: Explanation) -> Optional[LimitCone]:
-    """The limit of the explanation's composite meaning, taken over the
-    generating edges of a free shape, or None when that does not apply.
+def _limit(speaker: Speaker, explanation: Explanation) -> tuple[list[str], Optional[LimitCone]]:
+    """The diagram's problems, and the limit of its meanings or None when
+    they cannot be evaluated: when a diagram with problems sends an object
+    or arrow outside the language, or an arrow whose action is defined on
+    another fibre.
 
     On a shape that ``free_category`` or ``discrete_category`` built (a
     discrete shape is free on no edges), closed like the language, a
     diagram is a functor exactly when it maps each object and morphism
     into the language, keeps endpoints and identities, and sends each path
     to the composite of its edges' images (Mac Lane, II.7). Such a diagram
-    has no problems, and a cone over it is a cone over its edges alone, so
-    the limit needs neither the shape's composition table nor its paths.
-    None means that the shape is not such a shape, or the diagram no
-    functor on it: the caller takes the whole shape.
+    has no problems, and a cone over it is a cone over its edges alone.
+    Any other diagram is checked by ``validate_functor`` and limited over
+    every non-identity arrow. ``set_limit`` reads no composition table, so
+    the two limits are one construction over two sets of arrows.
     """
     shape, diagram, lang = explanation.shape, explanation.diagram, speaker.language
     paths = shape.paths
-    if (paths is None or not (shape.closed and lang.closed) or diagram.dom is not shape
-            or diagram.cod is not lang or not _preserves_paths(diagram, paths)):
-        return None
-    return set_limit(_along_edges(speaker, diagram, paths))
+    if (paths is not None and shape.closed and lang.closed and diagram.dom is shape
+            and diagram.cod is lang and _preserves_paths(diagram, paths)):
+        edges = [m for m, path in paths.items() if len(path) == 1]
+        return [], set_limit(_restrict(speaker, diagram, edges))
+    problems = validate_functor(diagram)
+    if problems and not _acts_on_its_fibres(speaker, diagram):
+        return problems, None
+    # ``is`` first: comparing a collage with ``==`` glues its table
+    if diagram.dom is not shape and diagram.dom != shape:
+        raise DiagramOutsideLanguage("diagram domain is not the declared shape")
+    if diagram.cod is not lang and diagram.cod != lang:
+        raise DiagramOutsideLanguage("diagram does not land in the speaker's language")
+    return problems, set_limit(_restrict(speaker, diagram, shape.non_identities()))
 
 
 def _preserves_paths(diagram: CatFunctor, paths: Mapping[str, tuple[str, ...]]) -> bool:
@@ -270,25 +269,22 @@ def _preserves_paths(diagram: CatFunctor, paths: Mapping[str, tuple[str, ...]]) 
     return True
 
 
-def _along_edges(speaker: Speaker, diagram: CatFunctor,
-                 paths: Mapping[str, tuple[str, ...]]) -> SetFunctor:
-    """The composite meaning of a functorial diagram on a free shape,
-    restricted to the opposite of its generating edges: the opposite free
-    category truncated at one edge, whose composites are those with an
-    identity."""
+def _restrict(speaker: Speaker, diagram: CatFunctor, arrows: Iterable[str]) -> SetFunctor:
+    """The diagram's meanings on the opposite of some non-identity
+    ``arrows`` of its shape and the identities: all that ``set_limit``
+    reads of its base. Only the composites with an identity are kept, so
+    the base is flagged not closed."""
     shape, meaning = diagram.dom, speaker.meaning
     identity = shape.identity
     src = {i: o for o, i in identity.items()}
     tgt = dict(src)
     compose = {(i, i): i for i in src}
-    for m, path in paths.items():
-        if len(path) == 1:  # an edge, reversed
-            s = src[m] = shape.tgt[m]
-            t = tgt[m] = shape.src[m]
-            compose[m, identity[s]] = compose[identity[t], m] = m
+    for m in arrows:  # reversed
+        s = src[m] = shape.tgt[m]
+        t = tgt[m] = shape.src[m]
+        compose[m, identity[s]] = compose[identity[t], m] = m
     base = _derived(FinCategory, objects=shape.objects, morphisms=frozenset(src), src=src,
-                    tgt=tgt, identity=identity, compose=compose,
-                    closed=len(src) == len(paths))
+                    tgt=tgt, identity=identity, compose=compose, closed=False)
     return _derived(
         SetFunctor,
         base=base,
@@ -306,25 +302,18 @@ def validate_explanation(speaker: Speaker, explanation: Explanation) -> Explanat
     content: the explanation is then valid outright and exact when the
     cardinalities agree. An empty apex is flagged vacuous.
 
-    A diagram that is no functor still has a limit, as long as each arrow
-    acts on the whole fibre it is read from. When it does not (an object or
-    arrow sent outside the language, or an arrow whose action is defined on
-    another fibre), no limit is computed: the check is invalid, lists the
-    problems and carries an empty cone. A functorial diagram on a free
-    shape is checked and limited along its edges (``_limit_along_edges``).
+    A diagram that is no functor still has a limit, unless an arrow does
+    not act on the whole fibre it is read from (see ``_limit``): the check
+    is then invalid, lists the problems and carries an empty cone.
     """
     if explanation.target not in speaker.language.objects:
         raise DiagramOutsideLanguage(f"target {explanation.target} is not a language object")
-    problems: list[str] = []
-    cone = _limit_along_edges(speaker, explanation)
+    problems, cone = _limit(speaker, explanation)
     if cone is None:
-        problems = validate_functor(explanation.diagram)
-        if problems and not _acts_on_its_fibres(speaker, explanation.diagram):
-            empty = LimitCone(order=tuple(sorted(explanation.shape.objects)), apex=frozenset())
-            return ExplanationCheck(
-                valid=False, exact=False, vacuous=False, limit=empty, problems=tuple(problems)
-            )
-        cone = set_limit(composite_meaning(speaker, explanation))
+        empty = LimitCone(order=tuple(sorted(explanation.shape.objects)), apex=frozenset())
+        return ExplanationCheck(
+            valid=False, exact=False, vacuous=False, limit=empty, problems=tuple(problems)
+        )
     fibre = speaker.fibre(explanation.target)
     vacuous = not cone.apex
 
@@ -641,9 +630,8 @@ def acquire_by_paraphrasis(
     if not teacher_check.valid or teacher_check.vacuous:
         raise FiblexError("the explanation is not valid and non-vacuous for the teacher")
 
-    cone = _limit_along_edges(learner, explanation)
-    if cone is None:
-        cone = set_limit(composite_meaning(learner, explanation))
+    # the teacher found the diagram a functor, so the learner's limit exists
+    _, cone = _limit(learner, explanation)
     if not cone.apex:
         # every action touching the (still empty) fibre stays forced
         report = _report(learner, learner, (), event_id, "paraphrasis", word, "no-sense")

@@ -6,8 +6,9 @@
 included, along its parts. ``fiblex.collage`` builds only the words with
 edges and glues only the pairs that involve one; the two must agree on
 every name, table, action and error. ``collage_is_finite_per_edge``
-decides finiteness by one search per edge, as ``fiblex.collage`` does
-with its own walk; ``full_words`` lets the tests decide it without a
+decides finiteness by one search per edge, which ``fp_collage`` decides
+while it spells the words, refusing one that uses an edge twice;
+``full_words`` lets the tests decide it without a
 search, by the pigeonhole principle: with ``n`` edges, a word of ``n + 1``
 edges uses some edge twice, and so runs round a cycle.
 

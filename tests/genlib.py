@@ -190,6 +190,11 @@ def random_presheaf(
     return SetFunctor(base=opposite(base), value=value, action=action)
 
 
+def hom(cat: FinCategory, x: str, y: str) -> list[str]:
+    """The morphisms from ``x`` to ``y``, sorted."""
+    return sorted(m for m in cat.morphisms if cat.src[m] == x and cat.tgt[m] == y)
+
+
 def generators_of(cat: FinCategory) -> list[str]:
     """Morphisms that are not composites of two non-identities."""
     composites = set()
@@ -210,7 +215,7 @@ def random_functor_between(rng: random.Random, dom: FinCategory, cod: FinCategor
     omap = None
     for _ in range(30):
         candidate = {o: rng.choice(sorted(cod.objects)) for o in sorted(dom.objects)}
-        if all(cod.hom(candidate[dom.src[m]], candidate[dom.tgt[m]]) for m in gens):
+        if all(hom(cod, candidate[dom.src[m]], candidate[dom.tgt[m]]) for m in gens):
             omap = candidate
             break
     if omap is None:
@@ -221,7 +226,7 @@ def random_functor_between(rng: random.Random, dom: FinCategory, cod: FinCategor
     for o in dom.objects:
         mmap[dom.identity[o]] = cod.identity[omap[o]]
     for m in gens:
-        mmap[m] = rng.choice(cod.hom(omap[dom.src[m]], omap[dom.tgt[m]]))
+        mmap[m] = rng.choice(hom(cod, omap[dom.src[m]], omap[dom.tgt[m]]))
     changed = True
     while changed:
         changed = False
@@ -291,8 +296,8 @@ def perturbed_diagram(rng: random.Random, diagram):
     how = rng.choice(["parallel", "parallel", "parallel", "any", "unmapped", "object"])
     m = rng.choice(sorted(dom.morphisms))
     if how == "parallel":
-        homs = {a: cod.hom(omap[dom.src[a]], omap[dom.tgt[a]]) for a in sorted(dom.morphisms)}
-        choices = [a for a, hom in homs.items() if len(hom) > 1]
+        homs = {a: hom(cod, omap[dom.src[a]], omap[dom.tgt[a]]) for a in sorted(dom.morphisms)}
+        choices = [a for a, arrows in homs.items() if len(arrows) > 1]
         composites = [a for a in choices if len((dom.paths or {}).get(a, ())) > 1]
         m = rng.choice(composites or choices or sorted(homs))
         mmap[m] = rng.choice([f for f in homs[m] if f != mmap[m]] or homs[m])

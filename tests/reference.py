@@ -13,8 +13,11 @@ The constructions here are the ones the paper defines those results by:
 - the order on basic types as a fixpoint of transitive steps, and
   pregroup reduction search with replayable derivations, over
   contractions and induced steps, and sentence checks built on it;
-- an explanation's check and limit over every morphism of its shape,
-  which the engine takes along the generating edges of a free shape;
+- an explanation's check, and its limit over every morphism of the
+  opposite shape, through the restriction of the speaker's meaning along
+  the opposite diagram; the engine restricts the meaning to the edges of
+  a free shape, or to every non-identity arrow of any other, and its
+  limit reads no composition table;
 - the meaning check by a sorted walk of every object, morphism and
   compose entry, which the engine makes over the non-empty fibres only;
 - small helpers on categories and speakers that only the tests use.
@@ -29,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from fiblex.errors import BaseMismatch, FiblexError
+from fiblex.errors import BaseMismatch, DiagramOutsideLanguage, FiblexError
 from fiblex.fibration import Fibration, grothendieck, pair_object_id
 from fiblex.fincat import (
     CatFunctor,
@@ -43,7 +46,7 @@ from fiblex.fincat import (
     validate_functor,
 )
 from fiblex.pregroup import Lexicon, PgType, Simple, TypeOrder, contractions
-from fiblex.speaker import Explanation, ExplanationCheck, Speaker, composite_meaning
+from fiblex.speaker import Explanation, ExplanationCheck, Speaker
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +543,30 @@ def sentence_check(lex: Lexicon, words: Sequence[str]) -> SentenceCheck:
 
 # ---------------------------------------------------------------------------
 # explanations over every morphism of the shape
+
+
+def precompose(fun: SetFunctor, along: CatFunctor) -> SetFunctor:
+    """Restrict a Set-valued functor along a functor into its base."""
+    if along.cod != fun.base:
+        raise BaseMismatch("functor codomain differs from the Set-valued functor base")
+    return SetFunctor(
+        base=along.dom,
+        value={d: fun.value[along.omap[d]] for d in along.dom.objects},
+        action={m: fun.action[along.mmap[m]] for m in along.dom.morphisms},
+    )
+
+
+def composite_meaning(speaker: Speaker, explanation: Explanation) -> SetFunctor:
+    """The explanation's diagram of meanings, as a Set-valued functor on
+    the opposite shape (the orientation limits are taken in)."""
+    diagram = explanation.diagram
+    if diagram.dom != explanation.shape:
+        raise DiagramOutsideLanguage("diagram domain is not the declared shape")
+    if diagram.cod != speaker.language:
+        raise DiagramOutsideLanguage("diagram does not land in the speaker's language")
+    opposite_diagram = CatFunctor(opposite(diagram.dom), opposite(diagram.cod), diagram.omap,
+                                  diagram.mmap)
+    return precompose(speaker.meaning, opposite_diagram)
 
 
 def limit_over_every_path(

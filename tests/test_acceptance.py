@@ -19,6 +19,7 @@ from collage_oracle import normalize_word
 from genlib import (
     free_category_by_paths,
     functor_on_free,
+    hom,
     idempotent_functor,
     iso_functor,
     random_base,
@@ -255,7 +256,7 @@ def _oracle_acquisition(learner, word, witnesses, event_id):
     for anchor in sorted(lang.objects):
         pairs = {}
         for d in objs:
-            for f in lang.hom(anchor, omap[d]):
+            for f in hom(lang, anchor, omap[d]):
                 pairs[f"({d},{f})"] = (d, f)
         parent = {c: c for c in pairs}
 
@@ -265,7 +266,7 @@ def _oracle_acquisition(learner, word, witnesses, event_id):
             return x
 
         for d1, d2, img in morphs:
-            for f in lang.hom(anchor, omap[d1]):
+            for f in hom(lang, anchor, omap[d1]):
                 a, b = find(f"({d1},{f})"), find(f"({d2},{lang.compose[(img, f)]})")
                 if a != b:
                     parent[a] = b
@@ -598,7 +599,7 @@ def _generated_names_clash(learner, word, witnesses, glue, event_id):
     lang, fun = learner.language, learner.meaning
     ident = lang.identity[word]
     for obj in sorted(lang.objects):
-        arrows = lang.hom(obj, word)
+        arrows = hom(lang, obj, word)
         classes = [{x} for x in fun.value[obj]] + [{(s, f)} for f in arrows for s in witnesses]
         for f in arrows:
             for y in fun.value[word]:
@@ -952,7 +953,7 @@ def test_c8_pregroup_backend():
         sentence=parse_type("s"),
     )
     cat = language_category_from_lexicon(lex, ["cat", "feline"])
-    ok = ok and cat.hom("cat", "feline") == [] and cat.hom("feline", "cat") == []
+    ok = ok and hom(cat, "cat", "feline") == [] and hom(cat, "feline", "cat") == []
     _verdict("C8 pregroup", ok, "(reductions, replay, empty noun homs)")
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from genlib import random_base, random_functor_between, random_presheaf
+from genlib import hom, random_base, random_functor_between, random_presheaf
 from reference import (
     NotAFibration,
     compose_functors,
@@ -340,7 +340,7 @@ def test_first_factor_appears_final():
             under = [
                 (d, h)
                 for d in fact.first.dom.objects
-                for h in total.hom(e, fact.first.omap[d])
+                for h in hom(total, e, fact.first.omap[d])
             ]
             assert under, f"comma under {e} is empty"
             # connectivity via zigzags of domain morphisms
@@ -353,7 +353,7 @@ def test_first_factor_appears_final():
 
             for m in fact.first.dom.morphisms:
                 d1, d2 = fact.first.dom.src[m], fact.first.dom.tgt[m]
-                for h in total.hom(e, fact.first.omap[d1]):
+                for h in hom(total, e, fact.first.omap[d1]):
                     h2 = total.compose[(fact.first.mmap[m], h)]
                     a, b = find((d1, h)), find((d2, h2))
                     if a != b:

@@ -25,6 +25,7 @@ from reference import (
     connected_components,
     discrete_quiver,
     identity_functor,
+    precompose,
     underlying_quiver,
 )
 from fiblex.collage import free_category
@@ -37,7 +38,6 @@ from fiblex.fincat import (
     natural_iso_check,
     opposite,
     parse_tuple_name,
-    precompose,
     quiver_from_edges,
     set_limit,
     terminal_category,

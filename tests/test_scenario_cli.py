@@ -962,6 +962,9 @@ def evil_cat_with(edit):
                  id="tautological-speaker"),
     pytest.param(lambda e: e.update(kind="tautological", speaker="nobody"),
                  "undeclared speaker 'nobody'", id="tautological-undeclared-speaker"),
+    pytest.param(lambda e: e.update(shape={"objects": ["a1"],
+                                           "morphisms": [{"src": "a1", "tgt": "a1"}]}),
+                 "explicit shape morphism 0 is missing key 'id'", id="explicit-morphism-id"),
 ])
 def test_an_explanation_missing_a_key_is_refused_at_load(edit, message, tmp_path):
     doc = evil_cat_with(edit)
@@ -1017,11 +1020,61 @@ def test_a_nested_entry_of_the_wrong_json_type_is_refused(edit, message, tmp_pat
                  "pregroup category is missing key 'phrases'", id="pregroup-phrases"),
     pytest.param({"kind": "free", "vertices": ["a"], "edges": {"f": "a"}},
                  "free category: key 'edges' is not a list", id="free-edges-object"),
+    pytest.param({"objects": ["a"], "morphisms": [{"id": "f", "src": "a"}]},
+                 "explicit category morphism 0 is missing key 'tgt'", id="explicit-morphism-tgt"),
+    pytest.param({"kind": "explicit", "objects": ["a"], "morphisms": ["f"]},
+                 "explicit category morphism 0 is not an object", id="explicit-morphism-string"),
+    pytest.param({"objects": ["a"], "morphisms": {"f": "a"}},
+                 "explicit category: key 'morphisms' is not a list",
+                 id="explicit-morphisms-object"),
 ])
 def test_a_category_missing_a_key_is_refused_at_load(decl, message, tmp_path):
     doc = evil_cat_with(lambda e: None)
     doc["categories"]["q"] = decl
     _refused_everywhere(doc, f"category q: {message}", tmp_path)
+
+
+TEACH = {"event": "paraphrasis", "learner": "p", "teacher": "p", "word": "cat",
+         "explanation": "black-evil-feline"}
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d["events"][0].update(speaker=["p"]),
+                 "event describe-the-cat: key 'speaker' is not a string", id="event-speaker"),
+    pytest.param(lambda d: d["events"][0].update(explanation={"name": "black-evil-feline"}),
+                 "event describe-the-cat: key 'explanation' is not a string",
+                 id="event-explanation"),
+    pytest.param(lambda d: d["events"].append({**TEACH, "learner": ["p"]}),
+                 "event ev1: key 'learner' is not a string", id="event-learner"),
+    pytest.param(lambda d: d["events"].append({**TEACH, "teacher": {"p": 1}}),
+                 "event ev1: key 'teacher' is not a string", id="event-teacher"),
+    pytest.param(lambda d: d["assertions"][0].update(event=["describe-the-cat"]),
+                 "assertion assert0:explanation: key 'event' is not a string",
+                 id="assertion-event"),
+    pytest.param(lambda d: d["assertions"].append(
+                     {"assert": "fibre-size", "speaker": ["p"], "object": "cat", "equals": 1}),
+                 "assertion assert1:fibre-size: key 'speaker' is not a string",
+                 id="assertion-speaker"),
+    pytest.param(lambda d: d["assertions"].append(
+                     {"assert": "speakers-iso", "left": ["p"], "right": "p"}),
+                 "assertion assert1:speakers-iso: key 'left' is not a string", id="assertion-left"),
+    pytest.param(lambda d: d["assertions"].append(
+                     {"assert": "speakers-iso", "left": "p", "right": {"p": "p"}}),
+                 "assertion assert1:speakers-iso: key 'right' is not a string",
+                 id="assertion-right"),
+    pytest.param(lambda d: d["explanations"].update(
+                     t={"kind": "tautological", "speaker": ["p"], "target": "cat"}),
+                 "explanation t: key 'speaker' is not a string", id="tautological-speaker"),
+])
+def test_a_reference_that_is_not_a_string_is_refused(edit, message, tmp_path):
+    # a list or an object names no speaker, event or explanation, and
+    # cannot even be looked up in a table of names
+    doc = evil_cat_with(lambda e: None)
+    edit(doc)
+    _refused_everywhere(doc, message, tmp_path)
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, json.loads((SCENARIOS / "schema.json").read_text()))
 
 
 # --- explanations over free shapes -------------------------------------------------
@@ -1097,8 +1150,8 @@ def free_shape_doc(names, event="paraphrasis"):
 
 def run_both_ways(doc, monkeypatch):
     """The store and canonical reports of a run, and of a run that checks
-    every explanation with the oracle and takes every limit over the whole
-    shape, as before free shapes were limited along their edges."""
+    every explanation with the oracle and takes every limit, the learner's
+    too, over every morphism of the opposite shape."""
     out = []
     for oracle in (False, True):
         with monkeypatch.context() as patch:
@@ -1106,7 +1159,7 @@ def run_both_ways(doc, monkeypatch):
                 for module in (scenario_mod, speaker_mod):
                     patch.setattr(module, "validate_explanation",
                                   validate_explanation_over_every_path)
-                patch.setattr(speaker_mod, "_limit_along_edges", lambda speaker, expl: None)
+                patch.setattr(speaker_mod, "_limit", reference.limit_over_every_path)
             scenario = load_scenario(json.loads(json.dumps(doc)))
             store, reports = run_events(scenario)
             out.append((store, canonical_dumps(reports)))
@@ -1206,20 +1259,24 @@ def test_an_explain_limits_pass_glues_no_shape_and_checks_diagrams_along_edges(m
 
 def test_a_learn_paraphrasis_pass_checks_and_limits_its_discrete_shapes_along_edges(monkeypatch):
     # a discrete shape is free on no edges: neither the teacher's check nor
-    # the learner's limit checks the diagram as a functor or restricts the
-    # meaning along it
+    # the learner's limit checks the diagram as a functor, which any limit
+    # over every arrow of the shape would
     doc = bench_generate.generate("learn-paraphrasis", 1)[0]
     assert all(e["shape"]["kind"] == "discrete" for e in doc["explanations"].values())
+    assert all(e["event"] == "paraphrasis" for e in doc["events"])
     checks = count_calls(monkeypatch, fincat.validate_functor)
-    restrictions = count_calls(monkeypatch, fincat.precompose)
+    limits = count_calls(monkeypatch, fincat.set_limit)
     code, _ = run_scenario(load_scenario(doc))
     assert code == 0
-    assert (checks, restrictions) == ([], [])
+    assert (checks, len(limits)) == ([], 2 * len(doc["events"]))  # the teacher's and the learner's
 
-    # one diagram that is no functor takes the whole shape, and is refused
-    explanation = next(iter(doc["explanations"].values()))
+    # one diagram that is no functor is checked over the whole shape, and
+    # refused before any limit is taken
+    name, explanation = next(iter(doc["explanations"].items()))
+    first = next(i for i, e in enumerate(doc["events"]) if e["explanation"] == name)
     obj = sorted(explanation["diagram"])[0]
     explanation["diagram_morphisms"] = {f"id_{obj}": "nowhere"}
+    limits.clear()
     code, report = run_scenario(load_scenario(doc))
     assert code == 2 and "not valid and non-vacuous" in report["error"]
-    assert (len(checks), restrictions) == (1, [])
+    assert (len(checks), len(limits)) == (1, 2 * first)

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from genlib import (
     doubled,
+    hom,
+    idempotent_functor,
+    iso_functor,
     legs,
     perturbed_diagram,
     random_base,
@@ -37,8 +40,10 @@ from fiblex.fincat import (
     opposite,
     quiver_from_edges,
     tuple_name,
+    validate_functor,
     validate_setfunctor,
 )
+from fiblex.jsonio import category_from_dict
 from fiblex.speaker import (
     Explanation,
     Speaker,
@@ -334,7 +339,7 @@ def brute_force_fibres(learner, word, witnesses):
         pairs = [
             (d, f)
             for d in objects
-            for f in lang.hom(anchor, omap[d])
+            for f in hom(lang, anchor, omap[d])
         ]
         parent = {p: p for p in pairs}
 
@@ -349,7 +354,7 @@ def brute_force_fibres(learner, word, witnesses):
                 parent[ra] = rb
 
         for d1, d2, img in gens:
-            for f in lang.hom(anchor, omap[d1]):
+            for f in hom(lang, anchor, omap[d1]):
                 union((d1, f), (d2, lang.compose[(img, f)]))
         sizes[anchor] = len({find(p) for p in pairs})
     return sizes
@@ -816,27 +821,53 @@ def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeyp
 # --- explanations over free shapes ----------------------------------------------------
 
 
+def commuting_square() -> FinCategory:
+    """a → b → d and a → c → d, whose two paths are one morphism ``gf``."""
+    arrows = [("f", "a", "b"), ("g", "b", "d"), ("h", "a", "c"), ("k", "c", "d"),
+              ("gf", "a", "d")]
+    return category_from_dict({
+        "objects": ["a", "b", "c", "d"],
+        "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in arrows],
+        "compose": [["g", "f", "gf"], ["k", "h", "gf"]],
+    })
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_a_free_shape_is_checked_and_limited_as_over_every_path(seed):
     # Random free shapes (some cyclic and cut at two edges, some discrete
     # or terminal, some rebuilt from their tables so that they are not
-    # known to be free), functorial diagrams into random languages, some of
+    # known to be free), shapes with relations (an isomorphism or an
+    # idempotent, onto themselves with a meaning of their own, and a
+    # commuting square), functorial diagrams into random languages, some of
     # them perturbed, and random speakers: the check along the edges agrees
     # with the check and limit over every morphism of the shape. A third of
-    # the acyclic shapes embed into their doubles, where a perturbed path
-    # has parallels to go to.
+    # the acyclic free shapes embed into their doubles, where a perturbed
+    # path has parallels to go to. A shape that is not taken along its
+    # edges is limited over every arrow, which walks the arrows in the
+    # oracle's order, so an empty limit has the oracle's witness.
     rng = random.Random(seed)
-    shape = rng.choice([random_free_shape, random_free_shape, random_discrete_shape])(rng)
-    if shape.closed and rng.random() < 0.3:
-        lang = doubled(shape)
-        paths = lang.paths
+    pick = rng.random()
+    if pick < 0.1:
+        meaning = rng.choice([iso_functor, idempotent_functor])(rng)
+        shape = lang = opposite(meaning.base)
         diagram = CatFunctor(shape, lang, {o: o for o in shape.objects},
                              {m: m for m in shape.morphisms})
+        speaker = Speaker("s", lang, meaning)
     else:
-        lang, paths = random_base(rng, max_edges=7, max_morphisms=40)
-        diagram = random_functor_between(rng, shape, lang)
-    speaker = Speaker("s", lang, random_presheaf(rng, lang, paths))
+        if pick < 0.2:
+            shape = commuting_square()
+        else:
+            shape = rng.choice([random_free_shape, random_free_shape, random_discrete_shape])(rng)
+        if shape.paths is not None and shape.closed and rng.random() < 0.3:
+            lang = doubled(shape)
+            paths = lang.paths
+            diagram = CatFunctor(shape, lang, {o: o for o in shape.objects},
+                                 {m: m for m in shape.morphisms})
+        else:
+            lang, paths = random_base(rng, max_edges=7, max_morphisms=40)
+            diagram = random_functor_between(rng, shape, lang)
+        speaker = Speaker("s", lang, random_presheaf(rng, lang, paths))
     if rng.random() < 0.1:
         shape = FinCategory(shape.objects, shape.morphisms, shape.src, shape.tgt,
                             shape.identity, shape.compose, shape.closed)
@@ -855,6 +886,10 @@ def test_a_free_shape_is_checked_and_limited_as_over_every_path(seed):
     assert (check.valid, check.exact, check.vacuous, check.problems) == (
         oracle.valid, oracle.exact, oracle.vacuous, oracle.problems)
     assert (check.limit.order, check.limit.apex) == (oracle.limit.order, oracle.limit.apex)
+    along_edges = (shape.paths is not None and shape.closed and lang.closed
+                   and not validate_functor(diagram))
+    if not along_edges:
+        assert check.limit.witness == oracle.limit.witness
 
 
 @settings(max_examples=300, deadline=None)
