@@ -17,12 +17,12 @@ the words with at least one edge are enumerated, as plain tuples and
 level by level, and they are named, checked for clashes and given their
 endpoints at once. The composition table is glued on its first read:
 the base's table is copied, and only the pairs in which at least one
-side is a new word are glued. Its opposite is glued in the same pass,
-from the base's opposite table (copied from the cached opposite when
-there is one) and the glued pairs reversed, and the grown category and
-its opposite are each other's cached opposites. A collage that is only
-walked, such as an explanation's free shape whose diagram is checked and
-limited along its edges, never glues. An extended functor keeps the
+side is a new word are glued. By duality the opposite of a collage is
+the collage of the opposite base with every word reversed, so
+``opposite`` gives it the same glue over the base's opposite. A collage
+that is only walked, such as an explanation's free shape whose diagram
+is checked and limited along its edges, never glues and is never paired
+with its opposite. An extended functor keeps the
 base's values and actions and computes only the new words' actions.
 Finiteness needs no walk of its own: a collage is infinite exactly when
 some word uses an edge twice, which the enumeration sees. Apart from the
@@ -34,8 +34,8 @@ of the base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Mapping, Optional
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
     BaseMismatch,
@@ -50,9 +50,8 @@ from .fincat import (
     Quiver,
     SetFunctor,
     _derived,
-    _opposite_compose,
-    _pair_opposites,
     discrete_category,
+    opposite,
     tuple_name,
 )
 
@@ -73,14 +72,6 @@ class Word:
     def __post_init__(self):
         if len(self.bases) != len(self.edges) + 1:
             raise NotComposable("alternating word needs exactly one more base than edges")
-
-    def parts(self) -> list[tuple[str, str]]:
-        """The word as ``(kind, id)`` pairs, kinds alternating base/edge."""
-        out: list[tuple[str, str]] = [("base", self.bases[0])]
-        for q, c in zip(self.edges, self.bases[1:]):
-            out.append(("edge", q))
-            out.append(("base", c))
-        return out
 
 
 def word_id(cat: FinCategory, word: Word) -> str:
@@ -237,10 +228,7 @@ def _adjoin(
 
     The 0-edge words are the base morphisms under their own names, so
     ``src`` and ``tgt`` start as copies of the base tables and only the
-    words with edges are added. The collage and its opposite share the
-    endpoint tables, swapped, and are cached as each other's opposites;
-    their composition tables are glued together by ``_glue`` on the first
-    read of either."""
+    words with edges are added. The composition table waits in a ``_Glue``."""
     if quiver.vertices != cat.objects:
         raise VertexMismatch("quiver must share the category's objects")
     esrc, etgt, objects = quiver.esrc, quiver.etgt, cat.objects
@@ -268,30 +256,44 @@ def _adjoin(
     closed = not truncated
     morphisms = cat.morphisms.union(spellings)
     category = _derived(FinCategory, objects=cat.objects, morphisms=morphisms, src=src, tgt=tgt,
-                        identity=cat.identity, closed=closed)
-    op = _derived(FinCategory, objects=cat.objects, morphisms=morphisms, src=tgt, tgt=src,
-                  identity=cat.identity, closed=closed)
-    _pair_opposites(category, op, partial(_glue, cat, spellings, bound))
+                        identity=cat.identity, closed=closed, _glue=_Glue(cat, spellings, bound))
     return _derived(CollageCategory, base=cat, quiver=quiver, spellings=spellings,
                     category=category, closed=closed)
 
 
+class _Glue(NamedTuple):
+    """The pending composition table of the collage of ``base`` with the
+    words ``spellings``, cut at ``bound`` edges, which holds nothing of the
+    category it is glued for. Its ``dual()`` is that of the collage's
+    opposite: the collage of the opposite base with every word reversed."""
+
+    base: FinCategory
+    spellings: dict[str, Spelling]
+    bound: Optional[int]
+
+    def __call__(self) -> dict[tuple[str, str], str]:
+        return _glue(self.base, self.spellings, self.bound)
+
+    def dual(self) -> _Glue:
+        words = {w: (bases[::-1], edges[::-1]) for w, (bases, edges) in self.spellings.items()}
+        return _Glue(opposite(self.base), words, self.bound)
+
+
 def _glue(
     cat: FinCategory, spellings: dict[str, Spelling], bound: Optional[int]
-) -> tuple[dict[tuple[str, str], str], dict[tuple[str, str], str]]:
-    """The composition tables of a collage of ``cat`` and of its opposite.
+) -> dict[tuple[str, str], str]:
+    """The composition table of a collage of ``cat``.
 
-    Both start as copies of the base's tables; a pair is glued, into both,
-    only when at least one side is a word with edges, and left out when
-    the two together have more than ``bound`` edges. The pairs are glued
-    in three flat loops (a word after a base morphism, a word after a
-    word, a base morphism after a word), each word's spelling is split
-    once, outside the inner loop, and the base morphism at the junction
-    is read straight from the base's table, which ``_adjoin`` has checked
-    has every junction."""
+    It starts as a copy of the base's table; a pair is glued only when at
+    least one side is a word with edges, and left out when the two
+    together have more than ``bound`` edges. The pairs are glued in three
+    flat loops (a word after a base morphism, a word after a word, a base
+    morphism after a word), each word's spelling is split once, outside
+    the inner loop, and the junction's base morphism is read straight
+    from the base's table, which ``_adjoin`` has checked has them all."""
     base_compose, src, tgt = cat.compose, cat.src, cat.tgt
     into_bases, out_bases = cat.by_tgt, cat.by_src
-    compose, compose_op = dict(base_compose), _opposite_compose(cat)
+    compose = dict(base_compose)
     by_key = {spelling: wid for wid, spelling in spellings.items()}
     # each word out of an object: its name, first base morphism, the rest and its edges
     new_out: dict[str, list[tuple[str, str, tuple[str, ...], tuple[str, ...]]]] = {}
@@ -301,19 +303,19 @@ def _glue(
     for o, words in new_out.items():  # a word after a base morphism
         for f in into_bases.get(o, ()):
             for g, first, rest, edges in words:
-                compose[g, f] = compose_op[f, g] = by_key[(base_compose[first, f],) + rest, edges]
+                compose[g, f] = by_key[(base_compose[first, f],) + rest, edges]
     for f, (bases, edges) in spellings.items():  # a word after a word
         head, last = bases[:-1], bases[-1]
         for g, first, rest, g_edges in new_out.get(tgt[last], ()):
             if bound is not None and len(edges) + len(g_edges) > bound:
                 continue  # outside the truncation
             gf = by_key[head + (base_compose[first, last],) + rest, edges + g_edges]
-            compose[g, f] = compose_op[f, g] = gf
+            compose[g, f] = gf
     for f, (bases, edges) in spellings.items():  # a base morphism after a word
         head, last = bases[:-1], bases[-1]
         for g in out_bases.get(tgt[last], ()):
-            compose[g, f] = compose_op[f, g] = by_key[head + (base_compose[g, last],), edges]
-    return compose, compose_op
+            compose[g, f] = by_key[head + (base_compose[g, last],), edges]
+    return compose
 
 
 def extend_set_functor(

@@ -9,11 +9,11 @@ copies of its parent's tables, and a grown functor keeps its parent's
 value table and action graphs. A category also caches what it derives
 from its tables, on first read and per instance: its morphisms by source
 and by target, shared with its opposite, and its opposite. A category
-that a collage built (see ``fiblex.collage``) also glues its composition
-table, and its opposite's, on the first read of either; every reader,
-``==`` included, sees the whole table. The dataclasses are frozen but
-the dicts inside them are not, so tables must never be mutated once they
-are handed over.
+may hold its composition table as a pending glue, run on first read: a
+collage (see ``fiblex.collage``) and its opposite glue theirs from their
+bases, any other opposite reverses its category's. Every reader, ``==``
+included, sees the whole table. The dataclasses are frozen but the dicts
+inside them are not, so tables must never be mutated once handed over.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import BaseMismatch, BoundExceeded, IdentifierClash, NotComposable
@@ -47,8 +47,8 @@ class FinCategory:
     tables on first read and cached with the instance; they take no part
     in equality, hashing or ``repr``. A hash reads only the object and
     morphism sets and ``closed``, which equal categories share. A
-    category built by a collage may hold its ``compose`` table unglued
-    until the first read (``_pair_opposites``), and one built by
+    collage or an opposite holds its ``compose`` table as a pending glue
+    until the first read (``_GluedOnRead``), and a category built by
     ``free_category`` or ``discrete_category`` knows the edge sequence
     behind each morphism (``paths``).
     """
@@ -121,20 +121,18 @@ class FinCategory:
 
 class _GluedOnRead:
     """``FinCategory.compose`` where the instance holds no table yet: the
-    table its pending glue (see ``_pair_opposites``) sets on first read.
-    A table in the instance dict is found before this descriptor, so a
-    category that holds its table reads it at full speed."""
+    table its pending glue, which holds nothing of the instance, returns
+    on first read. A table in the instance dict is found before this
+    descriptor, so a category that holds its table reads it at full speed."""
 
     def __get__(self, cat, owner=None):
         if cat is None:
             return self
-        pending = cat.__dict__.get("_glue")
-        if pending is None:
+        glue = cat.__dict__.get("_glue")
+        if glue is None:
             raise AttributeError("compose")
-        first, second, glue = pending
-        for c, table in zip((first, second), glue()):
-            object.__setattr__(c, "compose", table)
-            del c.__dict__["_glue"]
+        object.__setattr__(cat, "compose", glue())
+        del cat.__dict__["_glue"]
         return cat.__dict__["compose"]
 
 
@@ -145,7 +143,7 @@ def _index(cat: FinCategory, end: Mapping[str, str], mirror: str) -> dict[str, l
     """The morphisms of ``cat`` by ``end`` (its source or target table),
     sorted. The same index is the cached opposite's ``mirror``, so it is
     taken from there when the opposite has it, and handed to it otherwise;
-    an opposite paired later finds it here."""
+    an opposite built later finds it here."""
     op = cat.__dict__.get("_opposite")
     if op is not None and mirror in op.__dict__:
         return op.__dict__[mirror]
@@ -499,44 +497,24 @@ def _acts_along_paths(fun: SetFunctor, language: FinCategory) -> bool:
 def opposite(cat: FinCategory) -> FinCategory:
     """Reverse every morphism. Identifiers are preserved, so the operation
     is an involution on the nose: the opposite is built once per category
-    (a collage's together with the collage) and cached with it, and
-    ``opposite(opposite(cat)) is cat``. The two share their endpoint and
-    identity tables, the endpoints swapped."""
+    and cached with it, and ``opposite(opposite(cat)) is cat``. The two
+    share their endpoint and identity tables, the endpoints swapped. The
+    opposite's table is glued on first read: by the ``dual()`` of ``cat``'s
+    pending glue (a collage's), else as ``cat``'s table reversed."""
     op = cat.__dict__.get("_opposite")
     if op is None:
+        pending = cat.__dict__.get("_glue")
+        glue = pending.dual() if pending is not None else partial(_reversed, cat)
         op = _derived(FinCategory, objects=cat.objects, morphisms=cat.morphisms, src=cat.tgt,
-                      tgt=cat.src, identity=cat.identity, compose=_opposite_compose(cat),
-                      closed=cat.closed)
-        _pair_opposites(cat, op)
+                      tgt=cat.src, identity=cat.identity, closed=cat.closed, _glue=glue,
+                      _opposite=cat)
+        object.__setattr__(cat, "_opposite", op)
     return op
 
 
-def _opposite_compose(cat: FinCategory) -> dict[tuple[str, str], str]:
-    """A fresh copy of the composition table of ``opposite(cat)``: a C-level
-    copy of the cached opposite's table when there is one, else ``cat``'s
-    table reversed, without building (and caching) the opposite."""
-    op = cat.__dict__.get("_opposite")
-    if op is not None:
-        return dict(op.compose)
+def _reversed(cat: FinCategory) -> dict[tuple[str, str], str]:
+    """The composition table of ``cat`` with every pair reversed."""
     return {(g, f): x for (f, g), x in cat.compose.items()}
-
-
-def _pair_opposites(
-    cat: FinCategory,
-    op: FinCategory,
-    glue: Optional[Callable[[], tuple[dict, dict]]] = None,
-) -> None:
-    """Cache ``op`` as the opposite of ``cat`` and ``cat`` as that of ``op``;
-    the two must have reversed tables. With ``glue`` the two are built
-    without composition tables: the first read of either's ``compose``
-    calls ``glue()`` once for the tables of ``cat`` and of ``op``, and
-    sets both."""
-    object.__setattr__(op, "_opposite", cat)
-    object.__setattr__(cat, "_opposite", op)
-    if glue is not None:
-        pending = (cat, op, glue)
-        object.__setattr__(cat, "_glue", pending)
-        object.__setattr__(op, "_glue", pending)
 
 
 # ---------------------------------------------------------------------------

@@ -321,13 +321,18 @@ def _check_references(scenario: Scenario) -> None:
         kind = check.get("assert")
         if kind not in _ASSERTION_KINDS:
             raise ScenarioError(f"assertion {_assertion_name(check, i)}: unknown kind {kind!r}")
-        _check_strings(check, ("speaker", "left", "right", "event"),
+        _check_strings(check, ("speaker", "left", "right", "event", "object"),
                        f"assertion {_assertion_name(check, i)}")
         for key in ("speaker", "left", "right"):
             if key in check and check[key] not in known:
                 raise ScenarioError(f"assertion references undeclared speaker {check[key]!r}")
         if "event" in check and check["event"] not in event_ids:
             raise ScenarioError(f"assertion references unknown event {check['event']!r}")
+        # acquisitions add no objects, so the declared language has them all
+        if kind == "fibre-size" and "speaker" in check and "object" in check:
+            if check["object"] not in scenario.speakers[check["speaker"]].language.objects:
+                raise ScenarioError(f"assertion references unknown object {check['object']!r} "
+                                    f"of speaker {check['speaker']!r}")
 
 
 def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanation:
@@ -368,10 +373,13 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
 
 
 def run_events(
-    scenario: Scenario, upto: Optional[int] = None, default_bound: Optional[int] = None
+    scenario: Scenario, upto: Optional[int] = None, default_bound: Optional[int] = None,
+    reports: Optional[list[dict]] = None,
 ) -> tuple[Store, list[dict]]:
+    """Run the first ``upto`` events; each report is appended to ``reports``
+    as its event ends, so a caller's own list keeps those before an error."""
     store = dict(scenario.speakers)
-    reports: list[dict] = []
+    reports = [] if reports is None else reports
     events = scenario.events if upto is None else scenario.events[: upto]
     for event in events:
         kind = event["event"]
@@ -481,21 +489,23 @@ def run_scenario(
     scenario: Scenario, default_bound: Optional[int] = None
 ) -> tuple[int, dict]:
     """Execute events, evaluate assertions, and assemble the canonical
-    report. Exit status: 0 pass, 1 assertion failure, 2 structural error."""
+    report. Exit status: 0 pass, 1 assertion failure, 2 structural error,
+    named after the event that raised it, with the reports before it."""
+    reports: list[dict] = []
     try:
-        store, reports = run_events(scenario, default_bound=default_bound)
+        store, _ = run_events(scenario, default_bound=default_bound, reports=reports)
     except FiblexError as err:
+        failed = scenario.events[len(reports)]["id"]
         return EXIT_STRUCTURAL, {
             "scenario": scenario.name,
             "status": "error",
-            "error": str(err),
-            "events": [],
+            "error": f"event {failed}: {err}",
+            "events": reports,
             "assertions": [],
             "first_failure": None,
         }
     results = []
     first_failure = None
-    event_ids = {e["id"] for e in scenario.events}
     for i, check in enumerate(scenario.assertions):
         name = _assertion_name(check, i)
         try:
@@ -542,6 +552,8 @@ def export_dot(
     """Render a speaker's language (or total category) after the first
     ``stage`` events; what they adjoined to the declared language is
     dashed, which are the words paraphrasis reported new."""
+    if stage is not None and stage < 0:
+        raise ScenarioError(f"stage {stage} is negative; it counts the events to run")
     store, _ = run_events(scenario, upto=stage, default_bound=default_bound)
     if speaker not in store:
         raise ScenarioError(f"undeclared speaker {speaker!r}")

@@ -34,6 +34,7 @@ a merged example's glue map and the actions given through
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -628,7 +629,11 @@ def acquire_by_paraphrasis(
         raise FibreNotEmpty(f"fibre over {word} is not empty")
     teacher_check = validate_explanation(teacher, explanation)
     if not teacher_check.valid or teacher_check.vacuous:
-        raise FiblexError("the explanation is not valid and non-vacuous for the teacher")
+        causes = list(teacher_check.problems[:1])
+        if teacher_check.vacuous:
+            causes.append("empty limit " + json.dumps(teacher_check.limit.witness, sort_keys=True))
+        raise FiblexError("the explanation is not valid and non-vacuous for the teacher: "
+                          + "; ".join(causes))
 
     # the teacher found the diagram a functor, so the learner's limit exists
     _, cone = _limit(learner, explanation)
@@ -710,7 +715,7 @@ def acquire_by_paraphrasis(
         edge_of[a]: dict(zip(elements, column)) for a, column in zip(shape_objects, zip(*apex))
     }
     new_meaning = extend_set_functor(extended, collage, edge_actions)
-    new_language = opposite(collage.category)  # built with the collage, from the delta
+    new_language = opposite(collage.category)  # glued, when read, over the learner's language
     out = _derived(Speaker, name=learner.name, language=new_language, meaning=new_meaning)
     report = _report(
         learner,

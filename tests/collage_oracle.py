@@ -18,8 +18,9 @@ pair, each rebuilding both spellings and composing the junction with
 ``compose_pair``; the two must write the same tables.
 
 ``normalize_word`` folds a raw alternating sequence of base morphisms and
-edges into normal form, and ``canonical_functor`` is the embedding of the
-base into its collage; the tests check the collage laws with them.
+edges into normal form, ``word_parts`` spells a word as such a sequence,
+and ``canonical_functor`` is the embedding of the base into its collage;
+the tests check the collage laws with them.
 """
 
 from typing import Callable, Optional, Sequence
@@ -38,7 +39,6 @@ from fiblex.fincat import (
     FinCategory,
     Quiver,
     SetFunctor,
-    _opposite_compose,
     compose_table,
 )
 
@@ -119,13 +119,15 @@ def glue_pair_by_pair(
     """The composition tables of a collage of ``cat`` with the words
     ``spellings`` and of its opposite, glued one pair at a time: copies
     of the base's tables, plus every pair in which one side is a word
-    with edges, unless the two together have more than ``bound`` edges."""
+    with edges, unless the two together have more than ``bound`` edges.
+    The opposite's table starts as the base's table reversed, built here."""
     out_bases, into_bases = cat.by_src, cat.by_tgt
     by_key = {spelling: wid for wid, spelling in spellings.items()}
     new_out: dict[str, list[str]] = {}
     for wid, (bases, _) in spellings.items():
         new_out.setdefault(cat.src[bases[0]], []).append(wid)
-    compose, compose_op = dict(cat.compose), _opposite_compose(cat)
+    compose = dict(cat.compose)
+    compose_op = {(g, f): x for (f, g), x in cat.compose.items()}
 
     def glue(g_id: str, f_id: str) -> None:
         f_bases, f_edges = spellings.get(f_id) or ((f_id,), ())
@@ -209,11 +211,20 @@ def full_extension(
     action: dict[str, dict[str, str]] = {}
     for wid, word in words.items():
         graph = {x: x for x in fun.value[fun.base.src[word.bases[0]]]}
-        for kind, ident in word.parts():
+        for kind, ident in word_parts(word):
             step = fun.action[ident] if kind == "base" else edge_actions[ident]
             graph = {x: step[y] for x, y in graph.items()}
         action[wid] = graph
     return SetFunctor(base=category, value=dict(fun.value), action=action)
+
+
+def word_parts(word: Word) -> list[tuple[str, str]]:
+    """The word as ``(kind, id)`` pairs, kinds alternating base/edge."""
+    out: list[tuple[str, str]] = [("base", word.bases[0])]
+    for q, c in zip(word.edges, word.bases[1:]):
+        out.append(("edge", q))
+        out.append(("base", c))
+    return out
 
 
 def canonical_functor(cat: FinCategory, collage: CollageCategory) -> CatFunctor:

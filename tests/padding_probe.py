@@ -8,7 +8,10 @@ is then timed, best of 15 runs:
 * ``example``: bob learns ``cat`` from alice's witness ``cleo``;
 * ``merged``: alice learns ``cat`` again, gluing ``cleo`` onto ``tom``;
 * ``paraphrasis``: bob learns ``cat`` from alice's explanation of it by
-  ``feline`` and ``black``.
+  ``feline`` and ``black``;
+* ``paraphrasis+read``: the same paraphrasis, then the first read of the
+  composition table of bob's grown language, which a later paraphrasis
+  by that learner reads.
 
 None of these events touches a padding object, so an event that costs
 what it writes takes the same time at every K. Run it from the root of
@@ -82,6 +85,8 @@ def events(k: int) -> dict:
         "merged": lambda: acquire_by_example_merged(alice, "cat", ["tom"], {"cleo": "tom"},
                                                     event_id="e"),
         "paraphrasis": lambda: acquire_by_paraphrasis(alice, bob, "cat", expl, event_id="e"),
+        "paraphrasis+read": lambda: acquire_by_paraphrasis(
+            alice, bob, "cat", expl, event_id="e")[0].language.compose,
     }
 
 
@@ -96,10 +101,11 @@ def best_ms(run) -> float:
 
 def main(argv: list[str]) -> None:
     sizes = [int(a) for a in argv] or [0, 400, 3200]
-    print(f"{'K':>6} " + " ".join(f"{name:>12}" for name in events(0)))
+    widths = {name: max(12, len(name)) for name in events(0)}
+    print(f"{'K':>6} " + " ".join(f"{name:>{w}}" for name, w in widths.items()))
     for k in sizes:
         runs = events(k)
-        print(f"{k:>6} " + " ".join(f"{best_ms(run):>12.3f}" for run in runs.values()))
+        print(f"{k:>6} " + " ".join(f"{best_ms(runs[name]):>{w}.3f}" for name, w in widths.items()))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from collage_oracle import (
     full_words,
     glue_pair_by_pair,
     normalize_word,
+    word_parts,
 )
 from genlib import (
     free_category_by_paths,
@@ -241,7 +242,7 @@ def test_normalize_is_idempotent_on_collage_words():
     q = quiver_from_edges(["A", "B", "C"], [("q", "A", "C"), ("r", "A", "B")])
     col = fp_collage(cat, q)
     for w in col.words.values():
-        assert normalize_word(cat, q, w.parts()) == w
+        assert normalize_word(cat, q, word_parts(w)) == w
 
 
 def test_normalization_confluence_random_bracketings():
@@ -472,6 +473,21 @@ def test_delta_collage_and_extension_match_the_full_enumeration(seed):
         assert free.paths == {m: w.edges for m, w in full[0].items()}
 
 
+@pytest.mark.parametrize("read_first", [False, True])
+def test_a_free_category_is_paired_with_its_opposite_only_when_asked(read_first):
+    # nothing but the call pairs a collage with its opposite, whose table
+    # is glued over the opposite base, or reversed when the collage's own
+    # table was read first
+    cat = chain_cat()
+    assert "_opposite" not in vars(cat)
+    if read_first:
+        assert len(cat.compose) == 10
+    op = opposite(cat)
+    assert opposite(op) is cat and opposite(cat) is op
+    assert op.compose == {(g, f): x for (f, g), x in cat.compose.items()}
+    assert op == opposite_from_tables(cat)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_the_glue_writes_the_tables_of_the_pair_by_pair_glue(seed):
@@ -484,6 +500,7 @@ def test_the_glue_writes_the_tables_of_the_pair_by_pair_glue(seed):
     col, _ = _outcome(lambda: fp_collage(base, _random_quiver(rng, base), bound=bound))
     if col is None:
         return
-    compose, compose_op = collage_mod._glue(base, col.spellings, bound)
-    assert (compose, compose_op) == glue_pair_by_pair(base, col.spellings, bound)
-    assert col.category.compose == compose and opposite(col.category).compose == compose_op
+    compose, compose_op = glue_pair_by_pair(base, col.spellings, bound)
+    assert collage_mod._glue(base, col.spellings, bound) == compose
+    # the opposite is read first, so it is glued over the opposite base
+    assert opposite(col.category).compose == compose_op and col.category.compose == compose

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -15,7 +16,13 @@ from fiblex.cli import main
 import fiblex.collage as collage_mod
 import fiblex.fincat as fincat
 import fiblex.speaker as speaker_mod
-from fiblex.errors import FiblexError, IdentifierClash, ScenarioError, UnboundedHomSet
+from fiblex.errors import (
+    BaseMismatch,
+    FiblexError,
+    IdentifierClash,
+    ScenarioError,
+    UnboundedHomSet,
+)
 from fiblex.fincat import SetFunctor, validate_category
 import fiblex.scenario as scenario_mod
 import reference
@@ -299,7 +306,7 @@ def test_an_explanation_shape_with_an_edge_off_its_vertices_is_refused():
     assert report["checks"][-1] == {"explanation": "e", "problems": [OFF_THE_VERTICES]}
     code, report = run_scenario(scenario)
     assert code == 2
-    assert report["error"] == OFF_THE_VERTICES
+    assert report["error"] == f"event ev0: {OFF_THE_VERTICES}"
 
 
 def count_calls(monkeypatch, fn):
@@ -875,6 +882,67 @@ def test_cli_exit_codes_are_pass_assertion_and_structural(case, tmp_path):
             assert result.stderr.startswith("error: "), (args[0], result.stderr)
 
 
+def test_a_fibre_size_assertion_on_an_unknown_object_is_refused_at_load(tmp_path):
+    # acquisitions add no objects, so the declared language decides
+    doc = json.loads((SCENARIOS / "alice-bob.json").read_text())
+    doc["assertions"].append({"assert": "fibre-size", "speaker": "bob", "object": "nope",
+                              "equals": 1})
+    _refused_everywhere(doc, "assertion references unknown object 'nope' of speaker 'bob'",
+                        tmp_path)
+
+
+def test_a_negative_stage_is_refused():
+    # events[:-1] would draw the speaker after every event but the last
+    scenario = load("alice-bob.json")
+    with pytest.raises(ScenarioError, match="^stage -1 is negative; it counts the events to run$"):
+        export_dot(scenario, "bob", stage=-1)
+    result = CliRunner().invoke(
+        main, ["export-dot", str(SCENARIOS / "alice-bob.json"), "--speaker", "bob", "--stage", "-1"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: stage -1 is negative; it counts the events to run\n"
+
+
+def test_an_error_during_events_keeps_the_reports_before_it_and_names_its_event():
+    # carol learns feline by example first; p1 comes after bob's language grew
+    doc = json.loads((SCENARIOS / "alice-bob.json").read_text())
+    doc["events"].insert(0, {"event": "example", "id": "e1", "learner": "carol",
+                             "word": "feline", "witnesses": ["tom"]})
+    doc["events"].append({"event": "paraphrasis", "id": "p1", "teacher": "bob",
+                          "learner": "alice", "word": "cursed",
+                          "explanation": "cat-as-cursed-black-feline"})
+    scenario = load_scenario(doc)
+    code, report = run_scenario(scenario)
+    assert code == 2
+    assert report["error"] == "event p1: teacher and learner must share a language"
+    assert report["events"] == run_events(scenario, upto=3)[1]
+    assert [e["id"] for e in report["events"]] == ["e1", "adopted-a-cat", "circular-explanation"]
+    with pytest.raises(BaseMismatch, match="^teacher and learner must share a language$"):
+        run_events(scenario)
+
+
+TEACHER_REFUSAL = "the explanation is not valid and non-vacuous for the teacher: "
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d["speakers"]["alice"]["fibres"].update(feline=[]),
+                 "event adopted-a-cat: " + TEACHER_REFUSAL + "embedding domain differs from the "
+                 'computed apex; empty limit {"kind": "empty-fibre", "object": "a1"}',
+                 id="problem-and-witness"),
+    pytest.param(lambda d: d["speakers"]["alice"]["fibres"].update(cat=["tom"]),
+                 "event adopted-a-cat: " + TEACHER_REFUSAL + "embedding leaves the target fibre",
+                 id="problem"),
+    pytest.param(lambda d: (d["speakers"]["alice"]["fibres"].update(cat=[]),
+                            d["events"][0].update(explanation="cat-is-cat")),
+                 "event adopted-a-cat: " + TEACHER_REFUSAL
+                 + 'empty limit {"kind": "empty-fibre", "object": "pt"}', id="witness"),
+])
+def test_the_teacher_refusal_names_its_first_problem_and_the_empty_limit(edit, message):
+    doc = json.loads((SCENARIOS / "alice-bob.json").read_text())
+    edit(doc)
+    code, report = run_scenario(load_scenario(doc))
+    assert (code, report["error"]) == (2, message)
+
+
 def test_cli_export_dot_and_explain():
     runner = CliRunner()
     result = runner.invoke(
@@ -1255,6 +1323,22 @@ def test_an_explain_limits_pass_glues_no_shape_and_checks_diagrams_along_edges(m
     glued.clear()
     run_scenario(scenario)
     assert (len(glued), len(checks)) == (1, 1)
+
+
+@pytest.mark.parametrize("seed", [1, 131])
+def test_an_explain_limits_pass_leaves_no_cycles_to_the_collector(seed):
+    # an explanation's free shape is only walked, so it is never paired
+    # with its opposite and is freed by reference counting alone
+    scenario = load_scenario(bench_generate.generate("explain-limits", seed)[0])
+    run_scenario(scenario)  # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        code, _ = run_scenario(scenario)
+    finally:
+        left = gc.collect()
+        gc.enable()
+    assert (code, left) == (0, 0)
 
 
 def test_a_learn_paraphrasis_pass_checks_and_limits_its_discrete_shapes_along_edges(monkeypatch):

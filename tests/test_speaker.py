@@ -696,25 +696,27 @@ def test_paraphrasis_refuses_apex_tuples_with_one_name():
 
 
 def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(monkeypatch):
-    # Composition entries glued, words spelled and opposites computed
-    # during one paraphrasis are counted, then counted again with a
-    # disconnected chain z0 → … → z5 (and its fifteen composites) added to
-    # the language: the counts must not move. No opposite is computed at
-    # all: the discrete shape is checked and limited along its (no) edges,
-    # and the grown language is built together with its opposite, the
-    # meaning's base. Every fibre but the learned word's is the learner's
-    # own.
+    # Composition entries glued, words spelled, opposites built and tables
+    # reversed during one paraphrasis are counted, then counted again with
+    # a disconnected chain z0 → … → z5 (and its fifteen composites) added
+    # to the language: the counts must not move. One opposite is built,
+    # the grown language, as the opposite of the collage over the meaning's
+    # base; the discrete shape is checked and limited along its (no)
+    # edges. No table is built by reversing another: the suite's check of
+    # the derived speaker reads both of the grown tables, and each is
+    # glued from the delta over its own base. Every fibre but the learned
+    # word's is the learner's own.
     import fiblex.collage as collage_module
     import fiblex.fincat as fincat_module
 
-    counts = {"glued": 0, "words": 0, "opposites": 0}
-    glue, spell = collage_module._glue, collage_module._spell
+    counts = {"glued": 0, "words": 0, "opposites": 0, "reversed": 0}
+    glue, spell, reverse = collage_module._glue, collage_module._spell, fincat_module._reversed
     opposite_of = fincat_module.opposite
 
     def counted_glue(cat, spellings, bound):
-        compose, compose_op = glue(cat, spellings, bound)
+        compose = glue(cat, spellings, bound)
         counts["glued"] += len(compose) - len(cat.compose)  # the entries it writes
-        return compose, compose_op
+        return compose
 
     def counted_spell(cat, quiver, bound):
         words, truncated = spell(cat, quiver, bound)
@@ -724,6 +726,10 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
     def counted_opposite(cat):
         counts["opposites"] += "_opposite" not in cat.__dict__  # a miss of the cache
         return opposite_of(cat)
+
+    def counted_reverse(cat):
+        counts["reversed"] += 1
+        return reverse(cat)
 
     def learn(chain_length):
         chain = [f"z{i}" for i in range(chain_length)]
@@ -739,7 +745,7 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
         teacher = make_speaker("alice", lang, {**fibres, "cat": ["cleo"]}, actions)
         learner = make_speaker("bob", lang, fibres, actions)
         expl = discrete_explanation(lang, "cat", {"a1": "feline", "a2": "Y"})
-        counts.update(glued=0, words=0, opposites=0)
+        counts.update(glued=0, words=0, opposites=0, reversed=0)
         out, report = acquire_by_paraphrasis(teacher, learner, "cat", expl, event_id="e")
         assert report.outcome == "learned" and len(out.fibre("cat")) == 2
         assert opposite(out.language) is out.meaning.base
@@ -749,11 +755,13 @@ def test_paraphrasis_work_does_not_grow_with_unrelated_parts_of_the_language(mon
 
     monkeypatch.setattr(collage_module, "_glue", counted_glue)
     monkeypatch.setattr(collage_module, "_spell", counted_spell)
+    monkeypatch.setattr(fincat_module, "_reversed", counted_reverse)
     for name, module in list(sys.modules.items()):
         if name.startswith("fiblex") and getattr(module, "opposite", None) is opposite_of:
             monkeypatch.setattr(module, "opposite", counted_opposite)
     small = learn(0)
-    assert small["glued"] > 0 and small["words"] > 0 and small["opposites"] == 0
+    assert small["glued"] > 0 and small["words"] > 0
+    assert (small["opposites"], small["reversed"]) == (1, 0)
     assert learn(6) == small
 
 
