@@ -33,6 +33,7 @@ of the base.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -326,10 +327,13 @@ def extend_set_functor(
     """Extend a Set-valued functor on the base along the collage.
 
     Values are unchanged, and so is the action of each base morphism: the
-    value table and each such graph are shared, not copied. The action of
-    a word with edges is the composite of the base actions and edge
-    actions in sequence order. Well defined since the adjoined edges
-    satisfy no relations.
+    value table and each such graph are shared, not copied. The action
+    table is copied once, into the result; a ``ChainMap`` of tables is
+    copied layer by layer, its first layer winning, so that a caller can
+    hand over a few changed graphs over a table it shares. The action of a
+    word with edges is the composite of the base actions and edge actions
+    in sequence order. Well defined since the adjoined edges satisfy no
+    relations.
     """
     if fun.base != collage.base:
         raise BaseMismatch("functor base differs from the collage base")
@@ -337,11 +341,13 @@ def extend_set_functor(
     if missing:
         raise MissingEdgeAction(f"no action for edges: {', '.join(missing)}")
 
-    action = dict(fun.action)
+    action: dict[str, Mapping[str, str]] = {}
+    for layer in reversed(fun.action.maps if isinstance(fun.action, ChainMap) else [fun.action]):
+        action.update(layer)
     for wid, (bases, edges) in collage.spellings.items():
-        graph = fun.action[bases[0]]
+        graph = action[bases[0]]
         for q, c in zip(edges, bases[1:]):
-            along, then = edge_actions[q], fun.action[c]
+            along, then = edge_actions[q], action[c]
             graph = {x: then[along[y]] for x, y in graph.items()}
         action[wid] = graph
     return _derived(SetFunctor, base=collage.category, value=fun.value, action=action)

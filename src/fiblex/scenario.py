@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from .collage import free_category
@@ -46,6 +47,8 @@ from .speaker import (
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
 EXIT_STRUCTURAL = 2
+# run reports whose acquisition reports list only the fibres their event changed
+REPORT_FORMAT = 2
 
 # the kinds `evaluate_assertion` knows, as in the scenario schema
 _ASSERTION_KINDS = frozenset({"fibre-size", "morphism-count", "new-morphisms", "outcome",
@@ -74,6 +77,8 @@ _SPEAKER_TABLES = {
     "actions": (dict, dict.values, "an object of strings"),
 }
 _STRINGS = frozenset({str})
+# the key that lists the objects of each kind of category declaration
+_NAME_LISTS = {"explicit": "objects", "discrete": "objects", "free": "vertices"}
 
 # The JSON type of each top-level table of a document, and its name in errors.
 _TABLES = {
@@ -260,20 +265,49 @@ def _missing_key(decl: dict, what: str, kind: str) -> Optional[str]:
 
 def _incomplete_category(decl: dict, what: str) -> Optional[str]:
     """What a category declaration, named ``what`` (a category or a shape),
-    lacks of ``_REQUIRED_KEYS``, itself or in an edge or morphism, or None."""
+    lacks of ``_REQUIRED_KEYS``, itself or in an edge or morphism, or which
+    of its names is not a string, or None. The happy path is a C-level
+    pass over each table."""
     kind = decl.get("kind", "explicit")
     if (key := _missing_key(decl, "category", kind)) is not None:
         return f"{kind} {what} is missing key {key!r}"
+    key = _NAME_LISTS.get(kind)
+    if key is not None and not _strings(decl[key]):
+        return f"{kind} {what}: key {key!r} is not a list of strings"
+    if kind == "explicit" and not _triples_of_strings(decl.get("compose", [])):
+        return f"{kind} {what}: key 'compose' is not a list of lists of three strings"
     part = "edge" if kind == "free" else "morphism"
-    parts = decl.get(f"{part}s", []) if (part, kind) in _REQUIRED_KEYS else []
+    if (part, kind) not in _REQUIRED_KEYS:
+        return None
+    parts = decl.get(f"{part}s", [])
     if type(parts) is not list:
         return f"{kind} {what}: key '{part}s' is not a list"
-    for j, entry in enumerate(parts):
+    keys = _REQUIRED_KEYS[part, kind]
+    try:
+        if _STRINGS.issuperset(map(type, chain.from_iterable(map(itemgetter(*keys), parts)))):
+            return None
+    except (KeyError, TypeError):
+        pass
+    for j, entry in enumerate(parts):  # name the first entry at fault
         if type(entry) is not dict:
             return f"{kind} {what} {part} {j} is not an object"
         if (key := _missing_key(entry, part, kind)) is not None:
             return f"{kind} {what} {part} {j} is missing key {key!r}"
+        if (key := next((k for k in keys if type(entry[k]) is not str), None)) is not None:
+            return f"{kind} {what} {part} {j}: key {key!r} is not a string"
     return None
+
+
+def _strings(value) -> bool:
+    """Whether ``value`` is a JSON list of strings."""
+    return type(value) is list and _STRINGS.issuperset(map(type, value))
+
+
+def _triples_of_strings(value) -> bool:
+    """Whether ``value`` is a JSON list of lists of three strings."""
+    return (type(value) is list and {list}.issuperset(map(type, value))
+            and {3}.issuperset(map(len, value))
+            and _STRINGS.issuperset(map(type, chain.from_iterable(value))))
 
 
 def _check_strings(decl: dict, keys: tuple[str, ...], where: str) -> None:
@@ -376,8 +410,12 @@ def run_events(
     scenario: Scenario, upto: Optional[int] = None, default_bound: Optional[int] = None,
     reports: Optional[list[dict]] = None,
 ) -> tuple[Store, list[dict]]:
-    """Run the first ``upto`` events; each report is appended to ``reports``
-    as its event ends, so a caller's own list keeps those before an error."""
+    """Run the first ``upto`` events, all of them when it is None; a
+    negative ``upto`` raises ``ScenarioError``. Each report is appended to
+    ``reports`` as its event ends, so a caller's own list keeps those
+    before an error."""
+    if upto is not None and upto < 0:
+        raise ScenarioError(f"stage {upto} is negative; it counts the events to run")
     store = dict(scenario.speakers)
     reports = [] if reports is None else reports
     events = scenario.events if upto is None else scenario.events[: upto]
@@ -498,6 +536,7 @@ def run_scenario(
         failed = scenario.events[len(reports)]["id"]
         return EXIT_STRUCTURAL, {
             "scenario": scenario.name,
+            "format": REPORT_FORMAT,
             "status": "error",
             "error": f"event {failed}: {err}",
             "events": reports,
@@ -518,6 +557,7 @@ def run_scenario(
     status = "pass" if first_failure is None else "fail"
     report = {
         "scenario": scenario.name,
+        "format": REPORT_FORMAT,
         "status": status,
         "events": reports,
         "assertions": results,
@@ -552,8 +592,6 @@ def export_dot(
     """Render a speaker's language (or total category) after the first
     ``stage`` events; what they adjoined to the declared language is
     dashed, which are the words paraphrasis reported new."""
-    if stage is not None and stage < 0:
-        raise ScenarioError(f"stage {stage} is negative; it counts the events to run")
     store, _ = run_events(scenario, upto=stage, default_bound=default_bound)
     if speaker not in store:
         raise ScenarioError(f"undeclared speaker {speaker!r}")

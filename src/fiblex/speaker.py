@@ -35,6 +35,7 @@ a merged example's glue map and the actions given through
 from __future__ import annotations
 
 import json
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -146,6 +147,11 @@ class ExplanationCheck:
 
 @dataclass(frozen=True)
 class AcquisitionReport:
+    """What an acquisition changed. ``fibres_before`` and ``fibres_after``
+    give the fibre sizes over the objects whose fibres the event may have
+    changed, and only those: the word's down-set for an example or a
+    merged example, the word for a paraphrasis, none for no-sense."""
+
     speaker: str
     event: str
     kind: str
@@ -175,14 +181,13 @@ class AcquisitionReport:
 def _report(learner: Speaker, out: Speaker, changed: Iterable[str], event: str, kind: str,
             word: str, outcome: str, new_morphisms=(), apex=()) -> AcquisitionReport:
     """The report of an acquisition that changed the fibres over ``changed``
-    only (both speakers have the same objects)."""
-    before = dict(zip(learner.meaning.value, map(len, learner.meaning.value.values())))
-    after = dict(before)
-    new_elements = {}
+    only; it reads nothing else of either speaker."""
+    old, new = learner.meaning.value, out.meaning.value
+    before, after, new_elements = {}, {}, {}
     for o in sorted(changed):
-        fibre = out.meaning.value[o]
-        after[o] = len(fibre)
-        gained = tuple(sorted(fibre - learner.meaning.value[o]))
+        fibre, prior = new[o], old[o]
+        before[o], after[o] = len(prior), len(fibre)
+        gained = tuple(sorted(fibre - prior))
         if gained:
             new_elements[o] = gained
     return AcquisitionReport(
@@ -678,8 +683,10 @@ def acquire_by_paraphrasis(
 
     value = dict(learner.meaning.value)
     value[word] = frozenset(elements)
-    action = dict(learner.meaning.action)
-    action[meaning_base.identity[word]] = dict(zip(elements, elements))
+    # the graphs this event sets, over the learner's table, which only
+    # extend_set_functor copies
+    grown = {meaning_base.identity[word]: dict(zip(elements, elements))}
+    action = ChainMap(grown, learner.meaning.action)
     for m in unforced:
         unknown = sorted(set(overrides[m]).difference(as_fresh))
         if unknown:
@@ -705,7 +712,7 @@ def acquire_by_paraphrasis(
                     f"{target_value}", (m,)
                 )
             graph[x] = target_value
-        action[m] = graph
+        grown[m] = graph
     if unforced:
         _check_overridden_composites(lang, word, action, dict(zip(apex, elements)), set(unforced))
     extended = _derived(SetFunctor, base=meaning_base, value=value, action=action)

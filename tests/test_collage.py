@@ -1,5 +1,6 @@
 import random
 import re
+from collections import ChainMap
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from fiblex.collage import (
 )
 from fiblex.fincat import (
     SetFunctor,
+    _derived,
     discrete_category,
     opposite,
     quiver_from_edges,
@@ -308,6 +310,21 @@ def test_extension_is_functorial_on_the_whole_collage():
     fun = base_meanings(cat)
     out = extend_set_functor(fun, col, {"q": {"A0": "B1", "A1": "B0"}})
     assert validate_setfunctor(out) == []
+
+
+def test_extension_copies_a_layered_table_once_and_its_first_layer_wins():
+    cat = chain_cat()
+    q = quiver_from_edges(["A", "B", "C"], [("q", "A", "B")])
+    col = fp_collage(cat, q)
+    fun = base_meanings(cat)
+    swapped = {"id_B": {"B0": "B0", "B1": "B1"}, "f": {"A0": "B1", "A1": "B0"}}
+    shared = dict(fun.action)
+    layered = _derived(SetFunctor, base=cat, value=fun.value, action=ChainMap(swapped, shared))
+    edge = {"q": {"A0": "B1", "A1": "B0"}}
+    out = extend_set_functor(layered, col, edge)
+    flat = extend_set_functor(SetFunctor(cat, fun.value, {**shared, **swapped}), col, edge)
+    assert out.action == flat.action and out.action["f"] == swapped["f"]
+    assert shared == fun.action and type(out.action) is dict
 
 
 def test_missing_edge_action_is_rejected():

@@ -20,6 +20,20 @@ def test_probed_events_learn_the_same_fibres_at_every_padding(k):
         assert all(out.fibre(f"z{i}") == {f"z{i}a", f"z{i}b"} for i in range(k))
 
 
+@pytest.mark.parametrize("k", [0, 40])
+def test_the_reports_do_not_grow_with_the_padding(k):
+    # each lists the fibres its event changed: the word's down-set for an
+    # example or a merged example, the word for a paraphrasis
+    runs = events(k)
+    example, by_example = runs["example"]()
+    lang = example.language
+    down_set = {lang.src[m] for m in lang.morphisms if lang.tgt[m] == "cat"}
+    assert down_set == {"cat"}
+    for _, report in (runs["example"](), runs["merged"](), runs["paraphrasis"]()):
+        assert set(report.fibres_before) == set(report.fibres_after) == down_set
+    assert (by_example.fibres_before, by_example.fibres_after) == ({"cat": 0}, {"cat": 1})
+
+
 def test_probe_prints_one_row_per_padding(capsys):
     main(["0", "40"])
     rows = capsys.readouterr().out.splitlines()

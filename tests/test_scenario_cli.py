@@ -812,6 +812,90 @@ def test_cli_run_matches_golden_report(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+FIBRE_MAPS = ("fibres_before", "fibres_after")
+
+
+def changed_objects(event, report, store):
+    """The objects whose fibres an acquisition may change, from the store
+    before it: the word's down-set for an example or a merged example, the
+    word for a learned paraphrasis, none for no-sense."""
+    if report["outcome"] == "no-sense":
+        return set()
+    if event["event"] == "paraphrasis":
+        return {event["word"]}
+    lang = store[event["learner"]].language
+    return {lang.src[m] for m in lang.morphisms if lang.tgt[m] == event["word"]}
+
+
+def as_format_2(scenario, old):
+    """A format-1 run report of ``scenario`` in format 2: marked so, and
+    each acquisition's fibre maps cut to the objects its event changed."""
+    events = []
+    for i, (event, entry) in enumerate(zip(scenario.events, old["events"])):
+        report = entry["report"]
+        if "fibres_before" in report:
+            keep = changed_objects(event, report, run_events(scenario, upto=i)[0])
+            report = {**report, **{key: {o: n for o, n in report[key].items() if o in keep}
+                                   for key in FIBRE_MAPS}}
+        events.append({**entry, "report": report})
+    return {**old, "format": 2, "events": events}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_each_golden_report_is_derived_from_its_format_1_report(name):
+    # tests/golden/format1 keeps the reports from before format 2, whose
+    # fibre maps listed every object of the language
+    old = json.loads((GOLDEN / "format1" / name).read_text())
+    assert "format" not in old
+    derived = canonical_dumps(as_format_2(load(name), old))
+    assert derived.encode() == (GOLDEN / name).read_bytes()
+    assert derived != canonical_dumps(old)
+
+
+def fresh_document(source):
+    kind, which = source
+    if kind == "shipped":
+        return json.loads((SCENARIOS / which).read_text())
+    return bench_generate.generate(*which)[0]
+
+
+@pytest.mark.parametrize("source", [
+    *[pytest.param(("shipped", name), id=name) for name in SHIPPED],
+    *[pytest.param(("bench", (w, seed)), id=f"{w}-{seed}")
+      for w in bench_generate.WORKLOADS for seed in (0, 1, 2)],
+])
+def test_no_assertion_reads_the_fibre_maps(source, monkeypatch):
+    plain = run_scenario(load_scenario(fresh_document(source)))[1]
+    cut = []
+
+    def without_fibre_maps(*args, **kwargs):
+        store, reports = run_events(*args, **kwargs)
+        for entry in reports:
+            for key in FIBRE_MAPS:
+                cut.append(entry["report"].pop(key, None))
+        return store, reports
+
+    monkeypatch.setattr(scenario_mod, "run_events", without_fibre_maps)
+    blind = run_scenario(load_scenario(fresh_document(source)))[1]
+    assert plain["status"] == blind["status"] == "pass"
+    assert plain["assertions"] and blind["assertions"] == plain["assertions"]
+    acquisitions = [e for e in plain["events"] if "fibres_before" in e["report"]]
+    assert len([m for m in cut if m is not None]) == 2 * len(acquisitions)
+    assert all(key not in e["report"] for e in blind["events"] for key in FIBRE_MAPS)
+
+
+def test_every_run_report_is_marked_format_2():
+    # the error report of a run stopped by an event, too
+    doc = json.loads((SCENARIOS / "alice-bob.json").read_text())
+    doc["events"].append({"event": "example", "id": "again", "learner": "bob",
+                          "word": "cat", "witnesses": ["tom"]})
+    code, report = run_scenario(load_scenario(doc))
+    assert code == 2 and report["format"] == 2 and report["events"]
+    assert report["error"].startswith("event again: ")
+    for name in SHIPPED:
+        assert run_scenario(load(name))[1]["format"] == 2
+
+
 def test_cli_validate_ok():
     runner = CliRunner()
     result = runner.invoke(main, ["validate", str(SCENARIOS / "evil-cat.json")])
@@ -900,6 +984,15 @@ def test_a_negative_stage_is_refused():
         main, ["export-dot", str(SCENARIOS / "alice-bob.json"), "--speaker", "bob", "--stage", "-1"])
     assert result.exit_code == 2
     assert result.stderr == "error: stage -1 is negative; it counts the events to run\n"
+
+
+def test_run_events_refuses_a_negative_upto():
+    # events[:-1] would run every event but the last, a stage no count names
+    scenario = load("alice-bob.json")
+    for upto in (-1, -2):
+        with pytest.raises(ScenarioError, match=f"^stage {upto} is negative; it counts"):
+            run_events(scenario, upto=upto)
+    assert [len(run_events(scenario, upto=n)[1]) for n in (0, 1, 2, 3)] == [0, 1, 2, 2]
 
 
 def test_an_error_during_events_keeps_the_reports_before_it_and_names_its_event():
@@ -1100,6 +1193,47 @@ def test_a_category_missing_a_key_is_refused_at_load(decl, message, tmp_path):
     doc = evil_cat_with(lambda e: None)
     doc["categories"]["q"] = decl
     _refused_everywhere(doc, f"category q: {message}", tmp_path)
+
+
+@pytest.mark.parametrize("decl, message", [
+    pytest.param({"objects": ["a", "b"], "morphisms": [{"id": ["f"], "src": "a", "tgt": "b"}]},
+                 "explicit category morphism 0: key 'id' is not a string",
+                 id="explicit-morphism-id-list"),
+    pytest.param({"kind": "free", "vertices": ["a", "b"],
+                  "edges": [{"id": ["f"], "src": "a", "tgt": "b"}]},
+                 "free category edge 0: key 'id' is not a string", id="free-edge-id-list"),
+    pytest.param({"kind": "free", "vertices": ["a", "b"],
+                  "edges": [{"id": "f", "src": "a", "tgt": 1}]},
+                 "free category edge 0: key 'tgt' is not a string", id="free-edge-tgt-number"),
+    pytest.param({"objects": ["a"], "morphisms": [{"id": "f", "src": "a", "tgt": "a"}],
+                  "compose": [["f", "f"]]},
+                 "explicit category: key 'compose' is not a list of lists of three strings",
+                 id="compose-of-two-names"),
+    pytest.param({"objects": ["a"], "compose": [["id_a", "id_a", ["id_a"]]]},
+                 "explicit category: key 'compose' is not a list of lists of three strings",
+                 id="compose-with-a-list"),
+    pytest.param({"objects": "ab"}, "explicit category: key 'objects' is not a list of strings",
+                 id="explicit-objects-string"),
+    pytest.param({"kind": "discrete", "objects": ["a", 1]},
+                 "discrete category: key 'objects' is not a list of strings",
+                 id="discrete-objects-number"),
+    pytest.param({"kind": "free", "vertices": "ab", "edges": []},
+                 "free category: key 'vertices' is not a list of strings",
+                 id="free-vertices-string"),
+])
+def test_an_explicit_declaration_of_the_wrong_json_type_is_refused_at_load(decl, message,
+                                                                           tmp_path):
+    # each crashed with a TypeError or ValueError, or loaded "ab" as the objects a and b
+    doc = evil_cat_with(lambda e: None)
+    doc["categories"]["q"] = decl
+    _refused_everywhere(doc, f"category q: {message}", tmp_path)
+
+
+def test_a_shape_of_the_wrong_json_type_is_refused_at_load(tmp_path):
+    doc = evil_cat_with(lambda e: None)
+    doc["explanations"]["black-evil-feline"]["shape"]["objects"] = "ab"
+    _refused_everywhere(doc, "explanation black-evil-feline: discrete shape: key 'objects' "
+                             "is not a list of strings", tmp_path)
 
 
 TEACH = {"event": "paraphrasis", "learner": "p", "teacher": "p", "word": "cat",

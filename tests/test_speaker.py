@@ -669,6 +669,59 @@ def test_paraphrasis_refuses_overrides_that_break_a_composite():
     assert out.meaning.action["m∘n"] == {"e6:(tiger)": "y0"}
 
 
+def endomorphism_setup():
+    """alice and bob on ``cat`` with an idempotent loop ``e`` and ``feline``;
+    bob knows no cat, and alice explains cat by feline."""
+    lang = category_from_dict({
+        "objects": ["cat", "feline"],
+        "morphisms": [{"id": "e", "src": "cat", "tgt": "cat"}],
+        "compose": [["e", "e", "e"]],
+    })
+    teacher = make_speaker("alice", lang, {"cat": ["c1"], "feline": ["f1"]}, {"e": {"c1": "c1"}})
+    learner = make_speaker("bob", lang, {"feline": ["t1", "t2"]}, {"e": {}})
+    expl = discrete_explanation(lang, "cat", {"a": "feline"})
+    return teacher, learner, Explanation(expl.shape, expl.diagram, "cat", {("f1",): "c1"})
+
+
+def test_a_word_after_an_overridden_loop_acts_by_the_override_then_the_edge():
+    # the collage word (e,cat→feline) starts at the loop, so its action
+    # reads the loop's new graph, which the learner's table does not hold
+    teacher, learner, expl = endomorphism_setup()
+    overrides = {"e": {"(t1)": "(t2)", "(t2)": "(t2)"}}
+    out, _ = acquire_by_paraphrasis(teacher, learner, "cat", expl, edge_overrides=overrides,
+                                    event_id="p")
+    action = out.meaning.action
+    assert action["e"] == {"p:(t1)": "p:(t2)", "p:(t2)": "p:(t2)"}
+    assert action["cat→feline"] == {"p:(t1)": "t1", "p:(t2)": "t2"}
+    assert action["(e,cat→feline)"] == {"p:(t1)": "t2", "p:(t2)": "t2"}
+    assert learner.meaning.action["e"] == {}
+    assert validate_setfunctor(out.meaning) == []
+
+
+def test_paraphrasis_copies_the_learners_action_table_once(monkeypatch):
+    # the graphs the event sets are layered over the learner's own table,
+    # which only extend_set_functor copies, into the grown meaning
+    import fiblex.collage as collage_module
+
+    teacher, learner, expl = endomorphism_setup()
+    seen = []
+    extend = collage_module.extend_set_functor
+
+    def spy(fun, collage, edge_actions):
+        seen.append(fun.action)
+        return extend(fun, collage, edge_actions)
+
+    monkeypatch.setattr(speaker_module, "extend_set_functor", spy)
+    out, _ = acquire_by_paraphrasis(teacher, learner, "cat", expl,
+                                    edge_overrides={"e": {"(t1)": "(t1)", "(t2)": "(t2)"}})
+    (table,) = seen
+    grown, shared = table.maps
+    assert shared is learner.meaning.action
+    assert sorted(grown) == ["e", "id_cat"]
+    assert out.meaning.action is not shared and learner.meaning.action["id_cat"] == {}
+    assert {m: out.meaning.action[m] for m in table} == dict(table)
+
+
 def test_paraphrasis_duplicate_targets_get_one_edge_per_leg():
     lang = discrete_category(["cat", "feline"])
     teacher = make_speaker("alice", lang, {"cat": ["cleo"], "feline": ["felix"]})
