@@ -8,7 +8,8 @@ the tables inside them are shared freely: a grown category starts from
 copies of its parent's tables, and a grown functor keeps its parent's
 value table and action graphs. A category also caches what it derives
 from its tables, on first read and per instance: its morphisms by source
-and by target, shared with its opposite, and its opposite. A category
+and by target, shared with its opposite, its opposite, and the plan of a
+limit over it. A category
 may hold its composition table as a pending glue, run on first read: a
 collage (see ``fiblex.collage``) and its opposite glue theirs from their
 bases, any other opposite reverses its category's. Every reader, ``==``
@@ -44,8 +45,11 @@ class FinCategory:
     bound-aware consumers may use the value.
 
     ``by_src``, ``by_tgt`` and ``opposite(cat)`` are derived from the
-    tables on first read and cached with the instance; they take no part
-    in equality, hashing or ``repr``. A hash reads only the object and
+    tables on first read and cached with the instance, and so are the
+    plan of ``set_limit`` over the category (``_limit_plan``) and, on an
+    explanation's shape, the bases its limits restrict to (``_edge_base``
+    and ``_arrow_base``, see ``speaker._restrict``); none takes part in
+    equality, hashing or ``repr``. A hash reads only the object and
     morphism sets and ``closed``, which equal categories share. A
     collage or an opposite holds its ``compose`` table as a pending glue
     until the first read (``_GluedOnRead``), and a category built by
@@ -538,11 +542,42 @@ def set_limit(fun: SetFunctor) -> LimitCone:
       reaches share. Connected components share nothing and meet in one
       product, with no check per tuple.
 
-    Components are ordered by sorted object id. An empty apex comes with
-    a ``witness`` (see ``LimitCone``). The actions must be total on the
-    fibres, as ``validate_setfunctor`` checks.
+    Components are ordered by sorted object id. All of this but the
+    fibres and actions depends on the base alone, so it is planned on the
+    first limit over a base (``_plan_limit``) and cached with the base;
+    each call runs only the join over its fibres. An empty apex comes
+    with a ``witness`` (see ``LimitCone``). The actions must be total on
+    the fibres, as ``validate_setfunctor`` checks.
     """
     base = fun.base
+    plan = base.__dict__.get("_limit_plan")
+    if plan is None:
+        plan = _plan_limit(base)
+        object.__setattr__(base, "_limit_plan", plan)
+    order, blocks, pick = plan
+    pools = []  # per block its rows, or the bare elements of a one-object block
+    for cols, walks in blocks:
+        rows = None
+        for walk in walks:
+            rows, witness = _join_root(fun, walk, rows)
+            if witness is not None:
+                return LimitCone(order=order, apex=frozenset(), witness=witness)
+        pools.append([row[0] for row in rows] if len(cols) == 1 else rows)
+    if pick is None:
+        # one object per block, in sorted order: the product is the apex
+        return LimitCone(order=order, apex=frozenset(itertools.product(*pools)))
+    pools = [[(x,) for x in pool] if len(cols) == 1 else pool
+             for (cols, _), pool in zip(blocks, pools)]
+    return LimitCone(order=order, apex=frozenset(
+        pick(tuple(itertools.chain.from_iterable(parts))) for parts in itertools.product(*pools)
+    ))
+
+
+def _plan_limit(base: FinCategory) -> tuple:
+    """What ``set_limit`` does over ``base``, whatever the fibres: the
+    sorted objects; per connected component, its objects and the walks
+    of its roots, in join order (``_plan_root``); and the picker that puts
+    their columns in sorted order, None when each component is one object."""
     order = tuple(sorted(base.objects))
     arrows_from: dict[str, list[str]] = {o: [] for o in order}
     successors: dict[str, list[str]] = {o: [] for o in order}
@@ -563,42 +598,20 @@ def set_limit(fun: SetFunctor) -> LimitCone:
             roots.append(o)
             covered |= mine
 
-    # one block per connected component: its objects and its rows, or the
-    # bare elements of a block that is a single object
-    blocks: list[tuple[list[str], list]] = []
-    witness = None
-    pending = roots
-    while pending and witness is None:
-        root: Optional[str] = pending[0]
-        if not arrows_from[root]:  # nothing to follow and nothing to join
-            pending = pending[1:]
-            pool = sorted(fun.value[root])
-            blocks.append(([root], pool))
-            if not pool:
-                witness = {"kind": "empty-fibre", "object": root}
-            continue
+    blocks = []
+    while roots:
+        root: Optional[str] = roots[0]
         cols: list[str] = []
-        rows: list[tuple[str, ...]] = [()]
-        while root is not None and witness is None:
-            pending = [r for r in pending if r != root]
-            rows, witness = _join_root(fun, arrows_from, root, cols, rows)
-            root = next((r for r in pending if not reach.get(r, {r}).isdisjoint(cols)), None)
-        blocks.append((cols, [row[0] for row in rows] if len(cols) == 1 else rows))
-
-    if witness is not None:
-        apex: list[tuple[str, ...]] = []
-    elif all(len(cols) == 1 for cols, _ in blocks):
-        # one object per block, in sorted order: the product is the apex
-        apex = list(itertools.product(*[pool for _, pool in blocks]))
-    else:
-        position = {o: i for i, o in enumerate(o for cols, _ in blocks for o in cols)}
-        pick = operator.itemgetter(*[position[o] for o in order])
-        pools = [[(x,) for x in pool] if len(cols) == 1 else pool for cols, pool in blocks]
-        apex = [
-            pick(tuple(itertools.chain.from_iterable(parts)))
-            for parts in itertools.product(*pools)
-        ]
-    return LimitCone(order=order, apex=frozenset(apex), witness=witness)
+        walks = []
+        while root is not None:
+            roots = [r for r in roots if r != root]
+            walks.append(_plan_root(base, arrows_from, root, cols))
+            root = next((r for r in roots if not reach.get(r, {r}).isdisjoint(cols)), None)
+        blocks.append((cols, walks))
+    if all(len(cols) == 1 for cols, _ in blocks):
+        return order, blocks, None
+    position = {o: i for i, o in enumerate(o for cols, _ in blocks for o in cols)}
+    return order, blocks, operator.itemgetter(*[position[o] for o in order])
 
 
 def _reach(arcs: Callable[[_T], Iterable[_T]], start: _T) -> set[_T]:
@@ -613,55 +626,66 @@ def _reach(arcs: Callable[[_T], Iterable[_T]], start: _T) -> set[_T]:
     return seen
 
 
-def _join_root(
-    fun: SetFunctor,
-    arrows_from: Mapping[str, list[str]],
-    root: str,
-    cols: list[str],
-    rows: list[tuple[str, ...]],
-) -> tuple[list[tuple[str, ...]], Optional[dict]]:
-    """Join a root's rows into ``rows`` (over the objects ``cols``).
+def _plan_root(base: FinCategory, arrows_from: Mapping[str, list[str]], root: str,
+               cols: list[str]) -> tuple:
+    """A root's walk, to be joined into rows over the objects ``cols``,
+    which grows by the objects the walk adds: the root, its steps and its
+    join.
 
-    The root's rows are built breadth first over its reach: an arrow to
-    a new object extends each row by its action, and an arrow to an
-    object already fixed filters the rows. They are then hash-joined
-    with ``rows`` on the shared objects, and ``cols`` grows by the
-    others. Returns the joined rows, and the witness when none is left.
+    - Each step ``(m, i, j, t)`` follows an arrow ``m`` from the ``i``-th
+      object of a row to ``t``, breadth first over the root's reach. It
+      filters the rows when ``t`` is their ``j``-th object already, and
+      extends them when ``j`` is None.
+    - The join is None for a component's first root. Otherwise it picks
+      the shared and the other objects of the root's rows, and the shared
+      objects of the rows so far, and it ends with the shared objects.
     """
-    reached = [root]
-    at = {root: 0}
-    own = [(x,) for x in sorted(fun.value[root])]
-    if not own:
-        return [], {"kind": "empty-fibre", "object": root}
+    reached, at, steps = [root], {root: 0}, []
     for s in reached:  # grows as the walk reaches new objects
-        i = at[s]
         for m in arrows_from[s]:
-            act, t = fun.action[m], fun.base.tgt[m]
-            if t in at:
-                j = at[t]
-                own = [row for row in own if act[row[i]] == row[j]]
-            else:
+            t = base.tgt[m]
+            steps.append((m, at[s], at.get(t), t))
+            if t not in at:
                 at[t] = len(reached)
                 reached.append(t)
-                fibre = fun.value[t]
-                own = [row + (y,) for row in own if (y := act[row[i]]) in fibre]
-            if not own:
-                return [], {"kind": "arrow", "root": root, "morphism": m}
-
-    if not cols:  # the first root of a block: its rows are the block's
+    if not cols:
         cols += reached
-        return own, None
+        return root, steps, None
     shared = [o for o in cols if o in at]
     fresh = [at[o] for o in reached if o not in shared]
-    own_key, extra_of = _picker([at[o] for o in shared]), _picker(fresh)
+    join = (_picker([at[o] for o in shared]), _picker(fresh),
+            _picker([cols.index(o) for o in shared]), shared)
+    cols += [reached[k] for k in fresh]
+    return root, steps, join
+
+
+def _join_root(fun: SetFunctor, walk: tuple, rows: Optional[list[tuple[str, ...]]]
+               ) -> tuple[list[tuple[str, ...]], Optional[dict]]:
+    """Run a root's walk (see ``_plan_root``) over the fibres, and hash-join
+    its rows into ``rows`` unless they are the component's first. Returns
+    the joined rows, and the witness when none is left."""
+    (root, steps, join), value, action = walk, fun.value, fun.action
+    own = [(x,) for x in sorted(value[root])]
+    if not own:
+        return [], {"kind": "empty-fibre", "object": root}
+    for m, i, j, t in steps:
+        act = action[m]
+        if j is None:
+            fibre = value[t]
+            own = [row + (y,) for row in own if (y := act[row[i]]) in fibre]
+        else:
+            own = [row for row in own if act[row[i]] == row[j]]
+        if not own:
+            return [], {"kind": "arrow", "root": root, "morphism": m}
+    if join is None:
+        return own, None
+    own_key, extra_of, key, shared = join
     index: dict = {}
     for row in own:
         index.setdefault(own_key(row), []).append(extra_of(row))
-    key = _picker([cols.index(o) for o in shared])
     joined = [row + extra for row in rows for extra in index.get(key(row), ())]
-    cols += [reached[k] for k in fresh]
     if not joined:
-        return [], {"kind": "join", "root": root, "shared": shared}
+        return [], {"kind": "join", "root": root, "shared": list(shared)}
     return joined, None
 
 

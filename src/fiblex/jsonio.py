@@ -6,7 +6,8 @@ bytes, those of ``json.dumps`` with ``indent=2``. That call falls back to
 the pure-Python encoder for the whole document; here only the containers
 that hold other containers are walked in Python, and each container of
 scalars goes to the C encoder, which writes its members in one call with
-the separators for its depth. ``category_from_dict`` decodes the
+the separators for its depth. ``canonical_key`` names a JSON value
+through the same encoder, and ``category_from_dict`` decodes the
 ``explicit`` kind of a scenario's category declaration.
 """
 
@@ -31,6 +32,15 @@ def canonical_dumps(doc: Any) -> str:
     _encode(doc, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def canonical_key(value: Any) -> str:
+    """A name of a JSON value that another value shares exactly when it
+    holds the same JSON types and values, whatever the order of its keys:
+    its text with sorted keys, in one call of the C encoder."""
+    if c_make_encoder is None:
+        return json.dumps(value, sort_keys=True)
+    return "".join(_flat_encoder(0)(value, 0))
 
 
 _CONTAINERS = (dict, list, tuple)

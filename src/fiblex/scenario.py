@@ -11,7 +11,7 @@ the same file twice yields byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import Optional
@@ -31,7 +31,7 @@ from .fincat import (
     terminal_category,
     validate_setfunctor,
 )
-from .jsonio import category_from_dict
+from .jsonio import canonical_key, category_from_dict
 from .pregroup import Lexicon, language_category_from_lexicon, parse_type, type_order
 from .speaker import (
     Explanation,
@@ -79,6 +79,18 @@ _SPEAKER_TABLES = {
 _STRINGS = frozenset({str})
 # the key that lists the objects of each kind of category declaration
 _NAME_LISTS = {"explicit": "objects", "discrete": "objects", "free": "vertices"}
+# The other keys each kind of category declaration reads, if present, by
+# their name in errors and the JSON values they may hold.
+_TYPED_KEYS = {
+    "explicit": {
+        "identity": ("an object of strings", lambda v: v is None or (
+            type(v) is dict and _STRINGS.issuperset(map(type, v.values())))),
+        "closed": ("a boolean", lambda v: type(v) is bool),
+    },
+    "terminal": {"object": ("a string", lambda v: type(v) is str)},
+    "free": {"bound": ("an integer or null", lambda v: v is None or type(v) is int)},
+    "pregroup": {"z_max": ("an integer", lambda v: type(v) is int)},
+}
 
 # The JSON type of each top-level table of a document, and its name in errors.
 _TABLES = {
@@ -92,12 +104,19 @@ _TABLES = {
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario. Explanations stay raw declarations, resolved
+    when an event or a command reads them; ``shapes`` holds each shape
+    they built, by the canonical JSON of its declaration, so that each
+    distinct shape declaration is built (and an explicit one decoded and
+    checked) once per scenario, however many explanations repeat it."""
+
     name: str
     categories: dict[str, FinCategory]
     speakers: dict[str, Speaker]
-    explanations: dict[str, dict]  # raw declarations, resolved lazily
+    explanations: dict[str, dict]
     events: list[dict]
     assertions: list[dict]
+    shapes: dict[str, FinCategory] = field(default_factory=dict, compare=False, repr=False)
 
 
 Store = dict[str, Speaker]
@@ -265,12 +284,16 @@ def _missing_key(decl: dict, what: str, kind: str) -> Optional[str]:
 
 def _incomplete_category(decl: dict, what: str) -> Optional[str]:
     """What a category declaration, named ``what`` (a category or a shape),
-    lacks of ``_REQUIRED_KEYS``, itself or in an edge or morphism, or which
-    of its names is not a string, or None. The happy path is a C-level
-    pass over each table."""
+    lacks of ``_REQUIRED_KEYS``, itself or in an edge or morphism, which
+    of its names is not a string, or which key leaves the JSON values of
+    ``_TYPED_KEYS``, or None. The happy path is a C-level pass over each
+    table."""
     kind = decl.get("kind", "explicit")
     if (key := _missing_key(decl, "category", kind)) is not None:
         return f"{kind} {what} is missing key {key!r}"
+    for key, (json_type, holds) in _TYPED_KEYS.get(kind, {}).items():
+        if key in decl and not holds(decl[key]):
+            return f"{kind} {what}: key {key!r} is not {json_type}"
     key = _NAME_LISTS.get(kind)
     if key is not None and not _strings(decl[key]):
         return f"{kind} {what}: key {key!r} is not a list of strings"
@@ -370,6 +393,9 @@ def _check_references(scenario: Scenario) -> None:
 
 
 def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanation:
+    """The declared explanation ``name``: tautological over the speaker in
+    ``store``, or a diagram into its declared language over a shape taken
+    from ``scenario.shapes`` when an equal declaration built it before."""
     if name not in scenario.explanations:
         raise ScenarioError(f"undeclared explanation {name!r}")
     decl = scenario.explanations[name]
@@ -379,7 +405,10 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
     if lang_name not in scenario.categories:
         raise ScenarioError(f"explanation {name}: undeclared language {lang_name!r}")
     language = scenario.categories[lang_name]
-    shape = _category_from_decl(decl["shape"])
+    key = canonical_key(decl["shape"])
+    shape = scenario.shapes.get(key)
+    if shape is None:
+        shape = scenario.shapes[key] = _category_from_decl(decl["shape"])
     omap = dict(decl["diagram"])
     mmap = dict(decl.get("diagram_morphisms", {}))
     for o, word in omap.items():

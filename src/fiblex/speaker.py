@@ -110,7 +110,10 @@ class Explanation:
     ``embedding`` optionally identifies the limit's tuples with fibre
     elements of the target; when absent, validation treats the tuples
     themselves as the intended fibre content. The constructor checks that
-    ``shape`` is a category; ``validate_explanation`` checks the diagram.
+    ``shape`` is a category; ``validate_explanation`` checks the diagram,
+    once per explanation: the check depends on the diagram alone, so it
+    is cached with the instance and the learner's limit in a paraphrasis
+    reuses the teacher's.
     """
 
     shape: FinCategory
@@ -124,6 +127,16 @@ class Explanation:
             raise FiblexError(f"invalid explanation shape: {problems[0]}")
         if self.embedding is not None:
             object.__setattr__(self, "embedding", dict(self.embedding))
+
+    @cached_property
+    def _along_paths(self) -> bool:
+        """``_preserves_paths`` of the diagram over the shape's paths."""
+        return _preserves_paths(self.diagram, self.shape.paths)
+
+    @cached_property
+    def _functor_problems(self) -> tuple[str, ...]:
+        """``validate_functor`` of the diagram."""
+        return tuple(validate_functor(self.diagram))
 
 
 @dataclass(frozen=True)
@@ -235,15 +248,14 @@ def _limit(speaker: Speaker, explanation: Explanation) -> tuple[list[str], Optio
     has no problems, and a cone over it is a cone over its edges alone.
     Any other diagram is checked by ``validate_functor`` and limited over
     every non-identity arrow. ``set_limit`` reads no composition table, so
-    the two limits are one construction over two sets of arrows.
+    the two limits are one construction over two sets of arrows. Either
+    check runs once per explanation (see ``Explanation``).
     """
     shape, diagram, lang = explanation.shape, explanation.diagram, speaker.language
-    paths = shape.paths
-    if (paths is not None and shape.closed and lang.closed and diagram.dom is shape
-            and diagram.cod is lang and _preserves_paths(diagram, paths)):
-        edges = [m for m, path in paths.items() if len(path) == 1]
-        return [], set_limit(_restrict(speaker, diagram, edges))
-    problems = validate_functor(diagram)
+    if (shape.paths is not None and shape.closed and lang.closed and diagram.dom is shape
+            and diagram.cod is lang and explanation._along_paths):
+        return [], set_limit(_restrict(speaker, diagram, edges=True))
+    problems = list(explanation._functor_problems)
     if problems and not _acts_on_its_fibres(speaker, diagram):
         return problems, None
     # ``is`` first: comparing a collage with ``==`` glues its table
@@ -251,7 +263,7 @@ def _limit(speaker: Speaker, explanation: Explanation) -> tuple[list[str], Optio
         raise DiagramOutsideLanguage("diagram domain is not the declared shape")
     if diagram.cod is not lang and diagram.cod != lang:
         raise DiagramOutsideLanguage("diagram does not land in the speaker's language")
-    return problems, set_limit(_restrict(speaker, diagram, shape.non_identities()))
+    return problems, set_limit(_restrict(speaker, diagram, edges=False))
 
 
 def _preserves_paths(diagram: CatFunctor, paths: Mapping[str, tuple[str, ...]]) -> bool:
@@ -275,28 +287,35 @@ def _preserves_paths(diagram: CatFunctor, paths: Mapping[str, tuple[str, ...]]) 
     return True
 
 
-def _restrict(speaker: Speaker, diagram: CatFunctor, arrows: Iterable[str]) -> SetFunctor:
-    """The diagram's meanings on the opposite of some non-identity
-    ``arrows`` of its shape and the identities: all that ``set_limit``
-    reads of its base. Only the composites with an identity are kept, so
-    the base is flagged not closed."""
+def _restrict(speaker: Speaker, diagram: CatFunctor, edges: bool) -> SetFunctor:
+    """The diagram's meanings on the opposite of the edges of its free
+    shape, or of every non-identity arrow of its shape, and the
+    identities: all that ``set_limit`` reads of its base. Only the
+    composites with an identity are kept, so the base is flagged not
+    closed. The base depends on the shape alone: it is built once per
+    shape and set of arrows and cached with the shape, and so is the plan
+    ``set_limit`` caches with it; only the tables of meanings are the
+    speaker's."""
     shape, meaning = diagram.dom, speaker.meaning
-    identity = shape.identity
-    src = {i: o for o, i in identity.items()}
-    tgt = dict(src)
-    compose = {(i, i): i for i in src}
-    for m in arrows:  # reversed
-        s = src[m] = shape.tgt[m]
-        t = tgt[m] = shape.src[m]
-        compose[m, identity[s]] = compose[identity[t], m] = m
-    base = _derived(FinCategory, objects=shape.objects, morphisms=frozenset(src), src=src,
-                    tgt=tgt, identity=identity, compose=compose, closed=False)
-    return _derived(
-        SetFunctor,
-        base=base,
-        value={a: meaning.value[diagram.omap[a]] for a in shape.objects},
-        action={m: meaning.action[diagram.mmap[m]] for m in src},
-    )
+    key = "_edge_base" if edges else "_arrow_base"
+    base = shape.__dict__.get(key)
+    if base is None:
+        identity = shape.identity
+        src = {i: o for o, i in identity.items()}
+        tgt = dict(src)
+        compose = {(i, i): i for i in src}
+        arrows = ([m for m, path in shape.paths.items() if len(path) == 1] if edges
+                  else shape.non_identities())
+        for m in arrows:  # reversed
+            s = src[m] = shape.tgt[m]
+            t = tgt[m] = shape.src[m]
+            compose[m, identity[s]] = compose[identity[t], m] = m
+        base = _derived(FinCategory, objects=shape.objects, morphisms=frozenset(src), src=src,
+                        tgt=tgt, identity=identity, compose=compose, closed=False)
+        object.__setattr__(shape, key, base)
+    value, action, omap, mmap = meaning.value, meaning.action, diagram.omap, diagram.mmap
+    return _derived(SetFunctor, base=base, value={a: value[omap[a]] for a in shape.objects},
+                    action={m: action[mmap[m]] for m in base.src})
 
 
 def validate_explanation(speaker: Speaker, explanation: Explanation) -> ExplanationCheck:

@@ -813,6 +813,54 @@ def test_c5_limit_matches_both_oracles(fun):
     assert (cone.witness is None) == bool(apex)
 
 
+@st.composite
+def presheaves_over_one_base(draw):
+    """One base drawn as ``limit_instances`` draws it, its functor and 1-3
+    more fibres and total actions over that same base object, drawn with
+    no regard to composition and with at most one fibre emptied (and what
+    must be emptied with it)."""
+    fun = draw(limit_instances())
+    base, rng = fun.base, draw(st.randoms(use_true_random=False))
+    objects, arrows = sorted(base.objects), sorted(base.morphisms)
+    funs = [fun]
+    for _ in range(draw(st.integers(1, 3))):
+        emptied = draw(st.sampled_from([None, *objects]))
+        sizes = {o: 0 if o == emptied else rng.randint(1, 3) for o in objects}
+        changed = True
+        while changed:  # an action into an empty fibre is total only out of an empty one
+            changed = False
+            for m in arrows:
+                if sizes[base.src[m]] and not sizes[base.tgt[m]]:
+                    sizes[base.src[m]], changed = 0, True
+        value = {o: frozenset(f"{o}x{i}" for i in range(n)) for o, n in sizes.items()}
+        action = {}
+        for m in arrows:
+            dom, cod = sorted(value[base.src[m]]), sorted(value[base.tgt[m]])
+            if base.is_identity(m):
+                action[m] = {x: x for x in dom}
+            else:
+                action[m] = {x: rng.choice(cod) for x in dom}
+        funs.append(SetFunctor(base=base, value=value, action=action))
+    return funs
+
+
+@settings(max_examples=150, deadline=None)
+@given(presheaves_over_one_base())
+def test_c5_a_limit_planned_once_per_base_matches_the_oracle(funs):
+    base = funs[0].base
+    plans = []
+    for fun in funs:
+        cone = set_limit(fun)
+        plans.append(base.__dict__["_limit_plan"])
+        assert cone.apex == _product_limit(fun)
+        # the same limit, planned afresh over a copy of the base
+        fresh = FinCategory(base.objects, base.morphisms, base.src, base.tgt, base.identity,
+                            base.compose, base.closed)
+        again = set_limit(SetFunctor(base=fresh, value=fun.value, action=fun.action))
+        assert (again.order, again.apex, again.witness) == (cone.order, cone.apex, cone.witness)
+    assert all(plan is plans[0] for plan in plans)  # planned once, on the first limit
+
+
 # --- 6. collage ------------------------------------------------------------------------
 
 

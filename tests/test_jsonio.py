@@ -8,7 +8,7 @@ import fiblex.jsonio as jsonio
 from fiblex.collage import free_category
 from fiblex.errors import FiblexError
 from fiblex.fincat import quiver_from_edges
-from fiblex.jsonio import canonical_dumps, category_from_dict
+from fiblex.jsonio import canonical_dumps, canonical_key, category_from_dict
 
 
 def stdlib_dumps(value):
@@ -71,6 +71,19 @@ def test_canonical_dumps_without_the_c_encoder(monkeypatch):
     monkeypatch.setattr(jsonio, "c_make_encoder", None)
     doc = {"b": [1, {"c": "\u2028"}], "a": {}}
     assert canonical_dumps(doc) == stdlib_dumps(doc)
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_canonical_keys_ignore_key_order_and_nothing_else(accelerated, monkeypatch):
+    if not accelerated:
+        monkeypatch.setattr(jsonio, "c_make_encoder", None)
+    shape = {"kind": "free", "vertices": ["a", "b"], "edges": [{"id": "f", "src": "a", "tgt": "b"}]}
+    reordered = {"edges": [{"tgt": "b", "src": "a", "id": "f"}], "vertices": ["a", "b"],
+                 "kind": "free"}
+    assert canonical_key(shape) == canonical_key(reordered)
+    others = [{**shape, "bound": 2}, {**shape, "bound": 2.0}, {**shape, "bound": True},
+              {**shape, "bound": "2"}, {**shape, "vertices": ["b", "a"]}, {**shape, "bound": None}]
+    assert len({canonical_key(shape), *map(canonical_key, others)}) == 1 + len(others)
 
 
 def declaration(cat):

@@ -1220,13 +1220,34 @@ def test_a_category_missing_a_key_is_refused_at_load(decl, message, tmp_path):
     pytest.param({"kind": "free", "vertices": "ab", "edges": []},
                  "free category: key 'vertices' is not a list of strings",
                  id="free-vertices-string"),
+    pytest.param({"objects": ["a"], "identity": ["a"]},
+                 "explicit category: key 'identity' is not an object of strings",
+                 id="identity-list"),
+    pytest.param({"objects": ["a"], "identity": {"a": ["i"]}},
+                 "explicit category: key 'identity' is not an object of strings",
+                 id="identity-of-a-list"),
+    pytest.param({"kind": "terminal", "object": ["x"]},
+                 "terminal category: key 'object' is not a string", id="terminal-object-list"),
+    pytest.param({"objects": ["a"], "closed": "no"},
+                 "explicit category: key 'closed' is not a boolean", id="closed-string"),
+    pytest.param({"kind": "free", "vertices": ["a"], "edges": [], "bound": "2"},
+                 "free category: key 'bound' is not an integer or null", id="bound-string"),
+    pytest.param({"kind": "free", "vertices": ["a"], "edges": [], "bound": True},
+                 "free category: key 'bound' is not an integer or null", id="bound-boolean"),
+    pytest.param({"kind": "pregroup", "basics": ["n"], "phrases": [], "z_max": "2"},
+                 "pregroup category: key 'z_max' is not an integer", id="z-max-string"),
 ])
 def test_an_explicit_declaration_of_the_wrong_json_type_is_refused_at_load(decl, message,
                                                                            tmp_path):
-    # each crashed with a TypeError or ValueError, or loaded "ab" as the objects a and b
+    # each crashed with a TypeError or ValueError, or loaded "ab" as the objects a and b,
+    # "no" as an open category or "2" as a bound
     doc = evil_cat_with(lambda e: None)
     doc["categories"]["q"] = decl
     _refused_everywhere(doc, f"category q: {message}", tmp_path)
+    # and so is the same declaration as an explanation's shape
+    doc = evil_cat_with(lambda e: e.update(shape=decl))
+    _refused_everywhere(doc, "explanation black-evil-feline: "
+                             + message.replace(" category", " shape", 1), tmp_path)
 
 
 def test_a_shape_of_the_wrong_json_type_is_refused_at_load(tmp_path):
@@ -1399,6 +1420,69 @@ def test_a_diagram_that_is_no_functor_and_a_bounded_shape_take_the_whole_shape(m
     assert [len(args[0].base.morphisms) for args in limits] == [6, 3, 5]
     problems = [e["report"]["problems"] for e in reports]
     assert problems == [["composition of (t, s) is not preserved"], [], []]
+
+
+@pytest.mark.parametrize("name, check", [("chain", "_preserves_paths"),
+                                         ("bounded-loop", "validate_functor")])
+def test_a_paraphrasis_checks_its_diagram_once_for_teacher_and_learner(name, check, monkeypatch):
+    # the chain is checked along its paths, the loop cut at two edges as a whole shape
+    checks = count_calls(monkeypatch, getattr(speaker_mod, check))
+    code, report = run_scenario(load_scenario(free_shape_doc([name])))
+    assert (code, report["events"][0]["report"]["outcome"]) == (0, "learned")
+    assert len(checks) == 1
+
+
+def test_equal_shape_declarations_share_one_shape_and_a_bound_tells_them_apart():
+    doc = free_shape_doc(["chain", "bounded-loop"], event="validate-explanation")
+    explanations = doc["explanations"]
+    for name, edit in (("chain-again", lambda shape: None),
+                       ("chain-reordered", lambda shape: shape.update(
+                           {key: shape.pop(key) for key in sorted(shape, reverse=True)})),
+                       ("chain-bounded", lambda shape: shape.update(bound=3)),
+                       ("loop-at-three", lambda shape: shape.update(bound=3))):
+        source = "bounded-loop" if name.startswith("loop") else "chain"
+        explanations[name] = json.loads(json.dumps(explanations[source]))
+        edit(explanations[name]["shape"])
+    scenario = load_scenario(doc)
+
+    def shape(name):
+        return scenario_mod.resolve_explanation(scenario, scenario.speakers, name).shape
+
+    assert shape("chain") is shape("chain-again") is shape("chain-reordered")
+    assert shape("chain-bounded") is not shape("chain")
+    assert shape("loop-at-three") is not shape("bounded-loop")
+    assert len(shape("loop-at-three").morphisms) == len(shape("bounded-loop").morphisms) + 1
+    assert len(scenario.shapes) == 4
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_explain_limits_pass_builds_each_distinct_shape_once(seed, monkeypatch):
+    doc = bench_generate.generate("explain-limits", seed)[0]
+    declared = {json.dumps(e["shape"], sort_keys=True) for e in doc["explanations"].values()}
+    scenario = load_scenario(doc)
+    built = count_calls(monkeypatch, scenario_mod._category_from_decl)
+    code, _ = run_scenario(scenario)
+    assert code == 0
+    assert len(built) == len(declared) == len(scenario.shapes) < len(doc["explanations"])
+    if seed == 1:
+        assert (len(declared), len(doc["explanations"])) == (15, 30)
+
+
+def test_an_explicit_shape_is_decoded_and_checked_once_per_scenario(monkeypatch):
+    doc = explicit_language_doc()
+    shape = {"objects": ["p", "q"], "morphisms": [{"id": "u", "src": "p", "tgt": "q"}]}
+    for name in ("e", "f"):
+        doc["explanations"][name] = {"language": "lang", "target": "C", "shape": dict(shape),
+                                     "diagram": {"p": "A", "q": "B"},
+                                     "diagram_morphisms": {"u": "f"}}
+    doc["events"] = [{"event": "validate-explanation", "speaker": "bob", "explanation": name}
+                     for name in ("e", "e", "f")]
+    scenario = load_scenario(doc)
+    categories = count_calls(monkeypatch, fincat.validate_category)
+    code, report = run_scenario(scenario)
+    assert code == 0
+    assert [e["report"]["apex"] for e in report["events"]] == [["(a1,b)"]] * 3
+    assert len(categories) == 1
 
 
 def test_an_empty_limit_over_a_free_shape_is_witnessed_by_an_edge():
