@@ -8,13 +8,14 @@ the tables inside them are shared freely: a grown category starts from
 copies of its parent's tables, and a grown functor keeps its parent's
 value table and action graphs. A category also caches what it derives
 from its tables, on first read and per instance: its morphisms by source
-and by target, shared with its opposite, its opposite, and the plan of a
-limit over it. A category
-may hold its composition table as a pending glue, run on first read: a
-collage (see ``fiblex.collage``) and its opposite glue theirs from their
-bases, any other opposite reverses its category's. Every reader, ``==``
-included, sees the whole table. The dataclasses are frozen but the dicts
-inside them are not, so tables must never be mutated once handed over.
+and by target, shared with its opposite, its opposite, the plan of a
+limit over it and the plan of an example over each of its objects. A
+category may hold its composition table as a pending glue, run on first
+read: a collage (see ``fiblex.collage``) and its opposite glue theirs
+from their bases, any other opposite reverses its category's. Every
+reader, ``==`` included, sees the whole table. The dataclasses are
+frozen but the dicts inside them are not, so tables must never be
+mutated once handed over.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ class FinCategory:
 
     ``by_src``, ``by_tgt`` and ``opposite(cat)`` are derived from the
     tables on first read and cached with the instance, and so are the
-    plan of ``set_limit`` over the category (``_limit_plan``) and, on an
+    plan of ``set_limit`` over the category (``_limit_plan``), on a
+    language the plan of an example over each word
+    (``_example_plans``, see ``speaker._example_plan``) and, on an
     explanation's shape, the bases its limits restrict to (``_edge_base``
     and ``_arrow_base``, see ``speaker._restrict``); none takes part in
     equality, hashing or ``repr``. A hash reads only the object and
@@ -254,6 +257,12 @@ def _derived(cls, **fields):
 def tuple_name(tup: Sequence[str]) -> str:
     """Canonical printable name of a limit apex tuple."""
     return "(" + ",".join(tup) + ")"
+
+
+def pair_names(prefix: str, firsts: Iterable[str], second: str) -> list[str]:
+    """``prefix + tuple_name((s, second))`` for each ``s`` of ``firsts``,
+    without a call per name."""
+    return [f"{prefix}({s},{second})" for s in firsts]
 
 
 def parse_tuple_name(name: str) -> Optional[tuple[str, ...]]:

@@ -83,8 +83,7 @@ _NAME_LISTS = {"explicit": "objects", "discrete": "objects", "free": "vertices"}
 # their name in errors and the JSON values they may hold.
 _TYPED_KEYS = {
     "explicit": {
-        "identity": ("an object of strings", lambda v: v is None or (
-            type(v) is dict and _STRINGS.issuperset(map(type, v.values())))),
+        "identity": ("an object of strings", lambda v: v is None or _object_of_strings(v)),
         "closed": ("a boolean", lambda v: type(v) is bool),
     },
     "terminal": {"object": ("a string", lambda v: type(v) is str)},
@@ -326,6 +325,11 @@ def _strings(value) -> bool:
     return type(value) is list and _STRINGS.issuperset(map(type, value))
 
 
+def _object_of_strings(value) -> bool:
+    """Whether ``value`` is a JSON object whose values are strings."""
+    return type(value) is dict and _STRINGS.issuperset(map(type, value.values()))
+
+
 def _triples_of_strings(value) -> bool:
     """Whether ``value`` is a JSON list of lists of three strings."""
     return (type(value) is list and {list}.issuperset(map(type, value))
@@ -351,10 +355,14 @@ def _check_references(scenario: Scenario) -> None:
         if key is not None:
             raise ScenarioError(f"explanation {name}: missing key {key!r}")
         if kind == "tautological":
-            _check_strings(decl, ("speaker",), f"explanation {name}")
+            _check_strings(decl, ("speaker", "target"), f"explanation {name}")
             if decl["speaker"] not in known:
                 raise ScenarioError(f"explanation {name}: undeclared speaker {decl['speaker']!r}")
             continue
+        _check_strings(decl, ("language", "target"), f"explanation {name}")
+        for key in ("diagram", "diagram_morphisms", "embedding"):  # names to names
+            if key in decl and not _object_of_strings(decl[key]):
+                raise ScenarioError(f"explanation {name}: key {key!r} is not an object of strings")
         if type(decl["shape"]) is not dict:
             raise ScenarioError(f"explanation {name}: key 'shape' is not an object")
         if (problem := _incomplete_category(decl["shape"], "shape")) is not None:

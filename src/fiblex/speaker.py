@@ -38,6 +38,7 @@ import json
 from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .collage import extend_set_functor, fp_collage
@@ -60,6 +61,7 @@ from .fincat import (
     _derived,
     _reach,
     opposite,
+    pair_names,
     quiver_from_edges,
     set_limit,
     terminal_category,
@@ -398,6 +400,30 @@ def _example_preconditions(learner: Speaker, word: str, witnesses: Sequence[str]
     return ordered
 
 
+def _example_plan(lang: FinCategory, word: str) -> tuple:
+    """What adjoining an example over ``word`` does in ``lang``, whatever
+    the meaning, the witnesses and the glue: the arrows into the word by
+    source, over the sorted down-set; for each object of the down-set,
+    the arrows ``g`` into it (the language's ``by_tgt`` list) and, in one
+    list, ``g`` by ``g``, the composites ``f∘g`` with the arrows ``f`` from
+    the object into the word; and, by object, the arrows out of it that
+    leave the down-set, filled in by the first example that renames
+    elements of that object. Built on the first example over the word and
+    cached with the language, by word (``_example_plans``)."""
+    plans = lang.__dict__.setdefault("_example_plans", {})
+    plan = plans.get(word)
+    if plan is None:
+        src, compose, by_tgt = lang.src, lang.compose, lang.by_tgt
+        into: dict[str, list[str]] = {}
+        for f in by_tgt[word]:
+            into.setdefault(src[f], []).append(f)
+        into = dict(sorted(into.items()))
+        steps = {t: (by_tgt[t], [compose[f, g] for g in by_tgt[t] for f in arrows])
+                 for t, arrows in into.items()}
+        plan = plans[word] = into, steps, {}
+    return plan
+
+
 def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
                     glue: Mapping[str, str], event_id: str) -> tuple[Speaker, Iterable[str]]:
     """The learner whose meaning F becomes the objectwise pushout
@@ -418,90 +444,105 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
     gains elements, and only the links between glued members (none when
     the glue map is empty) are walked to find the classes, so an element
     in no glued class keeps its name. Only the graphs into the down-set,
-    and out of an object whose elements were renamed, are rebuilt; every
-    other graph is the learner's own, shared. Returns the speaker and the
-    down-set, the objects whose fibres may have changed.
+    and out of an object whose elements were renamed, are rebuilt, each
+    in one update; every other graph is the learner's own, shared. Which
+    graphs those are, and the composites they read, depend on the
+    language and the word alone: ``_example_plan`` builds them once and
+    caches them with the language (``_example_plans``, by word), so the
+    examples over one word by learners on one language share one plan.
+    Returns the speaker and the down-set, the objects whose fibres may
+    have changed.
     """
     lang, meaning = learner.language, learner.meaning
+    into, steps, leaving = _example_plan(lang, word)
     ident = lang.identity[word]
-    into_word: dict[str, list[str]] = {}
-    for f in lang.by_tgt[word]:
-        into_word.setdefault(lang.src[f], []).append(f)
+    rows = {f: list(witnesses) if f == ident else pair_names(f"{event_id}:", witnesses, f)
+            for f in lang.by_tgt[word]}  # arrow f -> the names of (s, f), s in witnesses
+    position = {s: i for i, s in enumerate(witnesses)}
     value = dict(meaning.value)
-    rows: dict[str, dict[str, list[str]]] = {}  # object -> f -> names of (s, f), s in witnesses
+    flat: dict[str, list[str]] = {}  # object -> the names of its rows, arrow by arrow
     renamed: dict[str, dict[str, str]] = {}  # object -> glued element -> its class name
-    for obj in sorted(into_word):  # sorted, so that a clash is reported the same way on every run
-        old = meaning.value[obj]
-        linked: dict = {}  # each glued member -> the members glued to it, both ways
-        for f in into_word[obj]:
-            for y, x in meaning.action[f].items():
-                p = (glue[y], f)
-                linked.setdefault(x, []).append(p)
-                linked.setdefault(p, []).append(x)
+    for obj, arrows in into.items():  # sorted, so that a clash is reported the same way on every run
+        fibre = meaning.value[obj]
         glued: dict[tuple[str, str], str] = {}
-        ren: dict[str, str] = {}
-        classed: set = set()
-        for start in linked:  # each class is the members a walk from one of them reaches
-            if start in classed:
-                continue
-            cls = _reach(linked.__getitem__, start)
-            classed |= cls
-            if obj == word:
-                name = min(m[0] for m in cls if isinstance(m, tuple) and m[1] == ident)
-            else:
-                name = min((m for m in cls if isinstance(m, str)),
-                           key=lambda m: pair_object_id(obj, m))
-            for m in cls:
-                if isinstance(m, tuple):
-                    glued[m] = name
-                elif m != name:
-                    ren[m] = name
-        # the classes of elements have distinct names, so a clash is a fresh pair's
-        fibre = {ren.get(x, x) for x in old} if ren else set(old)
-        fresh: dict[tuple[str, str], str] = {}
-        rows[obj] = {}
-        for f in into_word[obj]:
-            row = rows[obj][f] = []
-            for s in witnesses:
-                name = glued.get((s, f))
-                if name is None:
-                    name = s if f == ident else f"{event_id}:{tuple_name((s, f))}"
-                    if name in fibre:
-                        first = next((p for p, n in fresh.items() if n == name), name)
-                        raise IdentifierClash(
-                            f"{name} over {obj} would name both"
-                            f" {_origin(obj == word, ident, first)}"
-                            f" and {_origin(obj == word, ident, (s, f))}"
-                        )
-                    fibre.add(name)
-                    fresh[s, f] = name
-                row.append(name)
-        value[obj] = frozenset(fibre)
-        if ren:
-            renamed[obj] = ren
+        if glue:  # the whole fibre over the word is glued, so every object here has a class
+            linked: dict = {}  # each glued member -> the members glued to it, both ways
+            for f in arrows:
+                for y, x in meaning.action[f].items():
+                    p = (glue[y], f)
+                    linked.setdefault(x, []).append(p)
+                    linked.setdefault(p, []).append(x)
+            ren: dict[str, str] = {}
+            classed: set = set()
+            for start in linked:  # each class is the members a walk from one of them reaches
+                if start in classed:
+                    continue
+                cls = _reach(linked.__getitem__, start)
+                classed |= cls
+                if obj == word:
+                    name = min(m[0] for m in cls if isinstance(m, tuple) and m[1] == ident)
+                else:
+                    name = min((m for m in cls if isinstance(m, str)),
+                               key=lambda m: pair_object_id(obj, m))
+                for m in cls:
+                    if isinstance(m, tuple):
+                        glued[m] = rows[m[1]][position[m[0]]] = name
+                    elif m != name:
+                        ren[m] = name
+            if ren:
+                renamed[obj] = ren
+                fibre = {ren.get(x, x) for x in fibre}
+        names = flat[obj] = list(chain.from_iterable(map(rows.__getitem__, arrows)))
+        # each class name is in the fibre already, so a clash is a fresh pair's
+        new = fibre.union(names)
+        if len(new) != len(fibre) + len(names) - len(glued):
+            _refuse_clash(obj, obj == word, ident, fibre, witnesses, arrows, rows, glued)
+        value[obj] = frozenset(new)
 
-    action = dict(meaning.action)
-    for t_obj, gained in rows.items():
-        ren_t = renamed.get(t_obj, {})
-        for g in lang.by_tgt[t_obj]:
-            s_obj = lang.src[g]
-            ren_s = renamed.get(s_obj, {})
+    action, none, src = dict(meaning.action), {}, lang.src
+    for t_obj, (arrows_in, composites) in steps.items():
+        ren_t, flat_t = renamed.get(t_obj, none), flat[t_obj]
+        images = chain.from_iterable(map(rows.__getitem__, composites))
+        for g in arrows_in:
+            ren_s = renamed.get(src[g], none) if renamed else none
             old = meaning.action[g]
             if ren_s or ren_t:
                 graph = {ren_t.get(x, x): ren_s.get(y, y) for x, y in old.items()}
             else:
-                graph = dict(old)
-            image = rows[s_obj]
-            for f, row in gained.items():
-                graph.update(zip(row, image[lang.compose[(f, g)]]))
+                graph = old.copy()
+            # zip reads flat_t first, so it stops at its end and leaves the
+            # images of the next arrow for the next graph
+            graph.update(zip(flat_t, images))
             action[g] = graph
     for s_obj, ren in renamed.items():
-        for g in lang.by_src[s_obj]:
-            if lang.tgt[g] not in rows:
-                action[g] = {x: ren.get(y, y) for x, y in meaning.action[g].items()}
+        if s_obj not in leaving:
+            leaving[s_obj] = [g for g in lang.by_src[s_obj] if lang.tgt[g] not in into]
+        for g in leaving[s_obj]:
+            action[g] = {x: ren.get(y, y) for x, y in meaning.action[g].items()}
     out = _derived(Speaker, name=learner.name, language=lang,
                    meaning=_derived(SetFunctor, base=meaning.base, value=value, action=action))
-    return out, rows.keys()
+    return out, into.keys()
+
+
+def _refuse_clash(obj: str, at_word: bool, ident: str, fibre: Iterable[str],
+                  witnesses: Sequence[str], arrows: Sequence[str],
+                  rows: Mapping[str, Sequence[str]], glued: Mapping[tuple[str, str], str]) -> None:
+    """Raise ``IdentifierClash`` for the first fresh pair ``(s, f)``, in
+    row order, whose name is taken over ``obj``: by an element of the
+    fibre or by an earlier fresh pair."""
+    taken, named = set(fibre), {}
+    for f in arrows:
+        for s, name in zip(witnesses, rows[f]):
+            if (s, f) in glued:
+                continue
+            if name in taken:
+                raise IdentifierClash(
+                    f"{name} over {obj} would name both"
+                    f" {_origin(at_word, ident, named.get(name, name))}"
+                    f" and {_origin(at_word, ident, (s, f))}"
+                )
+            taken.add(name)
+            named[name] = (s, f)
 
 
 def _origin(at_word: bool, ident: str, member) -> str:

@@ -39,7 +39,7 @@ from reference import (
     restriction_along_embedding,
     to_presheaf,
 )
-from fiblex.collage import fp_collage
+from fiblex.collage import fp_collage, free_category
 from fiblex.errors import IdentifierClash
 from fiblex.fincat import (
     CatFunctor,
@@ -645,6 +645,125 @@ def test_c4_example_with_adversarial_names(instance):
         assert out.meaning.value == want.value
         assert out.meaning.action == want.action
     assert (learner.meaning.value, learner.meaning.action) == snapshot
+
+
+# candidate edges of a free acyclic language around the word W: arrows into
+# W from its down-set C, A, B (parallel ones included) and arrows out of it to V
+_EXAMPLE_EDGES = [("c", "C", "A"), ("a", "A", "W"), ("p", "A", "B"), ("b", "B", "W"),
+                  ("q", "B", "W"), ("d", "C", "W"), ("v", "W", "V"), ("u", "B", "V")]
+
+
+def _first_clash(learner, word, witnesses, glue, event_id):
+    """The message of the ``IdentifierClash`` an example raises, or None,
+    re-derived naively: over each object in sorted order, the classes of
+    F(L) ⊔ S×Hom(L, word) merged one link at a time and named by their
+    least identity anchor; then the unglued pairs ``(s, f)``, arrow by
+    arrow and witness by witness, until one's name is taken by a class or
+    by an earlier pair."""
+    lang, fun = learner.language, learner.meaning
+    ident = lang.identity[word]
+    witnesses = sorted(witnesses)
+    for obj in sorted(lang.objects):
+        arrows = hom(lang, obj, word)
+        classes = [{x} for x in fun.value[obj]] + [{(s, f)} for f in arrows for s in witnesses]
+        for f in arrows:
+            for y in fun.value[word]:
+                a = next(c for c in classes if fun.action[f][y] in c)
+                b = next(c for c in classes if (glue[y], f) in c)
+                if a is not b:
+                    a |= b
+                    classes = [c for c in classes if c is not b]
+        taken = set()
+        for c in classes:
+            if obj == word and len(c) > 1:
+                taken.add(min(m[0] for m in c if isinstance(m, tuple) and m[1] == ident))
+            elif any(isinstance(m, str) for m in c):
+                taken.add(min((m for m in c if isinstance(m, str)), key=lambda m: f"{m}@{obj}"))
+
+        def origin(member):
+            if isinstance(member, tuple):
+                s, f = member
+                return f"the witness {s}" if f == ident else f"the pair ({s}, {f})"
+            return f"the witness {member}" if obj == word else f"the element {member}"
+
+        named = {}
+        for f in arrows:
+            for s in witnesses:
+                if any((s, f) in c and len(c) > 1 for c in classes):
+                    continue
+                name = s if f == ident else f"{event_id}:({s},{f})"
+                if name in taken:
+                    return (f"{name} over {obj} would name both"
+                            f" {origin(named.get(name, name))} and {origin((s, f))}")
+                taken.add(name)
+                named[name] = (s, f)
+    return None
+
+
+@st.composite
+def example_runs(draw):
+    """Learners on one free acyclic language, whose element names, like
+    the witnesses, use the delimiters of generated names and may be
+    generated names themselves, and 2-4 examples over W by them: each
+    event a learner, its witnesses and its glue choices."""
+    edges = [e for e in _EXAMPLE_EDGES if draw(st.booleans())]
+    lang = free_category(quiver_from_edges(["A", "B", "C", "V", "W"], edges))
+    pool = draw(st.lists(st.text(alphabet="ab,():", min_size=1, max_size=3),
+                         min_size=1, max_size=3, unique=True))
+    into_w = [f for f in sorted(lang.morphisms) if lang.tgt[f] == "W"]
+    names = st.one_of(st.text(alphabet="ab,():", min_size=1, max_size=3),
+                      st.builds(lambda i, s, f: f"ev{i}:({s},{f})", st.integers(0, 3),
+                                st.sampled_from(pool), st.sampled_from(into_w)))
+    rng = draw(st.randoms(use_true_random=False))
+    learners = []
+    for _ in range(draw(st.integers(1, 3))):
+        sizes = {o: draw(st.integers(1, 2)) for o in "ABC"}
+        sizes["W"] = draw(st.integers(0, 2))
+        sizes["V"] = draw(st.integers(0, 2)) if sizes["W"] else 0  # v: W → V
+        value = {o: draw(st.lists(names, min_size=n, max_size=n, unique=True))
+                 for o, n in sizes.items()}
+        edge_act = {e: {x: rng.choice(value[s]) for x in value[t]} for e, s, t in edges}
+        action = {}
+        for m, path in lang.paths.items():
+            graph = {x: x for x in value[lang.tgt[m]]}
+            for e in reversed(path):  # contravariant: the last edge of the path acts first
+                graph = {x: edge_act[e][y] for x, y in graph.items()}
+            action[m] = graph
+        learners.append(Speaker("q", lang, SetFunctor(opposite(lang), value, action)))
+    events = [(draw(st.integers(0, len(learners) - 1)),
+               draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)),
+               draw(st.randoms(use_true_random=False)))
+              for _ in range(draw(st.integers(2, 4)))]
+    return lang, learners, events
+
+
+@settings(max_examples=300, deadline=None)
+@given(example_runs())
+def test_c4_examples_planned_once_per_language_and_word_match_the_oracle(run):
+    # examples and merged examples by different learners on one language share
+    # the plan of W, others are chained on one learner; each result equals the
+    # factorize-and-rename oracle, or the event raises the clash it predicts
+    lang, learners, events = run
+    plan = None
+    for i, (who, witnesses, rng) in enumerate(events):
+        learner, eid = learners[who], f"ev{i}"
+        glue = {y: rng.choice(witnesses) for y in sorted(learner.fibre("W"))}
+        expected = _first_clash(learner, "W", witnesses, glue, eid)
+        try:
+            if glue:
+                out, _ = acquire_by_example_merged(learner, "W", witnesses, glue, event_id=eid)
+            else:
+                out, _ = acquire_by_example(learner, "W", witnesses, event_id=eid)
+        except IdentifierClash as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
+            want = _factorized_example_merged(learner, "W", witnesses, glue, eid)
+            assert out.meaning.value == want.value
+            assert out.meaning.action == want.action
+            learners[who] = out
+        plan = plan or lang._example_plans["W"]
+        assert lang._example_plans == {"W": plan} and lang._example_plans["W"] is plan
 
 
 # --- 5. limits ------------------------------------------------------------------------

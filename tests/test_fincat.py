@@ -37,6 +37,7 @@ from fiblex.fincat import (
     discrete_category,
     natural_iso_check,
     opposite,
+    pair_names,
     parse_tuple_name,
     quiver_from_edges,
     set_limit,
@@ -616,6 +617,15 @@ def test_free_category_matches_path_oracle(q):
 @given(st.lists(st.text(alphabet="ab@∘ ", min_size=1, max_size=3), max_size=4))
 def test_tuple_name_roundtrip_without_separators(tup):
     assert parse_tuple_name(tuple_name(tup)) == tuple(tup)
+
+
+NAMES = st.text(alphabet="ab,():@∘", max_size=3)
+
+
+@given(NAMES, st.lists(NAMES, max_size=3), NAMES)
+def test_pair_names_are_tuple_names_with_a_prefix(prefix, firsts, second):
+    assert pair_names(prefix, firsts, second) == [prefix + tuple_name((s, second))
+                                                  for s in firsts]
 
 
 def test_parse_tuple_name_rejects_unparenthesized():

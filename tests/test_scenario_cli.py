@@ -1250,6 +1250,34 @@ def test_an_explicit_declaration_of_the_wrong_json_type_is_refused_at_load(decl,
                              + message.replace(" category", " shape", 1), tmp_path)
 
 
+@pytest.mark.parametrize("edit, key, what", [
+    pytest.param(lambda e: e["diagram"].update(a1=["evil"]), "diagram", "an object of strings",
+                 id="diagram-value-list"),
+    pytest.param(lambda e: e.update(diagram=["a1"]), "diagram", "an object of strings",
+                 id="diagram-list"),
+    pytest.param(lambda e: e.update(diagram_morphisms={"id_a1": ["x"]}), "diagram_morphisms",
+                 "an object of strings", id="diagram-morphisms-value-list"),
+    pytest.param(lambda e: e.update(diagram_morphisms=["id_a1"]), "diagram_morphisms",
+                 "an object of strings", id="diagram-morphisms-list"),
+    pytest.param(lambda e: e["embedding"].update({"(e1,b1,f1)": ["c11"]}), "embedding",
+                 "an object of strings", id="embedding-value-list"),
+    pytest.param(lambda e: e.update(embedding=["(e1,b1,f1)"]), "embedding",
+                 "an object of strings", id="embedding-list"),
+    pytest.param(lambda e: e.update(target=["cat"]), "target", "a string", id="target-list"),
+    pytest.param(lambda e: e.update(language=["lang"]), "language", "a string",
+                 id="language-list"),
+    pytest.param(lambda e: e.update(kind="tautological", speaker="p", target=["cat"]), "target",
+                 "a string", id="tautological-target-list"),
+])
+def test_an_explanation_field_of_the_wrong_json_type_is_refused_at_load(edit, key, what,
+                                                                        tmp_path):
+    # each crashed run_scenario with a TypeError, ValueError or AttributeError, except
+    # "diagram": ["a1"], which dict() read as {"a": "1"}: "a is not a shape object"
+    doc = evil_cat_with(edit)
+    _refused_everywhere(doc, f"explanation black-evil-feline: key {key!r} is not {what}",
+                        tmp_path)
+
+
 def test_a_shape_of_the_wrong_json_type_is_refused_at_load(tmp_path):
     doc = evil_cat_with(lambda e: None)
     doc["explanations"]["black-evil-feline"]["shape"]["objects"] = "ab"
@@ -1466,6 +1494,27 @@ def test_an_explain_limits_pass_builds_each_distinct_shape_once(seed, monkeypatc
     assert len(built) == len(declared) == len(scenario.shapes) < len(doc["explanations"])
     if seed == 1:
         assert (len(declared), len(doc["explanations"])) == (15, 30)
+
+
+def test_a_learn_example_pass_plans_each_word_once(monkeypatch):
+    # 11 examples over one word and 4 merged examples over another, all by
+    # learners on the one declared language: one plan per word
+    doc = bench_generate.generate("learn-example", 1)[0]
+    scenario = load_scenario(doc)
+    plan, calls = speaker_mod._example_plan, []
+
+    def counted(lang, word):
+        calls.append((lang, word, plan(lang, word)))  # keeps each plan alive, so ids differ
+        return calls[-1][2]
+
+    monkeypatch.setattr(speaker_mod, "_example_plan", counted)
+    code, _ = run_scenario(scenario)
+    assert code == 0
+    lang = scenario.categories["lang"]
+    assert all(called is lang for called, _, _ in calls)
+    assert (len(calls), len({id(built) for _, _, built in calls})) == (15, 2)
+    assert all(lang._example_plans[word] is built for _, word, built in calls)
+    assert sorted(lang._example_plans) == sorted({e["word"] for e in doc["events"]})
 
 
 def test_an_explicit_shape_is_decoded_and_checked_once_per_scenario(monkeypatch):

@@ -822,8 +822,9 @@ def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeyp
     # A plain and a merged example over W, whose down-set is W, X and Y,
     # are run, then run again with a disconnected chain z0 → … → z5 added
     # to the language: the entries of the rebuilt graphs, the members the
-    # class walk reaches and the objects the report inspects must not move,
-    # and every chain graph must be the learner's own.
+    # class walk reaches, the objects the report inspects and the size of
+    # the plan of W must not move, and every chain graph must be the
+    # learner's own.
     members, inspected = [], []
     reach = speaker_module._reach
     report = speaker_module._report
@@ -867,7 +868,11 @@ def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeyp
             old, new = learner.meaning.action, out.meaning.action
             assert all(new[g] is old[g] for g in lang.morphisms if lang.src[g] in pads)
             rebuilt = sum(len(new[g]) for g in lang.morphisms if new[g] is not old[g])
-            counts[kind] = (rebuilt, list(members), list(inspected))
+            into, steps, leaving = lang._example_plans["W"]
+            planned = [sum(map(len, into.values())),
+                       sum(len(arrows) + len(composites) for arrows, composites in steps.values()),
+                       sum(map(len, leaving.values()))]
+            counts[kind] = (rebuilt, list(members), list(inspected), planned)
         return counts
 
     monkeypatch.setattr(speaker_module, "_reach", counted_reach)
@@ -876,6 +881,7 @@ def test_example_work_does_not_grow_with_unrelated_parts_of_the_language(monkeyp
     assert small["plain"][0] > 0 and small["merged"][0] > 0
     assert small["plain"][1] == [] and small["merged"][1]
     assert small["plain"][2] == small["merged"][2] == [["W", "X", "Y"]]
+    assert small["plain"][3] == [3, 12, 0] and small["merged"][3] == [3, 12, 2]
     assert learn(6) == small
 
 
