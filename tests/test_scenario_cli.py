@@ -966,6 +966,18 @@ def test_cli_exit_codes_are_pass_assertion_and_structural(case, tmp_path):
             assert result.stderr.startswith("error: "), (args[0], result.stderr)
 
 
+def test_a_speakers_iso_failure_names_the_least_object_whose_fibre_sizes_differ():
+    # over one language, carol names only a black thing, where alice names one of each
+    doc = json.loads((SCENARIOS / "alice-bob.json").read_text())
+    doc["assertions"] += [{"assert": "speakers-iso", "left": "alice", "right": "carol"},
+                          {"assert": "speakers-iso", "left": "alice", "right": "alice"}]
+    code, report = run_scenario(load_scenario(doc))
+    assert code == 1
+    differ, same = report["assertions"][-2:]
+    assert (differ["passed"], differ["detail"]) == (False, "fibre sizes differ at cat: 1 vs 0")
+    assert (same["passed"], same["detail"]) == (True, "meanings naturally isomorphic")
+
+
 def test_a_fibre_size_assertion_on_an_unknown_object_is_refused_at_load(tmp_path):
     # acquisitions add no objects, so the declared language decides
     doc = json.loads((SCENARIOS / "alice-bob.json").read_text())
