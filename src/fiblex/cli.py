@@ -50,12 +50,11 @@ def main():
 
 @main.command()
 @click.argument("scenario", type=click.Path(exists=True))
-@click.option("--bound", type=int, default=None, help="Edge bound for collage truncation.")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write the canonical JSON report to this path.")
-def run(scenario, bound, report_path):
+def run(scenario, report_path):
     """Execute a scenario's events and assertions."""
-    code, report = run_scenario(_load(scenario), default_bound=bound)
+    code, report = run_scenario(_load(scenario))
     text = canonical_dumps(report)
     if report_path:
         Path(report_path).write_text(text)
@@ -81,11 +80,10 @@ def validate(scenario):
 @click.option("--which", type=click.Choice(["language", "total"]), default="language")
 @click.option("--stage", type=int, default=None,
               help="Render after this many events (default: all).")
-@click.option("--bound", type=int, default=None, help="Edge bound for collage truncation.")
 @click.option("--out", type=click.Path(), default=None, help="Write DOT here instead of stdout.")
-def export_dot_cmd(scenario, speaker, which, stage, bound, out):
+def export_dot_cmd(scenario, speaker, which, stage, out):
     """Render a speaker's language or total category as DOT."""
-    text = export_dot(_load(scenario), speaker, which=which, stage=stage, default_bound=bound)
+    text = export_dot(_load(scenario), speaker, which=which, stage=stage)
     if out:
         Path(out).write_text(text)
     else:

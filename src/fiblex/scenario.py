@@ -32,7 +32,7 @@ from .fincat import (
     terminal_category,
     validate_setfunctor,
 )
-from .jsonio import canonical_key, category_from_dict
+from .jsonio import canonical_dumps, category_from_dict
 from .pregroup import Lexicon, language_category_from_lexicon, parse_type, type_order
 from .speaker import (
     Explanation,
@@ -93,6 +93,10 @@ class _Json:
                     and (not self.size or {self.size}.issuperset(map(len, values)))
                     and self.of.ok(chain.from_iterable(
                         map(dict.values if dict in self.types else iter, filter(None, values)))))
+        if float in self.types:  # JSON's integers, 1.0 among them, as JSON Schema reads them
+            values = tuple(values)
+            return self.types.issuperset(map(type, values)) and all(
+                v.is_integer() for v in values if type(v) is float)
         if self.types is not _STRING:
             return self.types.issuperset(map(type, values))
         try:  # the fastest pass: a join refuses a member that is not a string
@@ -191,9 +195,9 @@ class _Decl:
 
 _LIST, _OBJECT, _STRING = frozenset({list}), frozenset({dict}), frozenset({str})
 _STR = _Json("a string", _STRING)
-_INT = _Json("an integer", frozenset({int}))
+_INT = _Json("an integer", frozenset({int, float}))
 _BOOL = _Json("a boolean", frozenset({bool}))
-_BOUND = _Json("an integer or null", frozenset({int, type(None)}))
+_BOUND = _Json("an integer or null", frozenset({int, float, type(None)}))
 _STRS = _Json("a list of strings", _LIST, _STR)
 _NAMES = _Json("an object of strings", _OBJECT, _STR)
 _ARROW = _Decl({None: ({"id": _STR, "src": _STR, "tgt": _STR}, {})})
@@ -258,9 +262,10 @@ def _document_fault(doc) -> Optional[str]:
 class Scenario:
     """A loaded scenario. Explanations stay raw declarations, resolved
     when an event or a command reads them; ``shapes`` holds each shape
-    they built, by the canonical JSON of its declaration, so that each
-    distinct shape declaration is built (and an explicit one decoded and
-    checked) once per scenario, however many explanations repeat it."""
+    they built, keyed by ``canonical_dumps`` of its declaration, the codec
+    that writes the reports, so that each distinct shape declaration is
+    built (and an explicit one decoded and checked) once per scenario,
+    however many explanations repeat it."""
 
     name: str
     categories: dict[str, FinCategory]
@@ -363,8 +368,9 @@ def load_scenario(doc: dict) -> Scenario:
         except FiblexError as err:
             raise ScenarioError(f"speaker {name}: {err}") from err
 
-    events = doc.get("events", [])
-    ids = [event.setdefault("id", f"ev{i}") for i, event in enumerate(events)]
+    events = [event if "id" in event else {**event, "id": f"ev{i}"}
+              for i, event in enumerate(doc.get("events", []))]
+    ids = [event["id"] for event in events]
     if len(set(ids)) != len(ids):
         raise ScenarioError("event ids are not unique")
 
@@ -373,7 +379,7 @@ def load_scenario(doc: dict) -> Scenario:
         categories=categories,
         speakers=speakers,
         explanations=dict(doc.get("explanations", {})),
-        events=list(events),
+        events=events,
         assertions=list(doc.get("assertions", [])),
     )
     _check_references(scenario)
@@ -421,7 +427,7 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
     if decl.get("kind") == "tautological":
         return tautological_explanation(store[decl["speaker"]], decl["target"])
     language = scenario.categories[decl["language"]]
-    key = canonical_key(decl["shape"])
+    key = canonical_dumps(decl["shape"])
     shape = scenario.shapes.get(key)
     if shape is None:
         shape = scenario.shapes[key] = _category_from_decl(decl["shape"])
@@ -452,8 +458,7 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
 
 
 def run_events(
-    scenario: Scenario, upto: Optional[int] = None, default_bound: Optional[int] = None,
-    reports: Optional[list[dict]] = None,
+    scenario: Scenario, upto: Optional[int] = None, reports: Optional[list[dict]] = None,
 ) -> tuple[Store, list[dict]]:
     """Run the first ``upto`` events, all of them when it is None; a
     negative ``upto`` raises ``ScenarioError``. Each report is appended to
@@ -498,7 +503,7 @@ def run_events(
                     event["word"],
                     explanation,
                     edge_overrides=event.get("overrides"),
-                    bound=event.get("bound", default_bound),
+                    bound=event.get("bound"),
                     event_id=eid,
                 )
             store[event["learner"]] = out
@@ -571,15 +576,13 @@ def _assertion_name(check: dict, index: int) -> str:
     return check.get("name", f"assert{index}:{check.get('assert')}")
 
 
-def run_scenario(
-    scenario: Scenario, default_bound: Optional[int] = None
-) -> tuple[int, dict]:
+def run_scenario(scenario: Scenario) -> tuple[int, dict]:
     """Execute events, evaluate assertions, and assemble the canonical
     report. Exit status: 0 pass, 1 assertion failure, 2 structural error,
     named after the event that raised it, with the reports before it."""
     reports: list[dict] = []
     try:
-        store, _ = run_events(scenario, default_bound=default_bound, reports=reports)
+        store, _ = run_events(scenario, reports=reports)
     except FiblexError as err:
         failed = scenario.events[len(reports)]["id"]
         return EXIT_STRUCTURAL, {
@@ -635,12 +638,11 @@ def export_dot(
     speaker: str,
     which: str = "language",
     stage: Optional[int] = None,
-    default_bound: Optional[int] = None,
 ) -> str:
     """Render a speaker's language (or total category) after the first
     ``stage`` events; what they adjoined to the declared language is
     dashed, which are the words paraphrasis reported new."""
-    store, _ = run_events(scenario, upto=stage, default_bound=default_bound)
+    store, _ = run_events(scenario, upto=stage)
     if speaker not in store:
         raise ScenarioError(f"undeclared speaker {speaker!r}")
     now = store[speaker]

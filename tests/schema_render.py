@@ -15,15 +15,16 @@ import json
 
 from fiblex import scenario
 
-_NAMES = {str: "string", int: "integer", bool: "boolean", type(None): "null", list: "array",
-          dict: "object"}
+# the rule table's integers take a float with no fractional part, as "integer" does
+_NAMES = {str: "string", int: "integer", float: "integer", bool: "boolean", type(None): "null",
+          list: "array", dict: "object"}
 
 
 def render(t) -> dict:
     """The JSON Schema of the rule table's type ``t``."""
     if isinstance(t, scenario._Decl):
         return _declaration(t)
-    names = sorted(_NAMES[kind] for kind in t.types)
+    names = sorted({_NAMES[kind] for kind in t.types})
     out = {"type": names[0] if len(names) == 1 else names}
     if t.of is not None:
         out["additionalProperties" if dict in t.types else "items"] = render(t.of)

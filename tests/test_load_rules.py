@@ -159,6 +159,58 @@ def test_the_schema_and_the_rule_table_agree_on_every_mutant(name, text, paths):
     assert disagree == []
 
 
+INTEGER_KEYS = {"equals", "at-least", "count", "apex-size", "bound", "z_max"}
+
+
+def _integer_paths(value, prefix=()):
+    """The path of each integer that ``value`` holds at a key the rule table
+    asks an integer of, and of the ``bound`` or ``z_max`` that each free
+    category, paraphrasis and pregroup category it holds may add."""
+    if isinstance(value, dict):
+        if value.get("kind") == "free" or value.get("event") == "paraphrasis":
+            yield prefix + ("bound",)
+        if value.get("kind") == "pregroup":
+            yield prefix + ("z_max",)
+        for key, member in value.items():
+            if key in INTEGER_KEYS and type(member) is int:
+                yield prefix + (key,)
+            yield from _integer_paths(member, prefix + (key,))
+    elif isinstance(value, list):
+        for index, member in enumerate(value):
+            yield from _integer_paths(member, prefix + (index,))
+
+
+def _outcome(doc):
+    """The exit code and report of a run of ``doc``, or the class of its refusal."""
+    try:
+        return run_scenario(load_scenario(doc))
+    except FiblexError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("name, text, paths", DOCUMENTS, ids=IDS)
+def test_a_whole_float_is_an_integer_to_the_loader_and_the_schema(name, text, paths):
+    # JSON Schema's "integer" takes 1.0; the loader takes it too, runs it as
+    # it runs 1, and still refuses 1.5
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft7Validator(json.loads((SCENARIOS / "schema.json").read_text()))
+    integer_paths = list(dict.fromkeys(_integer_paths(json.loads(text))))
+    assert integer_paths
+    disagree = []
+    for path in integer_paths:
+        for value, refused in ((1.0, False), (1.5, True)):
+            doc = _local(_mutant(text, path, value), path)
+            fault = scenario_mod._document_fault(doc)
+            if validator.is_valid(doc) == refused or (fault is not None) != refused:
+                disagree.append((path, value, fault))
+    assert disagree == []
+    first = {}
+    for path in integer_paths:
+        first.setdefault(_pattern(path), path)
+    for path in first.values():
+        assert _outcome(_mutant(text, path, 1.0)) == _outcome(_mutant(text, path, 1)), path
+
+
 def test_the_schema_is_the_rendering_of_the_rule_table():
     assert (SCENARIOS / "schema.json").read_text() == schema_text()
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import importlib.util
 import json
@@ -812,6 +813,34 @@ def test_cli_run_matches_golden_report(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# `fiblex run` on each scenario named by an argument, in one process
+RUN_EACH = """
+import sys
+from fiblex.cli import main
+for path in sys.argv[1:]:
+    try:
+        main(["run", path])
+    except SystemExit as done:
+        assert done.code == 0, (path, done.code)
+"""
+
+
+def test_run_reports_are_one_line_each_and_the_same_under_any_string_hashing():
+    src = str(Path(scenario_mod.__file__).resolve().parent.parent)
+    paths = [str(SCENARIOS / name) for name in SHIPPED]
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", RUN_EACH, *paths], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == b"".join((GOLDEN / name).read_bytes() for name in SHIPPED)
+    assert outputs[0].count(b"\n") == len(SHIPPED)
+
+
 FIBRE_MAPS = ("fibres_before", "fibres_after")
 
 
@@ -1023,6 +1052,19 @@ def test_an_error_during_events_keeps_the_reports_before_it_and_names_its_event(
     assert [e["id"] for e in report["events"]] == ["e1", "adopted-a-cat", "circular-explanation"]
     with pytest.raises(BaseMismatch, match="^teacher and learner must share a language$"):
         run_events(scenario)
+
+
+def test_loading_names_events_without_ids_and_leaves_the_document_as_it_was():
+    doc = json.loads((SCENARIOS / "alice-bob.json").read_text())
+    ids = {event.pop("id"): f"ev{i}" for i, event in enumerate(doc["events"])}
+    for check in doc["assertions"]:
+        if "event" in check:
+            check["event"] = ids[check["event"]]
+    before = copy.deepcopy(doc)
+    code, report = run_scenario(load_scenario(doc))
+    assert doc == before
+    assert code == 0, report
+    assert [e["id"] for e in report["events"]] == ["ev0", "ev1"]
 
 
 TEACHER_REFUSAL = "the explanation is not valid and non-vacuous for the teacher: "
