@@ -332,8 +332,8 @@ def extend_set_functor(
     copied layer by layer, its first layer winning, so that a caller can
     hand over a few changed graphs over a table it shares. The action of a
     word with edges is the composite of the base actions and edge actions
-    in sequence order. Well defined since the adjoined edges satisfy no
-    relations.
+    in sequence order, built out of a non-empty fibre only. Well defined
+    since the adjoined edges satisfy no relations.
     """
     if fun.base != collage.base:
         raise BaseMismatch("functor base differs from the collage base")
@@ -345,7 +345,9 @@ def extend_set_functor(
     for layer in reversed(fun.action.maps if isinstance(fun.action, ChainMap) else [fun.action]):
         action.update(layer)
     for wid, (bases, edges) in collage.spellings.items():
-        graph = action[bases[0]]
+        graph = action.get(bases[0])
+        if graph is None:  # out of an empty fibre
+            continue
         for q, c in zip(edges, bases[1:]):
             along, then = edge_actions[q], action[c]
             graph = {x: then[along[y]] for x, y in graph.items()}

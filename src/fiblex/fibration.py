@@ -64,7 +64,7 @@ def grothendieck(fun: SetFunctor) -> Fibration:
     lang = opposite(fun.base)
     objects: dict[str, tuple[str, str]] = {}
     for o in sorted(lang.objects):
-        for x in sorted(fun.value[o]):
+        for x in sorted(fun.fibre(o)):
             objects[pair_object_id(o, x)] = (o, x)
 
     src: dict[str, str] = {}
@@ -73,7 +73,7 @@ def grothendieck(fun: SetFunctor) -> Fibration:
     for f in sorted(lang.morphisms):
         t_obj = lang.tgt[f]
         s_obj = lang.src[f]
-        for x in sorted(fun.value[t_obj]):
+        for x in sorted(fun.fibre(t_obj)):
             mid = pair_morphism_id(f, x, t_obj)
             morphs[mid] = (f, x)
             src[mid] = pair_object_id(s_obj, fun.action[f][x])

@@ -7,15 +7,15 @@ operation is a pure function and never mutates its inputs, so values and
 the tables inside them are shared freely: a grown category starts from
 copies of its parent's tables, and a grown functor keeps its parent's
 value table and action graphs. A category also caches what it derives
-from its tables, on first read and per instance: its morphisms by source
-and by target, shared with its opposite, its opposite, the plan of a
-limit over it and the plan of an example over each of its objects. A
-category may hold its composition table as a pending glue, run on first
-read: a collage (see ``fiblex.collage``) and its opposite glue theirs
-from their bases, any other opposite reverses its category's. Every
-reader, ``==`` included, sees the whole table. The dataclasses are
-frozen but the dicts inside them are not, so tables must never be
-mutated once handed over.
+from its tables, on first read and per instance: its identities and
+its morphisms by source and by target (built together), shared with
+its opposite, its opposite, the plan of a limit over it and of an
+example over each of its objects. A category may hold its composition
+table as a pending glue, run on first read: a collage (see
+``fiblex.collage``) and its opposite glue theirs from their bases, any
+other opposite reverses its category's. Every reader, ``==`` included,
+sees the whole table. The dataclasses are frozen but the dicts inside
+them are not, so tables must never be mutated once handed over.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Ty
 from .errors import BaseMismatch, BoundExceeded, IdentifierClash, NotComposable
 
 _T = TypeVar("_T")
+_NO_FIBRE: frozenset[str] = frozenset()  # the fibre of every object a meaning stores none for
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,9 @@ class FinCategory:
     outside the truncation bound are absent from the table, and only
     bound-aware consumers may use the value.
 
-    ``by_src``, ``by_tgt`` and ``opposite(cat)`` are derived from the
-    tables on first read and cached with the instance, and so are the
+    ``identities()``, ``by_src``, ``by_tgt`` and ``opposite(cat)`` are
+    derived from the tables on first read and cached with the instance
+    (the first three shared with the opposite), and so are the
     plan of ``set_limit`` over the category (``_limit_plan``), on a
     language the plan of an example over each word
     (``_example_plans``, see ``speaker._example_plan``) and, on an
@@ -92,7 +94,13 @@ class FinCategory:
         return self.identity.get(self.src.get(m)) == m and self.src[m] == self.tgt[m]
 
     def identities(self) -> frozenset[str]:
-        return frozenset(self.identity.values())
+        """The identity morphisms, cached on first read with the opposite too."""
+        ids = self.__dict__.get("_identities")
+        if ids is None:
+            op = self.__dict__.get("_opposite", self)
+            ids = op.__dict__.get("_identities") or frozenset(self.identity.values())
+            self.__dict__["_identities"] = op.__dict__["_identities"] = ids
+        return ids
 
     def non_identities(self) -> list[str]:
         ids = self.identities()
@@ -101,12 +109,12 @@ class FinCategory:
     @cached_property
     def by_src(self) -> dict[str, list[str]]:
         """The morphisms out of each object that has any, sorted."""
-        return _index(self, self.src, "by_tgt")
+        return _index(self)[0]
 
     @cached_property
     def by_tgt(self) -> dict[str, list[str]]:
         """The morphisms into each object that has any, sorted."""
-        return _index(self, self.tgt, "by_src")
+        return _index(self)[1]
 
     def compose_pair(self, g: str, f: str) -> str:
         """Composite of ``f`` followed by ``g``."""
@@ -146,20 +154,25 @@ class _GluedOnRead:
 FinCategory.compose = _GluedOnRead()  # set after the dataclass, so that no field default is seen
 
 
-def _index(cat: FinCategory, end: Mapping[str, str], mirror: str) -> dict[str, list[str]]:
-    """The morphisms of ``cat`` by ``end`` (its source or target table),
-    sorted. The same index is the cached opposite's ``mirror``, so it is
-    taken from there when the opposite has it, and handed to it otherwise;
-    an opposite built later finds it here."""
+def _index(cat: FinCategory) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """The morphisms of ``cat`` by source and by target, sorted, built in
+    one pass and cached with ``cat``. They are the cached opposite's by
+    target and by source, so they are taken from there when the opposite
+    has them, and handed to it otherwise; an opposite built later finds
+    them here."""
     op = cat.__dict__.get("_opposite")
-    if op is not None and mirror in op.__dict__:
-        return op.__dict__[mirror]
-    out: dict[str, list[str]] = {}
-    for m in sorted(cat.morphisms):
-        out.setdefault(end[m], []).append(m)
-    if op is not None:
-        op.__dict__[mirror] = out
-    return out
+    if op is not None and "by_src" in op.__dict__ and "by_tgt" in op.__dict__:
+        by_src, by_tgt = op.__dict__["by_tgt"], op.__dict__["by_src"]
+    else:
+        by_src, by_tgt = {}, {}
+        src, tgt = cat.src, cat.tgt
+        for m in sorted(cat.morphisms):
+            by_src.setdefault(src[m], []).append(m)
+            by_tgt.setdefault(tgt[m], []).append(m)
+        if op is not None:
+            op.__dict__.update(by_src=by_tgt, by_tgt=by_src)
+    cat.__dict__.update(by_src=by_src, by_tgt=by_tgt)
+    return by_src, by_tgt
 
 
 @dataclass(frozen=True)
@@ -194,12 +207,14 @@ class CatFunctor:
 class SetFunctor:
     """A covariant functor from a finite category to finite sets.
 
-    ``value`` assigns each object a finite set of element identifiers and
-    ``action`` assigns each morphism a total function, stored as an
-    explicit graph from ``value[src]`` to ``value[tgt]``. Contravariant
-    assignments are represented by taking ``base`` to be the opposite of
-    the category of interest. The tables are copied, the graphs inside
-    ``action`` are kept as given and shared.
+    ``value`` holds the non-empty fibres (finite sets of element ids) and
+    ``action`` the total function of each morphism out of one, as an
+    explicit graph into the fibre over its target. An object with no
+    entry has the empty fibre (read it with ``fibre``), and a morphism out
+    of it the empty function. Contravariant assignments take ``base`` to
+    be the opposite of the category of interest. The tables are copied
+    without their empty entries, so dense and sparse tables give equal
+    values; the graphs inside ``action`` are kept as given and shared.
     """
 
     base: FinCategory
@@ -207,8 +222,14 @@ class SetFunctor:
     action: dict[str, dict[str, str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "value", {o: frozenset(v) for o, v in self.value.items()})
-        object.__setattr__(self, "action", dict(self.action))
+        value = {o: fibre for o, v in self.value.items() if (fibre := frozenset(v))}
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "action", {m: graph for m, graph in self.action.items()
+                                            if graph or self.base.src.get(m) in value})
+
+    def fibre(self, o: str) -> frozenset[str]:
+        """The fibre over ``o``, empty when ``value`` has no entry for it."""
+        return self.value.get(o, _NO_FIBRE)
 
 
 @dataclass(frozen=True)
@@ -245,9 +266,10 @@ def _derived(cls, **fields):
     """A frozen ``cls`` value the engine derived from checked data, built
     without ``cls.__post_init__``, whose checks and copies the fields must
     already pass: the tables are the value's own and never written again,
-    a category's object and morphism sets and a meaning's fibres are
-    frozensets, and a speaker's meaning is a Set-valued functor on its
-    opposite language."""
+    a category's object and morphism sets are frozensets, a meaning holds
+    only its non-empty fibres, as frozensets, and the graphs out of them
+    (see ``SetFunctor``), and a speaker's meaning is a Set-valued functor
+    on its opposite language."""
     out = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(out, name, value)
@@ -419,61 +441,69 @@ def validate_functor(fun: CatFunctor) -> list[str]:
 def validate_setfunctor(fun: SetFunctor) -> list[str]:
     """Check that the actions are total functions and functorial.
 
-    Problems come in sorted order: objects without a value set; per
-    morphism, a missing action, or one not total on its source set and
-    one leaving its target set; identities not acting as identities, by
+    Problems come in sorted order: per morphism, a missing action out of
+    a non-empty fibre, or one not total on its source fibre and one
+    leaving its target fibre; identities not acting as identities, by
     object; composites whose action disagrees, by composable pair, at the
-    least disagreeing element. The walk sorts nothing, and only the
-    problems found are sorted after it. Identities and compose entries
-    are read only out of objects with a non-empty value set, through the
-    base's index by source. The base must be a category.
+    least disagreeing element. The walk reads the stored graphs and,
+    through the base's index by source, the morphisms, identities and
+    compose entries out of the non-empty fibres (see ``SetFunctor``),
+    skipping the pairs with an identity when nothing was found before
+    them. It sorts nothing, only the problems found. The base must be a
+    category.
 
     When the base is the opposite of a language that ``free_category``
-    built (so its cached opposite has ``paths``) and the checks before
-    the compose entries found nothing, the meaning is functorial exactly
-    when each composite ``p∘e`` of an edge ``e`` and a non-identity
-    morphism ``p`` acts as ``e``'s action after ``p``'s (by induction on
-    path length), so only those composites are read, through the
-    language's ``compose``; one over an empty value set, or one that a
-    truncated language lacks, is skipped. Only when one disagrees are the
-    compose entries walked, for the problem list.
+    built (its cached opposite has ``paths``) and nothing was found before
+    the compose entries, the meaning is functorial exactly when each
+    composite ``p∘e`` of an edge ``e`` and a non-identity ``p`` acts as
+    ``e``'s action after ``p``'s (by induction on path length), so only
+    those are read (``_acts_along_paths``); only when one disagrees are
+    the compose entries walked, for the problem list.
     """
     base, value, action = fun.base, fun.value, fun.action
+    src, tgt, morphisms, by_src = base.src, base.tgt, base.morphisms, base.by_src
     # each problem after its sort key: the check, what it names, its place
-    found: list[tuple] = [(0, o, 0, f"object {o} has no value set")
-                          for o in base.objects.difference(value)]
-    empty: frozenset[str] = frozenset()
-    src, tgt = base.src, base.tgt
-    for m in base.morphisms:
-        act = action.get(m)
-        if act is None:
-            found.append((1, m, 0, f"morphism {m} has no action"))
-            continue
-        if act.keys() != value.get(src[m], empty):
-            found.append((1, m, 1, f"action of {m} is not total on the source value set"))
-        if not value.get(tgt[m], empty).issuperset(act.values()):
-            found.append((1, m, 2, f"action of {m} leaves the target value set"))
-    no_graph: dict[str, str] = {}
-    filled = [(o, fibre) for o, fibre in value.items() if fibre and o in base.objects]
-    for o, fibre in filled:
+    found: list[tuple] = []
+    filled = [(o, elements) for o, elements in value.items() if elements and o in base.objects]
+    read, no_graph = 0, {}  # the graphs read out of the non-empty fibres
+    for o, elements in filled:
         i = base.identity[o]
         ident = action.get(i, no_graph)
-        if any(ident.get(x) != x for x in fibre):
+        if any(ident.get(x) != x for x in elements):
             found.append((2, o, 0, f"action of identity {i} is not the identity function"))
+        for m in by_src.get(o, ()):
+            act = action.get(m)
+            if act is None:
+                found.append((1, m, 0, f"morphism {m} has no action"))
+                continue
+            read += 1
+            if act.keys() != elements:
+                found.append((1, m, 1, f"action of {m} is not total on the source value set"))
+            if not value.get(tgt[m], _NO_FIBRE).issuperset(act.values()):
+                found.append((1, m, 2, f"action of {m} leaves the target value set"))
+    if read != len(action):  # a graph out of an empty fibre, or a key outside the base
+        for m, act in action.items():
+            if act and m in morphisms and not value.get(src[m]):
+                found.append((1, m, 1, f"action of {m} is not total on the source value set"))
+                if not value.get(tgt[m], _NO_FIBRE).issuperset(act.values()):
+                    found.append((1, m, 2, f"action of {m} leaves the target value set"))
     language = base.__dict__.get("_opposite")
     if not found and language is not None and language.paths is not None:
         if _acts_along_paths(fun, language):
             return []
-    compose, by_src = base.compose, base.by_src
-    for o, fibre in filled:
+    compose = base.compose
+    agree = frozenset() if found else base.identities()  # pairs with an identity agree
+    for o, elements in filled:
         for f in by_src.get(o, ()):
+            if f in agree:
+                continue
             af = action.get(f, no_graph)
             for g in by_src.get(tgt[f], ()):
                 gf = compose.get((g, f))
-                if gf is None:  # beyond the bound of a truncated base
+                if gf is None or g in agree:  # beyond the bound of a truncated base, or agrees
                     continue
                 ag, agf = action.get(g, no_graph), action.get(gf, no_graph)
-                bad = [x for x in fibre if agf.get(x) != ag.get(af.get(x))]
+                bad = [x for x in elements if agf.get(x) != ag.get(af.get(x))]
                 if bad:
                     found.append((3, (g, f), 0, f"action of composite {gf} disagrees with the "
                                                 f"composite action at {min(bad)}"))
@@ -484,22 +514,24 @@ def validate_setfunctor(fun: SetFunctor) -> list[str]:
 def _acts_along_paths(fun: SetFunctor, language: FinCategory) -> bool:
     """Whether a meaning on the opposite of a free language, with total
     actions and identities, acts on each composite ``p∘e`` of an edge
-    ``e`` and a non-identity ``p`` as ``e``'s action after ``p``'s, over a
-    non-empty value set and where the language has the composite."""
+    ``e`` and a non-identity ``p`` as ``e``'s action after ``p``'s, where
+    the language has the composite and ``p`` runs into a non-empty fibre
+    (so ``e`` does too)."""
     value, action, paths = fun.value, fun.action, language.paths
-    compose, out_of, tgt = language.compose, language.by_src, language.tgt
-    for e, path in paths.items():
-        if len(path) != 1:
-            continue
-        act_e = action[e]
-        for p in out_of.get(tgt[e], ()):
-            if not paths[p] or not value[tgt[p]]:
+    compose, into, out_of, tgt = language.compose, language.by_tgt, language.by_src, language.tgt
+    for b, elements in value.items():
+        for e in into.get(b, ()) if elements else ():
+            if len(paths[e]) != 1:
                 continue
-            pe = compose.get((p, e))
-            if pe is None:  # beyond the bound of a truncated language
-                continue
-            if action[pe] != {x: act_e[y] for x, y in action[p].items()}:
-                return False
+            act_e = action[e]
+            for p in out_of[b]:
+                if not paths[p] or not value.get(tgt[p]):
+                    continue
+                pe = compose.get((p, e))
+                if pe is None:  # beyond the bound of a truncated language
+                    continue
+                if action[pe] != {x: act_e[y] for x, y in action[p].items()}:
+                    return False
     return True
 
 
@@ -674,13 +706,13 @@ def _join_root(fun: SetFunctor, walk: tuple, rows: Optional[list[tuple[str, ...]
     its rows into ``rows`` unless they are the component's first. Returns
     the joined rows, and the witness when none is left."""
     (root, steps, join), value, action = walk, fun.value, fun.action
-    own = [(x,) for x in sorted(value[root])]
+    own = [(x,) for x in sorted(value.get(root, _NO_FIBRE))]
     if not own:
         return [], {"kind": "empty-fibre", "object": root}
     for m, i, j, t in steps:
         act = action[m]
         if j is None:
-            fibre = value[t]
+            fibre = value.get(t, _NO_FIBRE)
             own = [row + (y,) for row in own if (y := act[row[i]]) in fibre]
         else:
             own = [row for row in own if act[row[i]] == row[j]]
@@ -717,7 +749,7 @@ def natural_iso_check(
     if left.base != right.base:
         raise BaseMismatch("natural isomorphism check needs a shared base category")
     objs = sorted(left.base.objects)
-    if any(len(left.value[o]) != len(right.value[o]) for o in objs):
+    if any(len(left.fibre(o)) != len(right.fibre(o)) for o in objs):
         return None
     touching: dict[str, list[str]] = {o: [] for o in objs}
     for m in left.base.non_identities():
@@ -732,15 +764,15 @@ def natural_iso_check(
             return True
         return all(
             witness[t][left.action[m][x]] == right.action[m][witness[s][x]]
-            for x in left.value[s]
+            for x in left.fibre(s)
         )
 
     def extend(i: int) -> bool:
         if i == len(objs):
             return True
         o = objs[i]
-        domain = sorted(left.value[o])
-        for perm in itertools.permutations(sorted(right.value[o])):
+        domain = sorted(left.fibre(o))
+        for perm in itertools.permutations(sorted(right.fibre(o))):
             witness[o] = dict(zip(domain, perm))
             if all(consistent(m) for m in touching[o]) and extend(i + 1):
                 return True

@@ -317,8 +317,10 @@ def _category_from_decl(decl: dict) -> FinCategory:
 
 def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: dict) -> Speaker:
     """The speaker with the declared fibres and non-identity actions over
-    a language whose axioms the caller has checked, assembled once; the
-    meaning is checked here. A ``fibres`` key that names no object, or an
+    a language whose axioms the caller has checked, assembled in the form
+    of ``SetFunctor`` in one pass over what was written, and checked: a
+    ``{}`` over an empty fibre is dropped, a non-empty graph over one is
+    refused as not total. A ``fibres`` key that names no object, or an
     ``actions`` key that names no morphism, raises ``ScenarioError``, and
     a non-identity morphism without an action raises ``FiblexError``,
     each naming the least such key or morphism."""
@@ -328,13 +330,19 @@ def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: d
     stray = set(actions).difference(language.morphisms)
     if stray:
         raise ScenarioError(f"actions key {min(stray)!r} names no morphism")
-    value = {o: frozenset(fibres.get(o, ())) for o in language.objects}
-    action = {m: dict(graph) for m, graph in actions.items()}
-    for o, i in language.identity.items():
-        action[i] = {x: x for x in value[o]}
-    missing = language.morphisms.difference(action)
-    if missing:
+    ids = language.identities()
+    written_ids = ids.intersection(actions)
+    # the written keys are morphisms, so they cover the non-identities when they count as many
+    if len(actions) - len(written_ids) < len(language.morphisms) - len(ids):
+        missing = language.morphisms.difference(ids, actions)
         raise FiblexError(f"no action table for {min(missing)}")
+    value = {o: fibre for o, elements in fibres.items() if (fibre := frozenset(elements))}
+    over = language.tgt  # a meaning's graph runs out of the fibre over its morphism's target
+    action = {m: dict(graph) for m, graph in actions.items() if graph or over[m] in value}
+    for i in written_ids:  # an identity acts as the identity, whatever was written
+        action.pop(i, None)
+    for o, fibre in value.items():
+        action[language.identity[o]] = {x: x for x in fibre}
     meaning = _derived(SetFunctor, base=opposite(language), value=value, action=action)
     problems = validate_setfunctor(meaning)
     if problems:
@@ -511,17 +519,15 @@ def run_events(
     return store, reports
 
 
-def _event_report(reports: list[dict], eid: str) -> dict:
-    for entry in reports:
-        if entry["id"] == eid:
-            return entry["report"]
-    raise ScenarioError(f"no report for event {eid!r}")
-
-
 def evaluate_assertion(
-    scenario: Scenario, store: Store, reports: list[dict], check: dict
+    scenario: Scenario, store: Store, reports: dict[str, dict], check: dict
 ) -> tuple[bool, str]:
+    """Whether ``check`` holds, and its detail; ``reports`` maps event ids to reports."""
     kind = check.get("assert")
+    if kind in ("new-morphisms", "outcome", "explanation"):
+        report = reports.get(check["event"])
+        if report is None:
+            raise ScenarioError(f"no report for event {check['event']!r}")
     if kind == "fibre-size":
         size = len(store[check["speaker"]].fibre(check["object"]))
         if "equals" in check:
@@ -531,7 +537,6 @@ def evaluate_assertion(
         count = len(store[check["speaker"]].language.morphisms)
         return count == check["equals"], f"language has {count} morphisms"
     if kind == "new-morphisms":
-        report = _event_report(reports, check["event"])
         names = report.get("new_morphisms", [])
         ok = True
         if "count" in check:
@@ -540,11 +545,9 @@ def evaluate_assertion(
             ok = ok and sorted(names) == sorted(check["names"])
         return ok, f"new morphisms: {', '.join(names) or 'none'}"
     if kind == "outcome":
-        report = _event_report(reports, check["event"])
         outcome = report.get("outcome")
         return outcome == check["equals"], f"outcome = {outcome}"
     if kind == "explanation":
-        report = _event_report(reports, check["event"])
         ok = True
         for key in ("valid", "exact", "vacuous"):
             if key in check:
@@ -596,10 +599,11 @@ def run_scenario(scenario: Scenario) -> tuple[int, dict]:
         }
     results = []
     first_failure = None
+    by_id = {entry["id"]: entry["report"] for entry in reports}
     for i, check in enumerate(scenario.assertions):
         name = _assertion_name(check, i)
         try:
-            passed, detail = evaluate_assertion(scenario, store, reports, check)
+            passed, detail = evaluate_assertion(scenario, store, by_id, check)
         except FiblexError as err:
             passed, detail = False, str(err)
         results.append({**check, "name": name, "passed": passed, "detail": detail})

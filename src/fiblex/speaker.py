@@ -58,6 +58,7 @@ from .fincat import (
     FinCategory,
     LimitCone,
     SetFunctor,
+    _NO_FIBRE,
     _derived,
     _reach,
     opposite,
@@ -76,9 +77,10 @@ from .fincat import (
 class Speaker:
     """A named language category plus its meaning assignment.
 
-    ``meaning`` must be a Set-valued functor on ``opposite(language)``.
-    The induced fibration over the language is built on first read and
-    cached; it takes no part in equality or ``repr``.
+    ``meaning`` must be a Set-valued functor on ``opposite(language)``,
+    which stores only the fibres the speaker knows: read them with
+    ``fibre``. The induced fibration over the language is built on first
+    read and cached; it takes no part in equality or ``repr``.
     """
 
     name: str
@@ -102,7 +104,7 @@ class Speaker:
         return grothendieck(self.meaning)
 
     def fibre(self, word: str) -> frozenset[str]:
-        return self.meaning.value[word]
+        return self.meaning.fibre(word)
 
 
 @dataclass(frozen=True)
@@ -197,10 +199,10 @@ def _report(learner: Speaker, out: Speaker, changed: Iterable[str], event: str, 
             word: str, outcome: str, new_morphisms=(), apex=()) -> AcquisitionReport:
     """The report of an acquisition that changed the fibres over ``changed``
     only; it reads nothing else of either speaker."""
-    old, new = learner.meaning.value, out.meaning.value
+    old, new = learner.meaning.fibre, out.meaning.fibre
     before, after, new_elements = {}, {}, {}
     for o in sorted(changed):
-        fibre, prior = new[o], old[o]
+        fibre, prior = new(o), old(o)
         before[o], after[o] = len(prior), len(fibre)
         gained = tuple(sorted(fibre - prior))
         if gained:
@@ -226,12 +228,12 @@ def _report(learner: Speaker, out: Speaker, changed: Iterable[str], event: str, 
 def _acts_on_its_fibres(speaker: Speaker, diagram: CatFunctor) -> bool:
     """Whether every arrow of the diagram acts on the whole fibre over the
     image of its target, so that its diagram of meanings can be evaluated."""
-    lang, action = speaker.language, speaker.meaning.action
+    lang, graph = speaker.language, speaker.meaning.action.get
     if any(diagram.omap.get(a) not in lang.objects for a in diagram.dom.objects):
         return False
     return all(
         diagram.mmap.get(m) in lang.morphisms
-        and speaker.fibre(diagram.omap[diagram.dom.tgt[m]]) <= action[diagram.mmap[m]].keys()
+        and speaker.fibre(diagram.omap[diagram.dom.tgt[m]]) <= graph(diagram.mmap[m], {}).keys()
         for m in diagram.dom.morphisms
     )
 
@@ -316,8 +318,10 @@ def _restrict(speaker: Speaker, diagram: CatFunctor, edges: bool) -> SetFunctor:
                         tgt=tgt, identity=identity, compose=compose, closed=False)
         object.__setattr__(shape, key, base)
     value, action, omap, mmap = meaning.value, meaning.action, diagram.omap, diagram.mmap
-    return _derived(SetFunctor, base=base, value={a: value[omap[a]] for a in shape.objects},
-                    action={m: action[mmap[m]] for m in base.src})
+    # a fibre per shape object, empty ones too: the tracer's limit counters read them all
+    return _derived(SetFunctor, base=base,
+                    value={a: value.get(omap[a], _NO_FIBRE) for a in shape.objects},
+                    action={m: action[mmap[m]] for m in base.src if mmap[m] in action})
 
 
 def validate_explanation(speaker: Speaker, explanation: Explanation) -> ExplanationCheck:
@@ -463,7 +467,7 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
     flat: dict[str, list[str]] = {}  # object -> the names of its rows, arrow by arrow
     renamed: dict[str, dict[str, str]] = {}  # object -> glued element -> its class name
     for obj, arrows in into.items():  # sorted, so that a clash is reported the same way on every run
-        fibre = meaning.value[obj]
+        fibre = meaning.fibre(obj)
         glued: dict[tuple[str, str], str] = {}
         if glue:  # the whole fibre over the word is glued, so every object here has a class
             linked: dict = {}  # each glued member -> the members glued to it, both ways
@@ -505,7 +509,7 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
         images = chain.from_iterable(map(rows.__getitem__, composites))
         for g in arrows_in:
             ren_s = renamed.get(src[g], none) if renamed else none
-            old = meaning.action[g]
+            old = meaning.action.get(g, none)
             if ren_s or ren_t:
                 graph = {ren_t.get(x, x): ren_s.get(y, y) for x, y in old.items()}
             else:
@@ -518,7 +522,8 @@ def _adjoin_example(learner: Speaker, word: str, witnesses: Sequence[str],
         if s_obj not in leaving:
             leaving[s_obj] = [g for g in lang.by_src[s_obj] if lang.tgt[g] not in into]
         for g in leaving[s_obj]:
-            action[g] = {x: ren.get(y, y) for x, y in meaning.action[g].items()}
+            if g in meaning.action:  # out of a non-empty fibre
+                action[g] = {x: ren.get(y, y) for x, y in meaning.action[g].items()}
     out = _derived(Speaker, name=learner.name, language=lang,
                    meaning=_derived(SetFunctor, base=meaning.base, value=value, action=action))
     return out, into.keys()
@@ -766,7 +771,7 @@ def acquire_by_paraphrasis(
                         f"override for {m} must map into the apex, got {target_value}", (m,)
                     )
                 target_value = as_fresh[target_value]
-            elif target_value not in value[lang.src[m]]:
+            elif target_value not in learner.fibre(lang.src[m]):
                 raise UnforcedActionAtL(
                     f"override for {m} sends {key} outside the fibre over {lang.src[m]}: "
                     f"{target_value}", (m,)

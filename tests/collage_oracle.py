@@ -210,9 +210,9 @@ def full_extension(
         raise MissingEdgeAction(f"no action for edges: {', '.join(missing)}")
     action: dict[str, dict[str, str]] = {}
     for wid, word in words.items():
-        graph = {x: x for x in fun.value[fun.base.src[word.bases[0]]]}
+        graph = {x: x for x in fun.fibre(fun.base.src[word.bases[0]])}
         for kind, ident in word_parts(word):
-            step = fun.action[ident] if kind == "base" else edge_actions[ident]
+            step = fun.action.get(ident, {}) if kind == "base" else edge_actions[ident]
             graph = {x: step[y] for x, y in graph.items()}
         action[wid] = graph
     return SetFunctor(base=category, value=dict(fun.value), action=action)

@@ -5,14 +5,17 @@ explanations, with ``speaker._derived``, which skips the checks of
 ``Speaker.__post_init__`` and ``Explanation.__post_init__``; the scenario
 layer trusts the categories its constructions build. For the whole test
 session every such value is checked in full here instead: a derived
-speaker's language axioms, its meaning's base and functoriality (a
-meaning derived the same way is checked as part of its speaker), a
-derived explanation's shape, and every category that
+speaker's language axioms, its meaning's base, sparse form and
+functoriality (a meaning derived the same way is checked as part of its
+speaker), a derived explanation's shape, and every category that
 ``scenario._category_from_decl`` returns. The base is compared with an
 opposite built from the language's tables (``opposite_from_tables``),
 since the library caches each category's opposite and would compare it
-with itself; the meaning is checked by the oracle in ``reference``, so
-that the engine's own meaning check never referees itself. Each checking
+with itself. The meaning must store no empty fibre, no empty graph and
+no key outside its base, and its dense form (``reference.dense``) must
+pass the oracle in ``reference``, so that the engine's own meaning check
+never referees itself: a fibre or a graph out of a non-empty fibre that
+the engine failed to store shows there as a problem. Each checking
 wrapper keeps the function it wraps as ``__wrapped__``, for a test that
 counts the engine's own work.
 """
@@ -27,7 +30,7 @@ import fiblex.speaker as speaker_module
 from fiblex.fincat import validate_category
 from fiblex.speaker import Explanation, Speaker
 from genlib import opposite_from_tables
-from reference import validate_setfunctor
+from reference import dense, validate_setfunctor
 
 
 def _checked_derived(derive):
@@ -37,7 +40,12 @@ def _checked_derived(derive):
             name, language, meaning = fields["name"], fields["language"], fields["meaning"]
             assert validate_category(language) == [], f"speaker {name}: derived language"
             assert meaning.base == opposite_from_tables(language), f"speaker {name}: derived base"
-            assert validate_setfunctor(meaning) == [], f"speaker {name}: derived meaning"
+            assert validate_setfunctor(dense(meaning)) == [], f"speaker {name}: derived meaning"
+            assert all(meaning.value.values()) and all(meaning.action.values()), \
+                f"speaker {name}: derived meaning stores an empty fibre or graph"
+            assert (meaning.value.keys() <= meaning.base.objects
+                    and meaning.action.keys() <= meaning.base.morphisms), \
+                f"speaker {name}: derived meaning has a key outside its base"
         elif cls is Explanation:
             assert validate_category(fields["shape"]) == [], "derived explanation shape"
         return derive(cls, **fields)

@@ -361,11 +361,11 @@ def broken_at_a_composite(rng: random.Random, fun: SetFunctor, paths: dict) -> S
     of the composites can see the break; ``fun`` itself when no such
     path has a choice of image."""
     choices = [(m, x) for m, path in sorted(paths.items()) if len(path) >= 2
-               for x in sorted(fun.action[m]) if len(fun.value[fun.base.tgt[m]]) > 1]
+               for x in sorted(fun.action.get(m, ())) if len(fun.fibre(fun.base.tgt[m])) > 1]
     if not choices:
         return fun
     m, x = rng.choice(choices)
-    others = sorted(fun.value[fun.base.tgt[m]] - {fun.action[m][x]})
+    others = sorted(fun.fibre(fun.base.tgt[m]) - {fun.action[m][x]})
     action = {**fun.action, m: {**fun.action[m], x: rng.choice(others)}}
     return SetFunctor(base=fun.base, value=fun.value, action=action)
 

@@ -19,7 +19,9 @@ The constructions here are the ones the paper defines those results by:
   a free shape, or to every non-identity arrow of any other, and its
   limit reads no composition table;
 - the meaning check by a sorted walk of every object, morphism and
-  compose entry, which the engine makes over the non-empty fibres only;
+  compose entry, which the engine makes over the non-empty fibres only,
+  and the dense form of a meaning that it reads: the engine stores only
+  the non-empty fibres and the graphs out of them (``dense``);
 - small helpers on categories and speakers that only the tests use.
 
 The tests compare the engine with them. Nothing in ``fiblex`` imports
@@ -40,6 +42,7 @@ from fiblex.fincat import (
     LimitCone,
     Quiver,
     SetFunctor,
+    _derived,
     natural_iso_check,
     opposite,
     set_limit,
@@ -136,9 +139,25 @@ def connected_components(cat: FinCategory) -> dict[str, str]:
     return blocks(uf)
 
 
+def dense(fun: SetFunctor) -> SetFunctor:
+    """``fun`` with every entry its sparse form leaves out written in: the
+    empty fibre for an object absent from ``value``, and the empty graph
+    for a morphism absent from ``action`` whose source fibre is empty. A
+    graph absent out of a non-empty fibre stays absent, for
+    ``validate_setfunctor`` to find."""
+    base = fun.base
+    value = {o: fun.value.get(o, frozenset()) for o in base.objects}
+    action = dict(fun.action)
+    for m in base.morphisms:
+        if m not in action and not value[base.src[m]]:
+            action[m] = {}
+    return _derived(SetFunctor, base=base, value={**fun.value, **value}, action=action)
+
+
 def validate_setfunctor(fun: SetFunctor) -> list[str]:
     """Check that the actions are total functions and functorial, walking
-    every table in sorted order."""
+    every table in sorted order. It reads every entry, so a meaning in
+    the engine's sparse form is checked as ``validate_setfunctor(dense(fun))``."""
     report: list[str] = []
     base = fun.base
     for o in sorted(base.objects):
@@ -407,10 +426,11 @@ def comprehensive_factorization(fun: CatFunctor) -> Factorization:
 def restriction_along_embedding(new, old_language: FinCategory) -> SetFunctor:
     """Restrict a post-paraphrasis speaker's meaning along the canonical
     embedding of the old language (0-edge words keep their names)."""
+    meaning = dense(new.meaning)
     return SetFunctor(
         base=opposite(old_language),
-        value={o: new.meaning.value[o] for o in old_language.objects},
-        action={m: new.meaning.action[m] for m in old_language.morphisms},
+        value={o: meaning.value[o] for o in old_language.objects},
+        action={m: meaning.action[m] for m in old_language.morphisms},
     )
 
 
@@ -549,6 +569,7 @@ def precompose(fun: SetFunctor, along: CatFunctor) -> SetFunctor:
     """Restrict a Set-valued functor along a functor into its base."""
     if along.cod != fun.base:
         raise BaseMismatch("functor codomain differs from the Set-valued functor base")
+    fun = dense(fun)
     return SetFunctor(
         base=along.dom,
         value={d: fun.value[along.omap[d]] for d in along.dom.objects},
@@ -586,7 +607,8 @@ def limit_over_every_path(
         for m in shape.morphisms:
             image = diagram.mmap.get(m)
             if image not in lang.morphisms or not (
-                speaker.fibre(diagram.omap[shape.tgt[m]]) <= speaker.meaning.action[image].keys()
+                speaker.fibre(diagram.omap[shape.tgt[m]])
+                <= speaker.meaning.action.get(image, {}).keys()
             ):
                 return problems, None
     return problems, set_limit(composite_meaning(speaker, explanation))

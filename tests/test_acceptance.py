@@ -31,6 +31,7 @@ from reference import (
     component_presheaf,
     compose_functors,
     comprehensive_factorization,
+    dense,
     discrete_quiver,
     is_discrete_fibration,
     iso_over_base,
@@ -414,7 +415,7 @@ def test_c4_example_acquisition_oracle():
     while matched < 100:
         base, paths = random_base(rng)
         fun = random_presheaf(rng, base, paths)
-        empties = [o for o in sorted(base.objects) if not fun.value[o]]
+        empties = [o for o in sorted(base.objects) if not fun.fibre(o)]
         if not empties:
             continue
         word = rng.choice(empties)
@@ -449,7 +450,7 @@ def test_c4_merged_example_oracle():
     while matched < 300:
         base, paths = random_base(rng)
         fun = random_presheaf(rng, base, paths)
-        full = [o for o in sorted(base.objects) if fun.value[o]]
+        full = [o for o in sorted(base.objects) if fun.fibre(o)]
         if not full:
             continue
         word = rng.choice(full)
@@ -576,12 +577,12 @@ def adversarial_examples(draw):
                               min_size=1, max_size=3, unique=True))
     names = st.one_of(ADVERSARIAL, _generated(st.sampled_from(witnesses)))
     rename = {
-        o: dict(zip(sorted(fun.value[o]),
+        o: dict(zip(sorted(fun.fibre(o)),
                     draw(st.lists(names, min_size=sizes[o], max_size=sizes[o], unique=True))))
         for o in "AWB"
     }
     base = fun.base
-    value = {o: [rename[o][x] for x in fun.value[o]] for o in "AWB"}
+    value = {o: [rename[o][x] for x in fun.fibre(o)] for o in "AWB"}
     action = {
         m: {rename[base.src[m]][x]: rename[base.tgt[m]][y] for x, y in graph.items()}
         for m, graph in fun.action.items()
@@ -600,9 +601,9 @@ def _generated_names_clash(learner, word, witnesses, glue, event_id):
     ident = lang.identity[word]
     for obj in sorted(lang.objects):
         arrows = hom(lang, obj, word)
-        classes = [{x} for x in fun.value[obj]] + [{(s, f)} for f in arrows for s in witnesses]
+        classes = [{x} for x in fun.fibre(obj)] + [{(s, f)} for f in arrows for s in witnesses]
         for f in arrows:
-            for y in fun.value[word]:
+            for y in fun.fibre(word):
                 a = next(c for c in classes if fun.action[f][y] in c)
                 b = next(c for c in classes if (glue[y], f) in c)
                 if a is not b:
@@ -665,9 +666,9 @@ def _first_clash(learner, word, witnesses, glue, event_id):
     witnesses = sorted(witnesses)
     for obj in sorted(lang.objects):
         arrows = hom(lang, obj, word)
-        classes = [{x} for x in fun.value[obj]] + [{(s, f)} for f in arrows for s in witnesses]
+        classes = [{x} for x in fun.fibre(obj)] + [{(s, f)} for f in arrows for s in witnesses]
         for f in arrows:
-            for y in fun.value[word]:
+            for y in fun.fibre(word):
                 a = next(c for c in classes if fun.action[f][y] in c)
                 b = next(c for c in classes if (glue[y], f) in c)
                 if a is not b:
@@ -772,6 +773,7 @@ def test_c4_examples_planned_once_per_language_and_word_match_the_oracle(run):
 def _oracle_limit(fun):
     """Backtracking extension over objects, independent of the
     product-and-filter route."""
+    fun = dense(fun)
     order = sorted(fun.base.objects)
     index = {o: i for i, o in enumerate(order)}
     morphs = [
@@ -803,6 +805,7 @@ def _oracle_limit(fun):
 def _product_limit(fun):
     """Product and filter: every family in the full product of the fibres
     that commutes with every non-identity action."""
+    fun = dense(fun)
     order = tuple(sorted(fun.base.objects))
     index = {o: i for i, o in enumerate(order)}
     checks = [
@@ -825,7 +828,7 @@ def test_c5_limits_and_tautologies():
         fun = random_presheaf(rng, base, paths)
         sizes = 1
         for o in base.objects:
-            sizes *= max(1, len(fun.value[o]))
+            sizes *= max(1, len(fun.fibre(o)))
         if sizes > 10 ** 6:
             continue
         cone = set_limit(fun)

@@ -461,9 +461,9 @@ def test_delta_collage_and_extension_match_the_full_enumeration(seed):
 
         edge_actions = {}
         for q in sorted(quiver.edges):
-            image = sorted(fun.value[quiver.etgt[q]])
-            if image or not fun.value[quiver.esrc[q]]:
-                edge_actions[q] = {x: rng.choice(image) for x in fun.value[quiver.esrc[q]]}
+            image = sorted(fun.fibre(quiver.etgt[q]))
+            if image or not fun.fibre(quiver.esrc[q]):
+                edge_actions[q] = {x: rng.choice(image) for x in fun.fibre(quiver.esrc[q])}
         if edge_actions and rng.random() < 0.1:
             del edge_actions[rng.choice(sorted(edge_actions))]
         ext, err = _outcome(lambda: extend_set_functor(fun, col, edge_actions))

@@ -222,7 +222,7 @@ def test_reindexing_equals_stored_action():
             stripped = {
                 fib.pairs[e][1]: fib.pairs[x][1] for e, x in rmap.items()
             }
-            assert stripped == fun.action[f]
+            assert stripped == fun.action.get(f, {})
 
 
 # --- fibration morphisms ----------------------------------------------------------

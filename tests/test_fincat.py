@@ -47,6 +47,7 @@ from fiblex.fincat import (
     validate_functor,
     validate_setfunctor,
 )
+from fiblex.speaker import Speaker, acquire_by_example
 
 
 def arrow_category():
@@ -148,6 +149,15 @@ def test_a_category_and_its_opposite_share_their_indexes():
         assert op.by_src is cat.by_tgt
         assert op.by_src == {o: sorted(m for m in cat.morphisms if cat.tgt[m] == o)
                              for o in cat.objects}
+
+
+def test_a_category_and_its_opposite_share_their_identities():
+    # built once, on first read, whichever of the two reads them first
+    for first in (lambda cat: cat, opposite):
+        cat = chain_category()
+        ids = first(cat).identities()
+        assert ids == {"id_A", "id_B", "id_C"}
+        assert cat.identities() is ids and opposite(cat).identities() is ids
 
 
 def test_cached_indexes_are_derived_and_invisible():
@@ -269,7 +279,7 @@ def test_comma_over_terminal_identity():
 
 def test_comma_with_empty_domain():
     presheaf, comma_pairs, _ = component_presheaf(arrow_category(), [], {}, [])
-    assert comma_pairs["A"] == {} and presheaf.value["A"] == frozenset()
+    assert comma_pairs["A"] == {} and presheaf.fibre("A") == frozenset()
 
 
 def test_comma_category_has_identity_labelled_objects():
@@ -665,7 +675,28 @@ def random_meaning(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_the_meaning_check_lists_the_oracles_problems_in_its_order(seed):
     fun = random_meaning(random.Random(seed))
-    assert validate_setfunctor(fun) == reference.validate_setfunctor(fun)
+    assert validate_setfunctor(fun) == reference.validate_setfunctor(reference.dense(fun))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_meaning_is_the_same_value_from_dense_or_sparse_tables(seed):
+    # the constructor drops the empty entries of dense tables, so a meaning
+    # and a speaker are equal however their tables were written
+    rng = random.Random(seed)
+    data = random_speaker_data(rng, fresh_object=True) or random_speaker_data(rng)
+    base, fun = opposite(data[0]), reference.dense(data[2])
+    sparse = SetFunctor(base, {o: v for o, v in fun.value.items() if v},
+                        {m: g for m, g in fun.action.items() if g})
+    assert SetFunctor(base, fun.value, fun.action) == sparse == data[2]
+    learner = Speaker("q", data[0], data[2])
+    speakers = [learner]
+    if len(data) == 4:  # an example over the fresh word: a speaker the engine built
+        speakers.append(acquire_by_example(learner, data[3], ["w0", "w1"])[0])
+    for speaker in speakers:
+        view = reference.dense(speaker.meaning)
+        assert Speaker(speaker.name, speaker.language,
+                       SetFunctor(view.base, view.value, view.action)) == speaker
 
 
 ARROW_VALUE = {"A": frozenset({"a1", "a2"}), "B": frozenset({"b"})}
@@ -679,7 +710,7 @@ CHAIN_ACTION = {"id_A": {"a1": "a1", "a2": "a2"}, "id_B": {"b1": "b1", "b2": "b2
 
 @pytest.mark.parametrize("base, value, action, problems", [
     pytest.param(arrow_category, {"A": ARROW_VALUE["A"]}, ARROW_ACTION,
-                 ["object B has no value set", "action of f leaves the target value set",
+                 ["action of f leaves the target value set",
                   "action of id_B is not total on the source value set",
                   "action of id_B leaves the target value set"], id="no-value-set"),
     pytest.param(arrow_category, ARROW_VALUE, {**ARROW_ACTION, "f": None},
@@ -702,4 +733,4 @@ CHAIN_ACTION = {"id_A": {"a1": "a1", "a2": "a2"}, "id_B": {"b1": "b1", "b2": "b2
 def test_each_meaning_problem_is_named(base, value, action, problems):
     fun = SetFunctor(base(), value, {m: g for m, g in action.items() if g is not None})
     assert validate_setfunctor(fun) == problems
-    assert reference.validate_setfunctor(fun) == problems
+    assert reference.validate_setfunctor(reference.dense(fun)) == problems

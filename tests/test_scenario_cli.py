@@ -361,6 +361,16 @@ def test_a_benchmark_pass_checks_no_category(workload, monkeypatch):
     assert categories == []
 
 
+def test_assertions_read_their_event_report_by_id():
+    scenario = load("alice-bob.json")
+    store, reports = run_events(scenario)
+    by_id = {entry["id"]: entry["report"] for entry in reports}
+    check = {"assert": "outcome", "event": reports[0]["id"], "equals": "learned"}
+    assert scenario_mod.evaluate_assertion(scenario, store, by_id, check)[0]
+    with pytest.raises(ScenarioError, match="no report for event 'nowhere'"):
+        scenario_mod.evaluate_assertion(scenario, store, by_id, {**check, "event": "nowhere"})
+
+
 def test_valid_meaning_checks_sort_nothing_but_the_shared_index_once(monkeypatch):
     doc = bench_generate.generate("learn-paraphrasis", 1)[0]
     sorts = []
@@ -383,9 +393,10 @@ def test_valid_meaning_checks_sort_nothing_but_the_shared_index_once(monkeypatch
     load_scenario(doc)
     assert len(per_check) == len(doc["speakers"]) == 21
     assert all(problems == [] for _, problems in per_check)
-    # the one sort is the shared opposite language's index by source,
-    # built on its first read and cached with it
-    assert [n for n, _ in per_check] == [1] + [0] * 20
+    # at most one sort: the shared language's two indexes, built together
+    # on their first read and cached with it and its opposite, which the
+    # suite's own check of the declared category may read first
+    assert per_check[0][0] <= 1 and [n for n, _ in per_check[1:]] == [0] * 20
 
 
 class CountedTable(dict):
@@ -434,7 +445,7 @@ def compose_entries_read(k, broken):
         action[lang.identity["feline"]] = {"tiger": "lynx", "lynx": "tiger"}
     fun = SetFunctor(meaning.base, value, action)
     tables = counted_tables(fun.base)
-    problems = reference.validate_setfunctor(fun)
+    problems = reference.validate_setfunctor(reference.dense(fun))
     assert fincat.validate_setfunctor(fun) == problems and bool(problems) == broken
     for table in tables:
         table.read.clear()
@@ -475,7 +486,7 @@ def test_a_valid_meaning_on_a_free_language_reads_one_composite_per_path(workloa
         language = fincat.opposite(fun.base)
         paths = language.paths
         expected = sorted((m, paths[m][0]) for m in paths
-                          if len(paths[m]) >= 2 and fun.value[language.tgt[m]])
+                          if len(paths[m]) >= 2 and fun.fibre(language.tgt[m]))
         read = list(language_table.read)
         assert base_table.read == []
         assert sorted((dict.get(language_table, pe), pe[1]) for pe in read) == expected
