@@ -48,18 +48,18 @@ class FinCategory:
 
     ``identities()``, ``by_src``, ``by_tgt`` and ``opposite(cat)`` are
     derived from the tables on first read and cached with the instance
-    (the first three shared with the opposite), and so are the
-    plan of ``set_limit`` over the category (``_limit_plan``), on a
-    language the plan of an example over each word
-    (``_example_plans``, see ``speaker._example_plan``) and, on an
-    explanation's shape, the bases its limits restrict to (``_edge_base``
-    and ``_arrow_base``, see ``speaker._restrict``); none takes part in
-    equality, hashing or ``repr``. A hash reads only the object and
-    morphism sets and ``closed``, which equal categories share. A
-    collage or an opposite holds its ``compose`` table as a pending glue
-    until the first read (``_GluedOnRead``), and a category built by
-    ``free_category`` or ``discrete_category`` knows the edge sequence
-    behind each morphism (``paths``).
+    (the first three shared with the opposite), and so are the plan of
+    ``set_limit`` over the category (``_limit_plan``), on a language the
+    plan of an example over each word (``_example_plans``, see
+    ``speaker._example_plan``) and, on an explanation's shape, the bases
+    its limits restrict to (``_edge_base`` and ``_arrow_base``, see
+    ``speaker._restrict``); none takes part in equality, hashing or
+    ``repr``. A hash reads only the object and morphism sets and
+    ``closed``, which equal categories share. A collage or an opposite
+    holds its ``compose`` table as a pending glue until the first read
+    (``_GluedOnRead``), and a category built by ``free_category`` or
+    ``discrete_category`` knows the edge sequence behind each morphism
+    (``paths``).
     """
 
     objects: frozenset[str]
@@ -156,12 +156,11 @@ FinCategory.compose = _GluedOnRead()  # set after the dataclass, so that no fiel
 
 def _index(cat: FinCategory) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     """The morphisms of ``cat`` by source and by target, sorted, built in
-    one pass and cached with ``cat``. They are the cached opposite's by
-    target and by source, so they are taken from there when the opposite
-    has them, and handed to it otherwise; an opposite built later finds
-    them here."""
+    one pass. They are the cached opposite's by target and by source, so
+    they are taken from there when it has them (it has both or neither),
+    and handed to it otherwise; an opposite built later finds them here."""
     op = cat.__dict__.get("_opposite")
-    if op is not None and "by_src" in op.__dict__ and "by_tgt" in op.__dict__:
+    if op is not None and "by_src" in op.__dict__:
         by_src, by_tgt = op.__dict__["by_tgt"], op.__dict__["by_src"]
     else:
         by_src, by_tgt = {}, {}
@@ -266,10 +265,9 @@ def _derived(cls, **fields):
     """A frozen ``cls`` value the engine derived from checked data, built
     without ``cls.__post_init__``, whose checks and copies the fields must
     already pass: the tables are the value's own and never written again,
-    a category's object and morphism sets are frozensets, a meaning holds
-    only its non-empty fibres, as frozensets, and the graphs out of them
-    (see ``SetFunctor``), and a speaker's meaning is a Set-valued functor
-    on its opposite language."""
+    a category's object and morphism sets are frozensets, a meaning has
+    the form of ``SetFunctor`` (no empty fibre, frozenset ones), and a
+    speaker's meaning is a Set-valued functor on its opposite language."""
     out = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(out, name, value)
@@ -446,11 +444,10 @@ def validate_setfunctor(fun: SetFunctor) -> list[str]:
     leaving its target fibre; identities not acting as identities, by
     object; composites whose action disagrees, by composable pair, at the
     least disagreeing element. The walk reads the stored graphs and,
-    through the base's index by source, the morphisms, identities and
+    through the base's index by source, the identities, morphisms and
     compose entries out of the non-empty fibres (see ``SetFunctor``),
-    skipping the pairs with an identity when nothing was found before
-    them. It sorts nothing, only the problems found. The base must be a
-    category.
+    skipping pairs with an identity when nothing was found before them.
+    It sorts nothing but the problems found. The base must be a category.
 
     When the base is the opposite of a language that ``free_category``
     built (its cached opposite has ``paths``) and nothing was found before
@@ -463,30 +460,22 @@ def validate_setfunctor(fun: SetFunctor) -> list[str]:
     base, value, action = fun.base, fun.value, fun.action
     src, tgt, morphisms, by_src = base.src, base.tgt, base.morphisms, base.by_src
     # each problem after its sort key: the check, what it names, its place
-    found: list[tuple] = []
+    found, no_graph = [], {}
+    for m, act in action.items():
+        if m not in morphisms:
+            continue
+        if act.keys() != value.get(src[m], _NO_FIBRE):
+            found.append((1, m, 1, f"action of {m} is not total on the source value set"))
+        if not value.get(tgt[m], _NO_FIBRE).issuperset(act.values()):
+            found.append((1, m, 2, f"action of {m} leaves the target value set"))
     filled = [(o, elements) for o, elements in value.items() if elements and o in base.objects]
-    read, no_graph = 0, {}  # the graphs read out of the non-empty fibres
     for o, elements in filled:
         i = base.identity[o]
-        ident = action.get(i, no_graph)
-        if any(ident.get(x) != x for x in elements):
+        if any(action.get(i, no_graph).get(x) != x for x in elements):
             found.append((2, o, 0, f"action of identity {i} is not the identity function"))
         for m in by_src.get(o, ()):
-            act = action.get(m)
-            if act is None:
+            if m not in action:
                 found.append((1, m, 0, f"morphism {m} has no action"))
-                continue
-            read += 1
-            if act.keys() != elements:
-                found.append((1, m, 1, f"action of {m} is not total on the source value set"))
-            if not value.get(tgt[m], _NO_FIBRE).issuperset(act.values()):
-                found.append((1, m, 2, f"action of {m} leaves the target value set"))
-    if read != len(action):  # a graph out of an empty fibre, or a key outside the base
-        for m, act in action.items():
-            if act and m in morphisms and not value.get(src[m]):
-                found.append((1, m, 1, f"action of {m} is not total on the source value set"))
-                if not value.get(tgt[m], _NO_FIBRE).issuperset(act.values()):
-                    found.append((1, m, 2, f"action of {m} leaves the target value set"))
     language = base.__dict__.get("_opposite")
     if not found and language is not None and language.paths is not None:
         if _acts_along_paths(fun, language):

@@ -331,16 +331,14 @@ def _declared_speaker(name: str, language: FinCategory, fibres: dict, actions: d
     if stray:
         raise ScenarioError(f"actions key {min(stray)!r} names no morphism")
     ids = language.identities()
-    written_ids = ids.intersection(actions)
     # the written keys are morphisms, so they cover the non-identities when they count as many
-    if len(actions) - len(written_ids) < len(language.morphisms) - len(ids):
+    if len(actions) - len(ids.intersection(actions)) < len(language.morphisms) - len(ids):
         missing = language.morphisms.difference(ids, actions)
         raise FiblexError(f"no action table for {min(missing)}")
     value = {o: fibre for o, elements in fibres.items() if (fibre := frozenset(elements))}
     over = language.tgt  # a meaning's graph runs out of the fibre over its morphism's target
-    action = {m: dict(graph) for m, graph in actions.items() if graph or over[m] in value}
-    for i in written_ids:  # an identity acts as the identity, whatever was written
-        action.pop(i, None)
+    action = {m: dict(graph) for m, graph in actions.items()  # identities are made below
+              if m not in ids and (graph or over[m] in value)}
     for o, fibre in value.items():
         action[language.identity[o]] = {x: x for x in fibre}
     meaning = _derived(SetFunctor, base=opposite(language), value=value, action=action)
