@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -90,10 +90,11 @@ def _word_id(cat: FinCategory, bases: tuple[str, ...], edges: tuple[str, ...]) -
     """``word_id`` of the word with these base morphisms and edges."""
     if not edges:
         return bases[0]
-    shown = [] if cat.is_identity(bases[0]) else [bases[0]]
+    ids = cat.identities()
+    shown = [] if bases[0] in ids else [bases[0]]
     for q, c in zip(edges, bases[1:]):
         shown.append(q)
-        if not cat.is_identity(c):
+        if c not in ids:
             shown.append(c)
     return shown[0] if len(shown) == 1 else tuple_name(shown)
 
@@ -142,7 +143,9 @@ def fp_collage(cat: FinCategory, quiver: Quiver, bound: Optional[int] = None) ->
     by ``word_id``. A base that is itself truncated raises
     ``BoundExceeded`` at its first missing composite.
     """
-    return _adjoin(cat, quiver, bound, lambda bases, edges: _word_id(cat, bases, edges))
+    category, spellings = _adjoin(cat, quiver, bound, partial(_word_id, cat), None)
+    return _derived(CollageCategory, base=cat, quiver=quiver, spellings=spellings,
+                    category=category, closed=category.closed)
 
 
 def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
@@ -156,60 +159,12 @@ def free_category(q: Quiver, bound: Optional[int] = None) -> FinCategory:
     whenever paths were actually cut off.
     """
     base = discrete_category(q.vertices)
-    collage = _adjoin(base, q, bound, _path_name)
-    # the base is this collage's own, so its paths become the free
-    # category's, and no second table is left to the collector
-    paths = base.paths
-    object.__delattr__(base, "_paths")
-    for m, (_, edges) in collage.spellings.items():
-        paths[m] = edges
-    object.__setattr__(collage.category, "_paths", paths)
-    return collage.category
+    # the base is this collage's own, so its paths become the free category's
+    return _adjoin(base, q, bound, _path_name, base.__dict__.pop("_paths"))[0]
 
 
 def _path_name(bases: tuple[str, ...], edges: tuple[str, ...]) -> str:
     return "∘".join(reversed(edges))
-
-
-def _spell(cat: FinCategory, quiver: Quiver, bound: Optional[int]) -> tuple[list[Spelling], bool]:
-    """The words of the collage that use an edge, fewest edges first, and
-    whether some were cut off at ``bound`` edges.
-
-    Each level extends the last by an edge and a base morphism. Without a
-    bound, a word that would use an edge twice raises ``UnboundedHomSet``:
-    that edge runs round a cycle. Otherwise every word uses each edge at
-    most once, so the enumeration ends. The quiver's edges must run
-    between objects of the category."""
-    esrc, etgt = quiver.esrc, quiver.etgt
-    edges = sorted(quiver.edges)
-    out_edges: dict[str, list[str]] = {}
-    for e in edges:
-        out_edges.setdefault(esrc[e], []).append(e)
-    out_bases, base_tgt = cat.by_src, cat.tgt
-    level = [
-        ((c0, c1), (q,))
-        for q in edges
-        for c0 in cat.by_tgt.get(esrc[q], ())
-        for c1 in out_bases.get(etgt[q], ())
-    ]
-    words: list[Spelling] = []
-    edge_count = 0
-    while level:
-        edge_count += 1
-        if bound is not None and edge_count > bound:
-            return words, True
-        words += level
-        nxt = []
-        for bases, used in level:
-            for q in out_edges.get(base_tgt[bases[-1]], ()):
-                if bound is None and q in used:
-                    raise UnboundedHomSet(
-                        "collage has unboundedly long words; an edge bound is required"
-                    )
-                longer = used + (q,)
-                nxt += [(bases + (c,), longer) for c in out_bases.get(etgt[q], ())]
-        level = nxt
-    return words, False
 
 
 def _adjoin(
@@ -217,19 +172,16 @@ def _adjoin(
     quiver: Quiver,
     bound: Optional[int],
     name: Callable[[tuple[str, ...], tuple[str, ...]], str],
-) -> CollageCategory:
-    """The collage of ``cat`` and ``quiver`` with each word named by
-    ``name(bases, edges)``; a word named like a base morphism or like
-    another word raises IdentifierClash, and a word that uses an edge twice,
-    without a bound, ``UnboundedHomSet``: this is where finiteness is
-    decided. Before any word is spelled, a quiver whose vertices are not
-    the objects, or with an edge between non-vertices, raises
-    ``VertexMismatch``, then a truncated base, which always lacks some
-    junction's composite, ``BoundExceeded``.
-
-    The 0-edge words are the base morphisms under their own names, so
-    ``src`` and ``tgt`` start as copies of the base tables and only the
-    words with edges are added. The composition table waits in a ``_Glue``."""
+    paths: Optional[dict[str, tuple[str, ...]]],
+) -> tuple[FinCategory, dict[str, Spelling]]:
+    """The collage of ``cat`` and ``quiver``, and its words with edges by
+    name, each named by ``name(bases, edges)`` (see ``_spell``). When
+    ``paths`` is given it holds the paths of the base morphisms, and the
+    collage gets it with the words' edges added. Before any word is
+    spelled, a quiver whose vertices are not the objects, or with an edge
+    between non-vertices, raises ``VertexMismatch``, then a truncated
+    base, which always lacks some junction's composite, ``BoundExceeded``.
+    The composition table waits in a ``_Glue``."""
     if quiver.vertices != cat.objects:
         raise VertexMismatch("quiver must share the category's objects")
     esrc, etgt, objects = quiver.esrc, quiver.etgt, cat.objects
@@ -241,25 +193,65 @@ def _adjoin(
     if not cat.closed:
         for g, f in cat.composable_pairs():
             cat.compose_pair(g, f)  # raises at the first composite the base lacks
-    spelled, truncated = _spell(cat, quiver, bound)
-    spellings: dict[str, Spelling] = {}
-    for bases, edges in spelled:
-        wid = name(bases, edges)
-        if wid in spellings or wid in cat.morphisms:
-            raise IdentifierClash(f"word name collision at {wid}")
-        spellings[wid] = (bases, edges)
+    spellings, src, tgt, truncated = _spell(cat, quiver, bound, name, paths)
+    category = _derived(FinCategory, objects=objects, morphisms=cat.morphisms.union(spellings),
+                        src=src, tgt=tgt, identity=cat.identity, closed=not truncated,
+                        _glue=_Glue(cat, spellings, bound), _paths=paths)
+    return category, spellings
 
-    src, tgt = dict(cat.src), dict(cat.tgt)
-    base_src, base_tgt = cat.src, cat.tgt
-    for wid, (bases, _) in spellings.items():
-        src[wid] = base_src[bases[0]]
-        tgt[wid] = base_tgt[bases[-1]]
-    closed = not truncated
-    morphisms = cat.morphisms.union(spellings)
-    category = _derived(FinCategory, objects=cat.objects, morphisms=morphisms, src=src, tgt=tgt,
-                        identity=cat.identity, closed=closed, _glue=_Glue(cat, spellings, bound))
-    return _derived(CollageCategory, base=cat, quiver=quiver, spellings=spellings,
-                    category=category, closed=closed)
+
+def _spell(cat: FinCategory, quiver: Quiver, bound: Optional[int],
+           name: Callable[[tuple[str, ...], tuple[str, ...]], str],
+           paths: Optional[dict[str, tuple[str, ...]]]) -> tuple:
+    """The words of the collage that use an edge, by name, level by level
+    (each extends one of the last by an edge and a base morphism), each
+    spelled, named, checked and placed in one loop, its edges added to
+    ``paths`` when given; the collage's endpoint tables, the base's and
+    the words'; and whether words were cut off at ``bound`` edges. Without
+    a bound, a word that would use an edge twice raises ``UnboundedHomSet``
+    (the edge runs round a cycle), else each word uses each edge at most
+    once and the enumeration ends; then the first word named like a base
+    morphism or an earlier word raises ``IdentifierClash``. The quiver's
+    edges must run between objects of the category."""
+    esrc, etgt, into_bases = quiver.esrc, quiver.etgt, cat.by_tgt
+    out_bases, base_src, base_tgt, taken = cat.by_src, cat.src, cat.tgt, cat.morphisms
+    out_edges: dict[str, list[str]] = {}
+    level = []
+    for q in sorted(quiver.edges):
+        out_edges.setdefault(esrc[q], []).append(q)
+        for c0 in into_bases.get(esrc[q], ()):
+            for c1 in out_bases.get(etgt[q], ()):
+                level.append(((c0, c1), (q,)))
+    spellings: dict[str, Spelling] = {}
+    src, tgt, clashes = dict(base_src), dict(base_tgt), []
+    edge_count = 0
+    while level:
+        edge_count += 1
+        if bound is not None and edge_count > bound:
+            break
+        nxt = []
+        for word in level:
+            bases, used = word
+            wid = name(bases, used)
+            if wid in spellings or wid in taken:
+                clashes.append(wid)
+            spellings[wid] = word
+            src[wid] = base_src[bases[0]]
+            tgt[wid] = end = base_tgt[bases[-1]]
+            if paths is not None:
+                paths[wid] = used
+            for q in out_edges.get(end, ()):
+                if bound is None and q in used:
+                    raise UnboundedHomSet(
+                        "collage has unboundedly long words; an edge bound is required"
+                    )
+                longer = used + (q,)
+                for c in out_bases.get(etgt[q], ()):
+                    nxt.append((bases + (c,), longer))
+        level = nxt
+    if clashes:
+        raise IdentifierClash(f"word name collision at {clashes[0]}")
+    return spellings, src, tgt, bool(level)
 
 
 class _Glue(NamedTuple):

@@ -12,19 +12,21 @@ its morphisms by source and by target (built together), shared with
 its opposite, its opposite, the plan of a limit over it and of an
 example over each of its objects. A category may hold its composition
 table as a pending glue, run on first read: a collage (see
-``fiblex.collage``) and its opposite glue theirs from their bases, any
-other opposite reverses its category's. Every reader, ``==`` included,
-sees the whole table. The dataclasses are frozen but the dicts inside
-them are not, so tables must never be mutated once handed over.
+``fiblex.collage``) and its opposite glue theirs from their bases, a
+discrete category its identities (``_UnitLaws``), any other opposite
+reverses its category's. Every reader, ``==`` included, sees the whole
+table. The dataclasses are frozen but the dicts inside them are not, so
+tables must never be mutated once handed over.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import BaseMismatch, BoundExceeded, IdentifierClash, NotComposable
 
@@ -55,11 +57,11 @@ class FinCategory:
     its limits restrict to (``_edge_base`` and ``_arrow_base``, see
     ``speaker._restrict``); none takes part in equality, hashing or
     ``repr``. A hash reads only the object and morphism sets and
-    ``closed``, which equal categories share. A collage or an opposite
-    holds its ``compose`` table as a pending glue until the first read
-    (``_GluedOnRead``), and a category built by ``free_category`` or
-    ``discrete_category`` knows the edge sequence behind each morphism
-    (``paths``).
+    ``closed``, which equal categories share. A collage, a discrete
+    category or an opposite holds its ``compose`` table as a pending glue
+    until the first read (``_GluedOnRead``), and a category built by
+    ``free_category`` or ``discrete_category`` knows the edge sequence
+    behind each morphism (``paths``).
     """
 
     objects: frozenset[str]
@@ -152,6 +154,23 @@ class _GluedOnRead:
 
 
 FinCategory.compose = _GluedOnRead()  # set after the dataclass, so that no field default is seen
+
+
+class _UnitLaws(NamedTuple):
+    """The pending composition table of a category whose only composites
+    are those with an identity; ``dual()`` is its opposite's."""
+
+    src: dict[str, str]
+    tgt: dict[str, str]
+    identity: dict[str, str]
+
+    def __call__(self) -> dict[tuple[str, str], str]:
+        identity, tgt = self.identity, self.tgt
+        return {pair: m for m, s in self.src.items()
+                for pair in ((m, identity[s]), (identity[tgt[m]], m))}
+
+    def dual(self) -> _UnitLaws:
+        return _UnitLaws(self.tgt, self.src, self.identity)
 
 
 def _index(cat: FinCategory) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
@@ -267,10 +286,11 @@ def _derived(cls, **fields):
     already pass: the tables are the value's own and never written again,
     a category's object and morphism sets are frozensets, a meaning has
     the form of ``SetFunctor`` (no empty fibre, frozenset ones), and a
-    speaker's meaning is a Set-valued functor on its opposite language."""
+    speaker's meaning is a Set-valued functor on its opposite language.
+    No dataclass default is applied, so every field is given, but for a
+    category's ``compose`` where a pending ``_glue`` stands for it."""
     out = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
+    out.__dict__.update(fields)
     return out
 
 
@@ -329,7 +349,7 @@ def discrete_category(objects: Iterable[str]) -> FinCategory:
     src = {i: o for o, i in identity.items()}
     by_end = {o: [i] for o, i in identity.items()}
     return _derived(FinCategory, objects=objs, morphisms=frozenset(src), src=src, tgt=src,
-                    identity=identity, compose={(i, i): i for i in src}, closed=True,
+                    identity=identity, closed=True, _glue=_UnitLaws(src, src, identity),
                     by_src=by_end, by_tgt=by_end, _paths=dict.fromkeys(src, ()))
 
 
@@ -591,57 +611,102 @@ def set_limit(fun: SetFunctor) -> LimitCone:
         for walk in walks:
             rows, witness = _join_root(fun, walk, rows)
             if witness is not None:
-                return LimitCone(order=order, apex=frozenset(), witness=witness)
+                return _derived(LimitCone, order=order, apex=frozenset(), witness=witness)
         pools.append([row[0] for row in rows] if len(cols) == 1 else rows)
     if pick is None:
         # one object per block, in sorted order: the product is the apex
-        return LimitCone(order=order, apex=frozenset(itertools.product(*pools)))
+        return _derived(LimitCone, order=order, apex=frozenset(itertools.product(*pools)),
+                        witness=None)
+    if len(blocks) == 1:  # one component: its rows, their columns in sorted order
+        return _derived(LimitCone, order=order, apex=frozenset(map(pick, rows)), witness=None)
     pools = [[(x,) for x in pool] if len(cols) == 1 else pool
              for (cols, _), pool in zip(blocks, pools)]
-    return LimitCone(order=order, apex=frozenset(
+    return _derived(LimitCone, order=order, apex=frozenset(
         pick(tuple(itertools.chain.from_iterable(parts))) for parts in itertools.product(*pools)
-    ))
+    ), witness=None)
 
 
 def _plan_limit(base: FinCategory) -> tuple:
     """What ``set_limit`` does over ``base``, whatever the fibres: the
     sorted objects; per connected component, its objects and the walks
-    of its roots, in join order (``_plan_root``); and the picker that puts
-    their columns in sorted order, None when each component is one object."""
+    of its roots, in join order; and the picker that puts their columns
+    in sorted order, None when each component is one object. An object
+    with no arrow in from another is a root, whose walk (``_walk``) is its
+    reach. Only the objects these roots miss, on or below cycles, get
+    reach sets (``_reach``): the least of each source cycle is a root. A
+    component's next root is the least that reaches its columns, from a
+    heap of the roots that reach each new column, and a join finds the
+    shared columns through their index."""
     order = tuple(sorted(base.objects))
+    src, tgt, identity = base.src, base.tgt, base.identity
     arrows_from: dict[str, list[str]] = {o: [] for o in order}
-    successors: dict[str, list[str]] = {o: [] for o in order}
     entered = set()  # objects with an arrow in from another object
-    for m in base.non_identities():
-        arrows_from[base.src[m]].append(m)
-        successors[base.src[m]].append(base.tgt[m])
-        if base.tgt[m] != base.src[m]:
-            entered.add(base.tgt[m])
+    for m in sorted(base.morphisms):
+        s, t = src[m], tgt[m]
+        if s != t:
+            entered.add(t)
+        elif identity[s] == m:
+            continue
+        arrows_from[s].append(m)
+    walks, reached_by = {}, {}  # each root's walk; the roots that reach each object
+    for root in order:
+        if root not in entered:
+            walks[root] = walk = _walk(arrows_from, tgt, root)
+            for o in walk[0]:
+                reached_by.setdefault(o, []).append(root)
+    if len(reached_by) < len(order):  # the rest lies on cycles or below them
+        rest = {o: _reach(lambda s: [tgt[m] for m in arrows_from[s]], o)
+                for o in order if o not in reached_by}
+        for root, mine in rest.items():
+            if root not in reached_by and all(root not in r or p in mine for p, r in rest.items()):
+                walks[root] = walk = _walk(arrows_from, tgt, root)
+                for o in walk[0]:
+                    reached_by.setdefault(o, []).append(root)
 
-    reach = {o: _reach(successors.__getitem__, o) for o in order if arrows_from[o]}
-    roots, covered = [], set()
-    for o in order:
-        mine = reach.get(o, {o})
-        if o not in covered and (
-            o not in entered or all(o not in r or p in mine for p, r in reach.items())
-        ):
-            roots.append(o)
-            covered |= mine
-
-    blocks = []
-    while roots:
-        root: Optional[str] = roots[0]
-        cols: list[str] = []
-        walks = []
-        while root is not None:
-            roots = [r for r in roots if r != root]
-            walks.append(_plan_root(base, arrows_from, root, cols))
-            root = next((r for r in roots if not reach.get(r, {r}).isdisjoint(cols)), None)
-        blocks.append((cols, walks))
-    if all(len(cols) == 1 for cols, _ in blocks):
+    blocks, taken = [], set()
+    for first in sorted(walks):
+        if first in taken:
+            continue
+        cols, column, joins, heap = [], {}, [], [first]
+        while heap:
+            root = heapq.heappop(heap)
+            if root in taken:
+                continue
+            taken.add(root)
+            reached, at, steps = walks[root]
+            shared = sorted(column[o] for o in reached if o in column)
+            fresh = [k for k, o in enumerate(reached) if o not in column]
+            joins.append((root, steps, (
+                _picker([at[cols[c]] for c in shared]), _picker(fresh), _picker(shared),
+                [cols[c] for c in shared]) if cols else None))
+            for k in fresh:
+                column[reached[k]] = len(cols)
+                cols.append(reached[k])
+                for r in reached_by[reached[k]]:
+                    if r not in taken:
+                        heapq.heappush(heap, r)
+        blocks.append((cols, joins))
+    joined = [o for cols, _ in blocks for o in cols]
+    if len(joined) == len(blocks):  # one object per component
         return order, blocks, None
-    position = {o: i for i, o in enumerate(o for cols, _ in blocks for o in cols)}
-    return order, blocks, operator.itemgetter(*[position[o] for o in order])
+    position = dict(zip(joined, range(len(joined))))
+    return order, blocks, operator.itemgetter(*map(position.__getitem__, order))
+
+
+def _walk(arrows_from: Mapping[str, list[str]], tgt: Mapping[str, str], root: str) -> tuple:
+    """The objects ``root`` reaches, breadth first, their places in that
+    list, and a step ``(m, i, j, t)`` per arrow ``m`` out of them, from the
+    ``i``-th object to ``t``, the ``j``-th: a step extends rows by ``t``
+    when ``j`` is None (``t`` is new) and filters them otherwise."""
+    reached, at, steps = [root], {root: 0}, []
+    for i, s in enumerate(reached):  # grows as the walk reaches new objects
+        for m in arrows_from[s]:
+            t = tgt[m]
+            steps.append((m, i, at.get(t), t))
+            if t not in at:
+                at[t] = len(reached)
+                reached.append(t)
+    return reached, at, steps
 
 
 def _reach(arcs: Callable[[_T], Iterable[_T]], start: _T) -> set[_T]:
@@ -656,46 +721,13 @@ def _reach(arcs: Callable[[_T], Iterable[_T]], start: _T) -> set[_T]:
     return seen
 
 
-def _plan_root(base: FinCategory, arrows_from: Mapping[str, list[str]], root: str,
-               cols: list[str]) -> tuple:
-    """A root's walk, to be joined into rows over the objects ``cols``,
-    which grows by the objects the walk adds: the root, its steps and its
-    join.
-
-    - Each step ``(m, i, j, t)`` follows an arrow ``m`` from the ``i``-th
-      object of a row to ``t``, breadth first over the root's reach. It
-      filters the rows when ``t`` is their ``j``-th object already, and
-      extends them when ``j`` is None.
-    - The join is None for a component's first root. Otherwise it picks
-      the shared and the other objects of the root's rows, and the shared
-      objects of the rows so far, and it ends with the shared objects.
-    """
-    reached, at, steps = [root], {root: 0}, []
-    for s in reached:  # grows as the walk reaches new objects
-        for m in arrows_from[s]:
-            t = base.tgt[m]
-            steps.append((m, at[s], at.get(t), t))
-            if t not in at:
-                at[t] = len(reached)
-                reached.append(t)
-    if not cols:
-        cols += reached
-        return root, steps, None
-    shared = [o for o in cols if o in at]
-    fresh = [at[o] for o in reached if o not in shared]
-    join = (_picker([at[o] for o in shared]), _picker(fresh),
-            _picker([cols.index(o) for o in shared]), shared)
-    cols += [reached[k] for k in fresh]
-    return root, steps, join
-
-
 def _join_root(fun: SetFunctor, walk: tuple, rows: Optional[list[tuple[str, ...]]]
                ) -> tuple[list[tuple[str, ...]], Optional[dict]]:
-    """Run a root's walk (see ``_plan_root``) over the fibres, and hash-join
+    """Run a root's walk (see ``_plan_limit``) over the fibres, and hash-join
     its rows into ``rows`` unless they are the component's first. Returns
     the joined rows, and the witness when none is left."""
     (root, steps, join), value, action = walk, fun.value, fun.action
-    own = [(x,) for x in sorted(value.get(root, _NO_FIBRE))]
+    own = [(x,) for x in value.get(root, _NO_FIBRE)]
     if not own:
         return [], {"kind": "empty-fibre", "object": root}
     for m, i, j, t in steps:

@@ -265,7 +265,8 @@ class Scenario:
     they built, keyed by ``canonical_dumps`` of its declaration, the codec
     that writes the reports, so that each distinct shape declaration is
     built (and an explicit one decoded and checked) once per scenario,
-    however many explanations repeat it."""
+    however many explanations repeat it. ``shape_keys`` holds that key
+    by explanation name, so that each shape is encoded once."""
 
     name: str
     categories: dict[str, FinCategory]
@@ -274,6 +275,7 @@ class Scenario:
     events: list[dict]
     assertions: list[dict]
     shapes: dict[str, FinCategory] = field(default_factory=dict, compare=False, repr=False)
+    shape_keys: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
 
 Store = dict[str, Speaker]
@@ -433,7 +435,8 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
     if decl.get("kind") == "tautological":
         return tautological_explanation(store[decl["speaker"]], decl["target"])
     language = scenario.categories[decl["language"]]
-    key = canonical_dumps(decl["shape"])
+    keys = scenario.shape_keys  # a key is never empty: it ends in a newline
+    key = keys.get(name) or keys.setdefault(name, canonical_dumps(decl["shape"]))
     shape = scenario.shapes.get(key)
     if shape is None:
         shape = scenario.shapes[key] = _category_from_decl(decl["shape"])
@@ -453,7 +456,7 @@ def resolve_explanation(scenario: Scenario, store: Store, name: str) -> Explanat
             if tup is None:
                 raise ScenarioError(f"explanation {name}: bad embedding key {key!r}")
             embedding[tup] = x
-    diagram = CatFunctor(dom=shape, cod=language, omap=omap, mmap=mmap)
+    diagram = _derived(CatFunctor, dom=shape, cod=language, omap=omap, mmap=mmap)
     return _derived(
         Explanation, shape=shape, diagram=diagram, target=decl["target"], embedding=embedding
     )

@@ -59,6 +59,7 @@ from .fincat import (
     LimitCone,
     SetFunctor,
     _NO_FIBRE,
+    _UnitLaws,
     _derived,
     _reach,
     opposite,
@@ -207,18 +208,10 @@ def _report(learner: Speaker, out: Speaker, changed: Iterable[str], event: str, 
         gained = tuple(sorted(fibre - prior))
         if gained:
             new_elements[o] = gained
-    return AcquisitionReport(
-        speaker=learner.name,
-        event=event,
-        kind=kind,
-        word=word,
-        outcome=outcome,
-        fibres_before=before,
-        fibres_after=after,
-        new_elements=new_elements,
-        new_morphisms=tuple(new_morphisms),
-        apex=tuple(apex),
-    )
+    return _derived(AcquisitionReport, speaker=learner.name, event=event, kind=kind, word=word,
+                    outcome=outcome, fibres_before=before, fibres_after=after,
+                    new_elements=new_elements, new_morphisms=tuple(new_morphisms),
+                    apex=tuple(apex))
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +287,12 @@ def _preserves_paths(diagram: CatFunctor, paths: Mapping[str, tuple[str, ...]]) 
 def _restrict(speaker: Speaker, diagram: CatFunctor, edges: bool) -> SetFunctor:
     """The diagram's meanings on the opposite of the edges of its free
     shape, or of every non-identity arrow of its shape, and the
-    identities: all that ``set_limit`` reads of its base. Only the
-    composites with an identity are kept, so the base is flagged not
-    closed. The base depends on the shape alone: it is built once per
-    shape and set of arrows and cached with the shape, and so is the plan
-    ``set_limit`` caches with it; only the tables of meanings are the
-    speaker's."""
+    identities: all that ``set_limit`` reads of its base. Its composites
+    are those with an identity, glued on first read, which ``set_limit``
+    never makes, so the base is flagged not closed. The base depends on
+    the shape alone: it is built once per shape and set of arrows and
+    cached with the shape, and so is the plan ``set_limit`` caches with
+    it; only the tables of meanings are the speaker's."""
     shape, meaning = diagram.dom, speaker.meaning
     key = "_edge_base" if edges else "_arrow_base"
     base = shape.__dict__.get(key)
@@ -307,15 +300,13 @@ def _restrict(speaker: Speaker, diagram: CatFunctor, edges: bool) -> SetFunctor:
         identity = shape.identity
         src = {i: o for o, i in identity.items()}
         tgt = dict(src)
-        compose = {(i, i): i for i in src}
         arrows = ([m for m, path in shape.paths.items() if len(path) == 1] if edges
                   else shape.non_identities())
         for m in arrows:  # reversed
-            s = src[m] = shape.tgt[m]
-            t = tgt[m] = shape.src[m]
-            compose[m, identity[s]] = compose[identity[t], m] = m
+            src[m], tgt[m] = shape.tgt[m], shape.src[m]
         base = _derived(FinCategory, objects=shape.objects, morphisms=frozenset(src), src=src,
-                        tgt=tgt, identity=identity, compose=compose, closed=False)
+                        tgt=tgt, identity=identity, closed=False,
+                        _glue=_UnitLaws(src, tgt, identity))
         object.__setattr__(shape, key, base)
     value, action, omap, mmap = meaning.value, meaning.action, diagram.omap, diagram.mmap
     # a fibre per shape object, empty ones too: the tracer's limit counters read them all
@@ -341,10 +332,10 @@ def validate_explanation(speaker: Speaker, explanation: Explanation) -> Explanat
         raise DiagramOutsideLanguage(f"target {explanation.target} is not a language object")
     problems, cone = _limit(speaker, explanation)
     if cone is None:
-        empty = LimitCone(order=tuple(sorted(explanation.shape.objects)), apex=frozenset())
-        return ExplanationCheck(
-            valid=False, exact=False, vacuous=False, limit=empty, problems=tuple(problems)
-        )
+        empty = _derived(LimitCone, order=tuple(sorted(explanation.shape.objects)),
+                         apex=frozenset(), witness=None)
+        return _derived(ExplanationCheck, valid=False, exact=False, vacuous=False, limit=empty,
+                        problems=tuple(problems))
     fibre = speaker.fibre(explanation.target)
     vacuous = not cone.apex
 
@@ -361,9 +352,8 @@ def validate_explanation(speaker: Speaker, explanation: Explanation) -> Explanat
     else:
         valid = not problems
         exact = valid and len(cone.apex) == len(fibre)
-    return ExplanationCheck(
-        valid=valid, exact=exact, vacuous=vacuous, limit=cone, problems=tuple(problems)
-    )
+    return _derived(ExplanationCheck, valid=valid, exact=exact, vacuous=vacuous, limit=cone,
+                    problems=tuple(problems))
 
 
 def tautological_explanation(speaker: Speaker, word: str) -> Explanation:

@@ -17,9 +17,12 @@ pass the oracle in ``reference``, so that the engine's own meaning check
 never referees itself: a fibre or a graph out of a non-empty fibre that
 the engine failed to store shows there as a problem. Each checking
 wrapper keeps the function it wraps as ``__wrapped__``, for a test that
-counts the engine's own work.
+counts the engine's own work. Since ``_derived`` applies no dataclass
+default, every value it builds must be given each of its fields, but for
+the composition table of a category whose pending glue stands for it.
 """
 
+import dataclasses
 import functools
 import sys
 
@@ -27,7 +30,7 @@ import pytest
 
 import fiblex.scenario as scenario_module
 import fiblex.speaker as speaker_module
-from fiblex.fincat import validate_category
+from fiblex.fincat import FinCategory, validate_category
 from fiblex.speaker import Explanation, Speaker
 from genlib import opposite_from_tables
 from reference import dense, validate_setfunctor
@@ -36,6 +39,12 @@ from reference import dense, validate_setfunctor
 def _checked_derived(derive):
     @functools.wraps(derive)
     def derived(cls, **fields):
+        # no dataclass default is applied, so every field must be given; a
+        # category's pending glue stands for its composition table
+        missing = {f.name for f in dataclasses.fields(cls)}.difference(fields)
+        if cls is FinCategory and "_glue" in fields:
+            missing.discard("compose")
+        assert not missing, f"{cls.__name__} derived without {sorted(missing)}"
         if cls is Speaker:
             name, language, meaning = fields["name"], fields["language"], fields["meaning"]
             assert validate_category(language) == [], f"speaker {name}: derived language"

@@ -18,6 +18,9 @@ The constructions here are the ones the paper defines those results by:
   the opposite diagram; the engine restricts the meaning to the edges of
   a free shape, or to every non-identity arrow of any other, and its
   limit reads no composition table;
+- the plan of a limit with a reach set per object and a rescan of the
+  roots for each next one, which the engine makes in one walk per root
+  (``_plan_limit``);
 - the meaning check by a sorted walk of every object, morphism and
   compose entry, which the engine makes over the non-empty fibres only,
   and the dense form of a meaning that it reads: the engine stores only
@@ -31,8 +34,9 @@ this module.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from fiblex.errors import BaseMismatch, DiagramOutsideLanguage, FiblexError
 from fiblex.fibration import Fibration, grothendieck, pair_object_id
@@ -43,6 +47,8 @@ from fiblex.fincat import (
     Quiver,
     SetFunctor,
     _derived,
+    _picker,
+    _reach,
     natural_iso_check,
     opposite,
     set_limit,
@@ -637,3 +643,81 @@ def validate_explanation_over_every_path(
     else:
         exact = not problems and len(cone.apex) == len(fibre)
     return ExplanationCheck(not problems, exact, not cone.apex, cone, tuple(problems))
+
+
+# ---------------------------------------------------------------------------
+# the limit planner by reach sets
+
+
+def _plan_limit(base: FinCategory) -> tuple:
+    """What ``set_limit`` does over ``base``, whatever the fibres: the
+    sorted objects; per connected component, its objects and the walks
+    of its roots, in join order (``_plan_root``); and the picker that puts
+    their columns in sorted order, None when each component is one object."""
+    order = tuple(sorted(base.objects))
+    arrows_from: dict[str, list[str]] = {o: [] for o in order}
+    successors: dict[str, list[str]] = {o: [] for o in order}
+    entered = set()  # objects with an arrow in from another object
+    for m in base.non_identities():
+        arrows_from[base.src[m]].append(m)
+        successors[base.src[m]].append(base.tgt[m])
+        if base.tgt[m] != base.src[m]:
+            entered.add(base.tgt[m])
+
+    reach = {o: _reach(successors.__getitem__, o) for o in order if arrows_from[o]}
+    roots, covered = [], set()
+    for o in order:
+        mine = reach.get(o, {o})
+        if o not in covered and (
+            o not in entered or all(o not in r or p in mine for p, r in reach.items())
+        ):
+            roots.append(o)
+            covered |= mine
+
+    blocks = []
+    while roots:
+        root: Optional[str] = roots[0]
+        cols: list[str] = []
+        walks = []
+        while root is not None:
+            roots = [r for r in roots if r != root]
+            walks.append(_plan_root(base, arrows_from, root, cols))
+            root = next((r for r in roots if not reach.get(r, {r}).isdisjoint(cols)), None)
+        blocks.append((cols, walks))
+    if all(len(cols) == 1 for cols, _ in blocks):
+        return order, blocks, None
+    position = {o: i for i, o in enumerate(o for cols, _ in blocks for o in cols)}
+    return order, blocks, operator.itemgetter(*[position[o] for o in order])
+
+
+def _plan_root(base: FinCategory, arrows_from: Mapping[str, list[str]], root: str,
+               cols: list[str]) -> tuple:
+    """A root's walk, to be joined into rows over the objects ``cols``,
+    which grows by the objects the walk adds: the root, its steps and its
+    join.
+
+    - Each step ``(m, i, j, t)`` follows an arrow ``m`` from the ``i``-th
+      object of a row to ``t``, breadth first over the root's reach. It
+      filters the rows when ``t`` is their ``j``-th object already, and
+      extends them when ``j`` is None.
+    - The join is None for a component's first root. Otherwise it picks
+      the shared and the other objects of the root's rows, and the shared
+      objects of the rows so far, and it ends with the shared objects.
+    """
+    reached, at, steps = [root], {root: 0}, []
+    for s in reached:  # grows as the walk reaches new objects
+        for m in arrows_from[s]:
+            t = base.tgt[m]
+            steps.append((m, at[s], at.get(t), t))
+            if t not in at:
+                at[t] = len(reached)
+                reached.append(t)
+    if not cols:
+        cols += reached
+        return root, steps, None
+    shared = [o for o in cols if o in at]
+    fresh = [at[o] for o in reached if o not in shared]
+    join = (_picker([at[o] for o in shared]), _picker(fresh),
+            _picker([cols.index(o) for o in shared]), shared)
+    cols += [reached[k] for k in fresh]
+    return root, steps, join

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiblex.fincat as fincat_module
 import reference
 from genlib import (
     broken_at_a_composite,
@@ -734,3 +735,68 @@ def test_each_meaning_problem_is_named(base, value, action, problems):
     fun = SetFunctor(base(), value, {m: g for m, g in action.items() if g is not None})
     assert validate_setfunctor(fun) == problems
     assert reference.validate_setfunctor(reference.dense(fun)) == problems
+
+
+# --- the limit planner against the planner by reach sets -----------------------
+
+
+@st.composite
+def arrow_bases(draw):
+    """A base as ``set_limit`` reads it: objects with identities, and
+    arrows between them drawn freely, so with cycles, self-loops,
+    parallel arrows and several components; only the composites with an
+    identity are kept. The names are drawn so that their sorted order
+    varies against the order of the arrows."""
+    objects = draw(st.lists(st.sampled_from([f"o{i}" for i in range(16)]), min_size=1,
+                            max_size=8, unique=True))
+    identity = {o: f"id_{o}" for o in objects}
+    src = {i: o for o, i in identity.items()}
+    tgt = dict(src)
+    for k, (s, t) in enumerate(draw(st.lists(st.tuples(st.sampled_from(objects),
+                                                       st.sampled_from(objects)), max_size=12))):
+        src[f"m{k}"], tgt[f"m{k}"] = s, t
+    compose = {pair: m for m in src for pair in ((m, identity[src[m]]), (identity[tgt[m]], m))}
+    return FinCategory(objects, src.keys(), src, tgt, identity, compose, closed=False)
+
+
+PROBE = tuple(f"x{i}" for i in range(16))
+
+
+def plan_as_data(plan) -> list:
+    """A plan with each picker replaced by what it picks from ``PROBE``."""
+    order, blocks, pick = plan
+    return [order, [(list(cols), [(root, steps, join and (join[0](PROBE), join[1](PROBE),
+                                                         join[2](PROBE), list(join[3])))
+                                  for root, steps, join in walks])
+                    for cols, walks in blocks], pick and pick(PROBE)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrow_bases())
+def test_the_limit_plan_is_the_plan_by_reach_sets(base):
+    assert plan_as_data(fincat_module._plan_limit(base)) == plan_as_data(
+        reference._plan_limit(base))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrow_bases(), st.integers(0, 2**32 - 1))
+def test_a_limit_planned_either_way_has_the_same_apex_and_witness(base, seed):
+    # a total functor: random fibres, emptied upstream of every empty one,
+    # and a random function along each arrow
+    rng = random.Random(seed)
+    value = {o: {f"{o}.{k}" for k in range(rng.choice([0, 1, 2, 2, 3]))}
+             for o in base.objects}
+    arrows = [m for m in base.morphisms if m not in base.identities()]
+    while any(value[base.src[m]] and not value[base.tgt[m]] for m in arrows):
+        for m in arrows:
+            if not value[base.tgt[m]]:
+                value[base.src[m]] = set()
+    action = {m: {x: (x if m in base.identities() else rng.choice(sorted(value[base.tgt[m]])))
+                  for x in value[base.src[m]]} for m in base.morphisms}
+    cones = []
+    for plan in (fincat_module._plan_limit, reference._plan_limit):
+        copy = FinCategory(base.objects, base.morphisms, base.src, base.tgt, base.identity,
+                           base.compose, closed=False)
+        copy.__dict__["_limit_plan"] = plan(copy)
+        cones.append(set_limit(SetFunctor(copy, value, action)))
+    assert cones[0] == cones[1] and cones[0].witness == cones[1].witness

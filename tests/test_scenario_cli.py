@@ -1607,6 +1607,25 @@ def test_an_explicit_shape_is_decoded_and_checked_once_per_scenario(monkeypatch)
     assert len(categories) == 1
 
 
+def test_an_explanation_resolved_again_reads_its_shape_key(monkeypatch):
+    # three events and `validate` resolve e, which only the first encodes;
+    # f, whose shape is equal, is encoded once and shares the shape
+    doc = explicit_language_doc()
+    shape = {"objects": ["p", "q"], "morphisms": [{"id": "u", "src": "p", "tgt": "q"}]}
+    for name in ("e", "f"):
+        doc["explanations"][name] = {"language": "lang", "target": "C", "shape": dict(shape),
+                                     "diagram": {"p": "A", "q": "B"},
+                                     "diagram_morphisms": {"u": "f"}}
+    doc["events"] = [{"event": "validate-explanation", "speaker": "bob", "explanation": name}
+                     for name in ("e", "e", "f", "e")]
+    scenario = load_scenario(doc)
+    encoded = count_calls(monkeypatch, canonical_dumps)
+    code, _ = run_scenario(scenario)
+    assert code == 0 and validate_scenario(scenario)["status"] == "ok"
+    assert [args[0] for args in encoded] == [shape, shape]
+    assert scenario.shape_keys.keys() == {"e", "f"} and len(scenario.shapes) == 1
+
+
 def test_an_empty_limit_over_a_free_shape_is_witnessed_by_an_edge():
     # Along the edges the walk from d meets a again through v; over every
     # morphism of the shape it met a through the path x∘v first, which
